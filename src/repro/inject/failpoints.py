@@ -147,7 +147,7 @@ class FailPointRegistry:
     """
 
     __slots__ = (
-        "_plans", "hits", "fired", "_kstat", "_active", "_recording",
+        "_plans", "hits", "fired", "_kstat", "armed", "_recording",
         "profile",
     )
 
@@ -156,7 +156,9 @@ class FailPointRegistry:
         self.hits: Dict[str, int] = {}
         self.fired: Dict[str, int] = {}
         self._kstat = kstat
-        self._active = False
+        #: any plan armed or recording on: hot sites test this inline
+        #: before calling :meth:`fire`
+        self.armed = False
         self._recording = False
         #: host profiler timing the hit checks (machine swaps in a live one)
         self.profile = NULL_PROFILER
@@ -167,7 +169,7 @@ class FailPointRegistry:
         """Arm ``site`` with a policy string; replaces any earlier plan."""
         plan = FailPlan(site, policy)
         self._plans[site] = plan
-        self._active = True
+        self.armed = True
         return plan
 
     def arm_many(self, plans: Dict[str, str]) -> None:
@@ -181,7 +183,7 @@ class FailPointRegistry:
         scenario reaches (and how often) before choosing hit indices.
         """
         self._recording = True
-        self._active = True
+        self.armed = True
 
     @property
     def armed_sites(self) -> Dict[str, str]:
@@ -191,10 +193,11 @@ class FailPointRegistry:
 
     def fire(self, site: str) -> bool:
         """Record a hit at ``site``; True when the armed policy fires."""
-        if not self._active:
-            # Disarmed probes are hit on every syscall/fault path, so the
-            # no-op case returns before even the profiler bracketing —
+        if not self.armed:
+            # The no-op case returns before even the profiler bracketing:
             # there is nothing meaningful to attribute to "inject.fire".
+            # (The syscall trampoline tests ``armed`` itself and skips
+            # the call.)
             return False
         profile = self.profile
         if profile.enabled:
@@ -205,8 +208,6 @@ class FailPointRegistry:
         return self._fire(site)
 
     def _fire(self, site: str) -> bool:
-        if not self._active:
-            return False
         hit_no = self.hits.get(site, 0) + 1
         self.hits[site] = hit_no
         plan = self._plans.get(site)

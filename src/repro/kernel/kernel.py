@@ -104,6 +104,9 @@ class Kernel(
         self.profile = machine.profile  #: host self-profiler (may be NULL)
         self.kstat = machine.kstat  #: the machine's kstat counter registry
         self.inject = machine.inject  #: the machine's failpoint registry
+        # bound kstat handles for the syscall trampoline
+        self._kernel_ks = self.kstat.counters("kernel", 0)
+        self._syscall_cycles = self.kstat.histogram("kernel", 0, "syscall_cycles")
         self.fs = FileSystem()
         self.sched = make_scheduler(scheduler, machine)
         self.sched.kernel = self
@@ -147,8 +150,9 @@ class Kernel(
               cpu=None) -> None:
         """Record a trace event; a no-op when no tracer is attached.
 
-        The single hook-point helper: call sites stay one-liners and
-        never test ``self.tracer`` themselves.
+        The single hook-point helper.  The dispatch and syscall paths
+        test ``self.tracer is not None`` inline first, so an untraced
+        run does not pay for the call.
         """
         if self.tracer is not None:
             profile = self.profile
@@ -164,13 +168,14 @@ class Kernel(
         return self.inject.fire(site)
 
     def pcount(self, proc, name: str, n: int = 1) -> None:
-        """Bump a per-process kstat counter (and the group's, if any)."""
-        kstat = self.kstat
-        if not kstat.enabled:
-            return
-        kstat.add("proc", proc.pid, name, n)
+        """Bump a per-process kstat counter (and the group's, if any).
+
+        The proc's scope handle is bound by ``_new_proc``; the group's
+        where ``sproc`` numbers the group.
+        """
+        proc.ks[name] += n
         if proc.shaddr is not None:
-            kstat.add("group", getattr(proc.shaddr, "sgid", 0), name, n)
+            proc.shaddr.ks[name] += n
 
     # ------------------------------------------------------------------
     # programs and boot
@@ -231,6 +236,7 @@ class Kernel(
         pid = self.proc_table.alloc_pid()
         uarea.fdtable.inject = self.machine.inject
         proc = Proc(pid, uarea, vm, name=name)
+        proc.ks = self.kstat.counters("proc", pid)
         proc.child_wait = Semaphore(self.machine, self.sched, 0, "wait:%d" % pid)
         proc.api = self.make_api(proc)
         self.proc_table.insert(proc)
@@ -282,20 +288,17 @@ class Kernel(
         """
         proc.syscalls += 1
         self.stats["syscalls"] += 1
-        kstat = self.kstat
-        metrics = kstat.enabled
-        tracing = self.tracer is not None
-        name = getattr(handler, "__name__", "?") if (metrics or tracing) else "?"
+        name = getattr(handler, "__name__", "?")
         entered = self.engine.now
-        if metrics:
-            kstat.add("kernel", 0, "syscalls")
-            self.pcount(proc, "syscall." + name)
-        if tracing:
+        self._kernel_ks["syscalls"] += 1
+        self.pcount(proc, "syscall." + name)
+        if self.tracer is not None:
             self.trace("syscall", proc.pid, name, ph="B")
         proc.in_kernel = True
         yield kdelay(self.costs.syscall_entry)
         yield from self.entry_checks(proc)
-        if self.fail("syscall.entry"):
+        inject = self.inject
+        if inject.armed and inject.fire("syscall.entry"):
             # Abrupt-kill injection: the process dies at the boundary
             # before the handler starts, as a SIGKILL racing the trap
             # would have it.  deliver_pending never returns.
@@ -310,13 +313,11 @@ class Kernel(
             ret = -1
         finally:
             proc.in_kernel = False
-            if metrics:
-                kstat.observe(
-                    "kernel", 0, "syscall_cycles", self.engine.now - entered
-                )
-            self.trace("syscall", proc.pid, name, ph="E")
+            self._syscall_cycles.add(self.engine.now - entered)
+            if self.tracer is not None:
+                self.trace("syscall", proc.pid, name, ph="E")
         yield kdelay(self.costs.syscall_exit)
-        if self.fail("syscall.exit"):
+        if inject.armed and inject.fire("syscall.exit"):
             # Abrupt-kill injection at the return boundary: the handler's
             # work is complete and unwound; the pending check below
             # delivers the kill.

@@ -33,7 +33,8 @@ class Proc:
 
     Slotted: the proc entry is touched on every dispatch, boundary and
     syscall, so attribute access goes through fixed slots rather than a
-    per-instance dict.  ``api`` is assigned by ``Kernel._new_proc``.
+    per-instance dict.  ``api`` and ``ks`` are assigned by
+    ``Kernel._new_proc``.
     """
 
     __slots__ = (
@@ -48,7 +49,7 @@ class Proc:
         "alarm_event",
         "block_count", "block_sema",
         "sleeping_on", "sleep_interruptible", "child_wait",
-        "syscalls", "faults",
+        "syscalls", "faults", "ks",
         "api",
     )
 
@@ -111,6 +112,7 @@ class Proc:
         # statistics
         self.syscalls = 0
         self.faults = 0
+        self.ks = None  #: bound ("proc", pid) kstat scope, set by _new_proc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Proc %d %s %s>" % (self.pid, self.name, self.state.value)

@@ -115,6 +115,10 @@ class Scheduler:
         self.steals = 0  #: taken from another CPU's queue
         self.picks = 0  #: dispatch decisions taken
         self.scan_steps = 0  #: queue entries examined making them
+        # bound kstat handles: kernel-wide and per-CPU (indexed by idx)
+        kstat = machine.kstat
+        self._kernel_ks = kstat.counters("kernel", 0)
+        self._cpu_ks = [kstat.counters("cpu", cpu.idx) for cpu in machine.cpus]
         for cpu in machine.cpus:
             cpu.dispatcher = self
 
@@ -130,9 +134,10 @@ class Scheduler:
         proc.state = ProcState.RUNNABLE
         self._enqueue(proc)
         self.wakeups += 1
-        self.machine.kstat.add("kernel", 0, "wakeups")
-        if self.kernel is not None:
-            self.kernel.trace("wakeup", proc.pid)
+        self._kernel_ks["wakeups"] += 1
+        kernel = self.kernel
+        if kernel is not None and kernel.tracer is not None:
+            kernel.trace("wakeup", proc.pid)
         self._dispatch_idle()
         if proc.state is ProcState.RUNNABLE:
             self._request_preemption(proc)
@@ -163,7 +168,7 @@ class Scheduler:
             self._seq += 1
             queue.push(proc, self._seq)
             self._where[proc.pid] = queue
-            self.machine.kstat.set("cpu", queue.idx, "runq_depth", len(queue))
+            self._cpu_ks[queue.idx]["runq_depth"] = len(queue)
             return
         home = proc.last_cpu
         queue = None
@@ -180,7 +185,7 @@ class Scheduler:
         self._seq += 1
         queue.push(proc, self._seq)
         self._where[proc.pid] = queue
-        self.machine.kstat.set("cpu", queue.idx, "runq_depth", len(queue))
+        self._cpu_ks[queue.idx]["runq_depth"] = len(queue)
 
     def reprioritize(self, proc: Proc) -> None:
         """``proc.pri`` changed; re-key its queue entry if it is waiting."""
@@ -292,22 +297,21 @@ class Scheduler:
     def _place(self, proc: Proc) -> None:
         queue = self._where.pop(proc.pid)
         queue.remove(proc)
-        kstat = self.machine.kstat
-        kstat.set("cpu", queue.idx, "runq_depth", len(queue))
+        self._cpu_ks[queue.idx]["runq_depth"] = len(queue)
         cpu = self._choose_cpu(proc, queue)
         self._idle.remove(cpu)
         proc.state = ProcState.RUNNING
         if proc.last_cpu is not None:
             if cpu.idx == proc.last_cpu:
                 self.affinity_hits += 1
-                kstat.add("kernel", 0, "sched_affinity_hits")
+                self._kernel_ks["sched_affinity_hits"] += 1
             else:
                 self.migrations += 1
-                kstat.add("kernel", 0, "sched_migrations")
+                self._kernel_ks["sched_migrations"] += 1
         if cpu.idx != queue.idx:
             self.steals += 1
-            kstat.add("kernel", 0, "sched_steals")
-            kstat.add("cpu", cpu.idx, "runq_steals")
+            self._kernel_ks["sched_steals"] += 1
+            self._cpu_ks[cpu.idx]["runq_steals"] += 1
         cpu.assign(proc)
 
     def _choose_cpu(self, proc: Proc, queue: RunQueue):
@@ -444,6 +448,7 @@ class GlobalScheduler:
         self.steals = 0
         self.picks = 0  #: dispatch decisions taken
         self.scan_steps = 0  #: queue entries examined making them
+        self._kernel_ks = machine.kstat.counters("kernel", 0)
         for cpu in machine.cpus:
             cpu.dispatcher = self
 
@@ -460,9 +465,10 @@ class GlobalScheduler:
         proc.runq_since = self.machine.engine.now
         self._queue.append(proc)
         self.wakeups += 1
-        self.machine.kstat.add("kernel", 0, "wakeups")
-        if self.kernel is not None:
-            self.kernel.trace("wakeup", proc.pid)
+        self._kernel_ks["wakeups"] += 1
+        kernel = self.kernel
+        if kernel is not None and kernel.tracer is not None:
+            kernel.trace("wakeup", proc.pid)
         self._dispatch_idle()
         if proc.state is ProcState.RUNNABLE:
             self._request_preemption(proc)

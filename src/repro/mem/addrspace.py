@@ -115,6 +115,7 @@ class AddressSpace:
         self.machine = machine
         self.frames = machine.frames
         self.shared = shared
+        self._kernel_ks = machine.kstat.counters("kernel", 0)
         self._own_asid = machine.alloc_asid() if shared is None else None
         self._private = PregionList()
         self._next_stack_index = 0
@@ -188,11 +189,11 @@ class AddressSpace:
     def _note_lookup(self, steps: int, hit: bool, indexed: bool) -> None:
         # Host-side accounting only: charges zero simulated cycles, so
         # metrics on/off cannot perturb the timeline.
-        kstat = self.machine.kstat
-        kstat.add("kernel", 0, "vm_lookups")
-        kstat.add("kernel", 0, "pregion_scan_len", steps)
+        ks = self._kernel_ks
+        ks["vm_lookups"] += 1
+        ks["pregion_scan_len"] += steps
         if indexed and hit:
-            kstat.add("kernel", 0, "vm_index_hits")
+            ks["vm_index_hits"] += 1
 
     def find_by_type(self, rtype: RegionType) -> Tuple[Optional[Pregion], bool]:
         for pregion, shared in self.iter_pregions():

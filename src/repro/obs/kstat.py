@@ -2,8 +2,16 @@
 
 Modeled on the Solaris/IRIX ``kstat`` facility: every counter lives
 under a *scope* — ``("kernel", 0)``, ``("cpu", idx)``, ``("proc", pid)``
-or ``("group", sgid)`` — and is created on first touch, so hook points
-stay one-liners and cost nothing when the registry is disabled.
+or ``("group", sgid)`` — and a name is created on first touch.
+
+Hot owners (the CPU, the scheduler, the syscall trampoline, the VM
+lookup) bind *handles* once — ``counters(kind, ident)`` is one scope's
+live counter dict, ``histogram(kind, ident, name)`` one live
+:class:`Histogram` — so a bump is a single in-place ``scope[name] += n``
+with no key tuple, no registry call and no profiler test.  Cold sites
+keep ``add``/``set``/``observe``, which write the same storage.  Readers
+skip scopes and histograms nobody has touched, so binding a handle is
+invisible until it records.
 
 Counters are host-side instrumentation: they never charge simulated
 cycles, so collection cannot perturb a measurement.  Because the
@@ -13,7 +21,8 @@ runs produce identical snapshots (``tests/test_obs.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, Optional, Tuple
 
 from repro.obs.profile import NULL_PROFILER
 
@@ -56,6 +65,13 @@ class Histogram:
             self.max = value
         bucket = int(value).bit_length()
         self.buckets[bucket] = self.buckets.get(bucket, 0) + n
+
+    def clear(self) -> None:
+        """Drop every sample in place, so a bound handle stays live."""
+        self.count = 0
+        self.total = 0
+        self.max = 0
+        self.buckets.clear()
 
     @property
     def mean(self) -> float:
@@ -122,27 +138,60 @@ SCOPE_KINDS = ("kernel", "cpu", "proc", "group")
 class KstatRegistry:
     """Named counters, gauges and histograms, scoped per kernel entity.
 
-    * counters — monotonically increasing ints (``add``);
-    * gauges — last-write-wins values (``set``);
-    * histograms — value distributions (``observe``).
+    * counters — monotonically increasing ints (``add``, or ``+=`` on a
+      ``counters`` handle);
+    * gauges — last-write-wins values (``set``, or ``=`` on the handle);
+    * histograms — value distributions (``observe``, or ``add`` on a
+      ``histogram`` handle).
 
     All three share a namespace within a scope; ``snapshot()`` returns
-    one nested plain-dict view of everything, suitable for JSON.
+    one nested plain-dict view of everything, suitable for JSON.  A
+    disabled registry records nothing: its methods return at once and
+    its handles are private sinks that no reader sees.
     """
 
     __slots__ = ("enabled", "profile", "_values", "_hists")
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        #: host profiler timing the hook cost (machine swaps in a live one)
+        #: host profiler timing the registry methods (machine swaps in a
+        #: live one); handle bumps are not timed
         self.profile = NULL_PROFILER
-        #: (kind, ident) -> {name: int}
-        self._values: Dict[Tuple[str, int], Dict[str, int]] = {}
+        #: (kind, ident) -> {name: int}; a missing name reads as 0
+        self._values: Dict[Tuple[str, int], DefaultDict[str, int]] = {}
         #: (kind, ident) -> {name: Histogram}
         self._hists: Dict[Tuple[str, int], Dict[str, Histogram]] = {}
 
     # ------------------------------------------------------------------
-    # recording
+    # handles (bind once, bump in place)
+
+    def counters(self, kind: str, ident: int) -> DefaultDict[str, int]:
+        """The live counter/gauge dict of scope ``(kind, ident)``.
+
+        ``scope[name] += n`` bumps a counter and ``scope[name] = value``
+        sets a gauge; a name nobody touched reads as 0.
+        """
+        if not self.enabled:
+            return defaultdict(int)
+        scope = self._values.get((kind, ident))
+        if scope is None:
+            scope = self._values[(kind, ident)] = defaultdict(int)
+        return scope
+
+    def histogram(self, kind: str, ident: int, name: str) -> Histogram:
+        """The live histogram ``name`` of scope ``(kind, ident)``."""
+        if not self.enabled:
+            return Histogram()
+        scope = self._hists.get((kind, ident))
+        if scope is None:
+            scope = self._hists[(kind, ident)] = {}
+        hist = scope.get(name)
+        if hist is None:
+            hist = scope[name] = Histogram()
+        return hist
+
+    # ------------------------------------------------------------------
+    # recording (cold sites: one registry call per bump)
 
     def add(self, kind: str, ident: int, name: str, n: int = 1) -> None:
         """Bump counter ``name`` in scope ``(kind, ident)`` by ``n``."""
@@ -150,10 +199,7 @@ class KstatRegistry:
             return
         profile = self.profile
         t0 = profile.clock() if profile.enabled else 0.0
-        scope = self._values.get((kind, ident))
-        if scope is None:
-            scope = self._values[(kind, ident)] = {}
-        scope[name] = scope.get(name, 0) + n
+        self.counters(kind, ident)[name] += n
         if t0:
             profile.leaf("obs.kstat", t0)
 
@@ -163,10 +209,7 @@ class KstatRegistry:
             return
         profile = self.profile
         t0 = profile.clock() if profile.enabled else 0.0
-        scope = self._values.get((kind, ident))
-        if scope is None:
-            scope = self._values[(kind, ident)] = {}
-        scope[name] = value
+        self.counters(kind, ident)[name] = value
         if t0:
             profile.leaf("obs.kstat", t0)
 
@@ -176,13 +219,7 @@ class KstatRegistry:
             return
         profile = self.profile
         t0 = profile.clock() if profile.enabled else 0.0
-        scope = self._hists.get((kind, ident))
-        if scope is None:
-            scope = self._hists[(kind, ident)] = {}
-        hist = scope.get(name)
-        if hist is None:
-            hist = scope[name] = Histogram()
-        hist.add(value)
+        self.histogram(kind, ident, name).add(value)
         if t0:
             profile.leaf("obs.kstat", t0)
 
@@ -192,24 +229,28 @@ class KstatRegistry:
             return
         profile = self.profile
         t0 = profile.clock() if profile.enabled else 0.0
-        scope = self._hists.get((kind, ident))
-        if scope is None:
-            scope = self._hists[(kind, ident)] = {}
-        hist = scope.get(name)
-        if hist is None:
-            hist = scope[name] = Histogram()
-        hist.add_n(value, n)
+        self.histogram(kind, ident, name).add_n(value, n)
         if t0:
             profile.leaf("obs.kstat", t0)
 
     # ------------------------------------------------------------------
-    # reading
+    # reading (untouched scopes and empty histograms are invisible)
 
     def get(self, kind: str, ident: int, name: str, default: int = 0) -> int:
         return self._values.get((kind, ident), {}).get(name, default)
 
-    def hist(self, kind: str, ident: int, name: str):
-        return self._hists.get((kind, ident), {}).get(name)
+    def hist(self, kind: str, ident: int, name: str) -> Optional[Histogram]:
+        """Histogram ``name``, or None when it holds no samples."""
+        hist = self._hists.get((kind, ident), {}).get(name)
+        return hist if hist is not None and hist.count else None
+
+    def hists(self, kind: str, ident: int) -> Dict[str, Histogram]:
+        """The histograms of one scope that hold samples, by name."""
+        return {
+            name: hist
+            for name, hist in self._hists.get((kind, ident), {}).items()
+            if hist.count
+        }
 
     def scope(self, kind: str, ident: int) -> Dict[str, int]:
         """A copy of one scope's counter/gauge values."""
@@ -217,8 +258,14 @@ class KstatRegistry:
 
     def scopes(self, kind: str):
         """Sorted idents that have recorded anything under ``kind``."""
-        idents = {key[1] for key in self._values if key[0] == kind}
-        idents |= {key[1] for key in self._hists if key[0] == kind}
+        idents = {
+            key[1] for key, values in self._values.items()
+            if key[0] == kind and values
+        }
+        idents |= {
+            key[1] for key, hists in self._hists.items()
+            if key[0] == kind and any(hist.count for hist in hists.values())
+        }
         return sorted(idents)
 
     def snapshot(self) -> dict:
@@ -228,19 +275,25 @@ class KstatRegistry:
         """
         out: dict = {}
         for (kind, ident), values in self._values.items():
-            out.setdefault(kind, {}).setdefault(ident, {}).update(values)
+            if values:
+                out.setdefault(kind, {}).setdefault(ident, {}).update(values)
         for (kind, ident), hists in self._hists.items():
-            bucket = out.setdefault(kind, {}).setdefault(ident, {})
             for name, hist in hists.items():
-                bucket[name] = hist.as_dict()
+                if hist.count:
+                    out.setdefault(kind, {}).setdefault(ident, {})[name] = (
+                        hist.as_dict()
+                    )
         return out
 
     # ------------------------------------------------------------------
 
     def reset(self) -> None:
-        """Zero everything (registrations are not remembered)."""
-        self._values.clear()
-        self._hists.clear()
+        """Zero everything in place: bound handles keep recording."""
+        for values in self._values.values():
+            values.clear()
+        for hists in self._hists.values():
+            for hist in hists.values():
+                hist.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<KstatRegistry scopes=%d enabled=%s>" % (

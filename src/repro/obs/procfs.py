@@ -139,7 +139,7 @@ def render_latency(kstat) -> str:
     rows = []
     for kind in ("kernel", "cpu", "proc", "group"):
         for ident in kstat.scopes(kind):
-            hists = kstat._hists.get((kind, ident))
+            hists = kstat.hists(kind, ident)
             if not hists:
                 continue
             scope = kind if kind == "kernel" else "%s %s" % (kind, ident)

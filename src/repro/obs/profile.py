@@ -25,9 +25,11 @@ Two hook idioms, chosen by nesting:
   one combined bookkeeping call instead of a push/pop pair.
 
 Probe effect: timing a leaf costs two clock reads, which for very hot
-hooks (kstat adds) can rival the hook body itself.  The breakdown is for
-*ranking* phases, not for nanosecond-accurate accounting — treat small
-leaf phases as upper bounds.
+hooks can rival the hook body itself.  (The hottest kstat sites bump
+bound handles, which are not timed at all, so ``obs.kstat`` covers only
+registry-method calls.)  The breakdown is for *ranking* phases, not for
+nanosecond-accurate accounting — treat small leaf phases as upper
+bounds.
 
 A :class:`ProfileSession` aggregates every profiler created while it is
 active (the ``--profile`` CLI flag opens one), merging per-phase time
@@ -47,7 +49,7 @@ KNOWN_PHASES = (
     "engine.inline",  # inline-continuation bursts (trampoline-elided hops)
     "cpu.interp",     # generator resume + effect interpretation
     "fault.resolve",  # pregion-list walk on a TLB refill
-    "obs.kstat",      # kstat counter/gauge/histogram hooks
+    "obs.kstat",      # kstat registry-method calls (bound handles are untimed)
     "obs.trace",      # tracer record hooks (when a tracer is attached)
     "inject.fire",    # failpoint hit checks
 )

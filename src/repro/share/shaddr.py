@@ -64,6 +64,7 @@ class SharedAddressBlock:
         # --- extensions --------------------------------------------------
         self.gang = False  #: section 8 gang-scheduling hint
         self.sgid = 0  #: sequential share-group id (observability)
+        self.ks = None  #: bound ("group", sgid) kstat scope, set with sgid
 
         # --- statistics --------------------------------------------------
         self.updates = {"fds": 0, "dir": 0, "id": 0, "umask": 0, "ulimit": 0}

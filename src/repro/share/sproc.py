@@ -59,6 +59,7 @@ def ensure_group(kernel, proc) -> SharedAddressBlock:
     shaddr.seed_from(proc.uarea)
     kernel.stats["groups_created"] += 1
     shaddr.sgid = kernel.stats["groups_created"]
+    shaddr.ks = kernel.kstat.counters("group", shaddr.sgid)
     kernel.kstat.add("kernel", 0, "groups_created")
     return shaddr
 

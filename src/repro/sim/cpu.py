@@ -34,9 +34,10 @@ class CPU:
     """One processor of the simulated multiprocessor."""
 
     __slots__ = (
-        "idx", "machine", "engine", "costs", "kstat", "profile", "tlb",
+        "idx", "machine", "engine", "costs", "profile", "tlb",
         "current", "kernel", "dispatcher", "_last_asid", "_label",
         "_resume_cb", "_boundary_cb", "_dispatch_cb", "_resched",
+        "_ks", "_runq_wait",
         "busy_cycles", "switches", "dispatches", "preemptions",
     )
 
@@ -45,7 +46,6 @@ class CPU:
         self.machine = machine
         self.engine = machine.engine
         self.costs = machine.costs
-        self.kstat = machine.kstat
         self.profile = machine.profile
         self.tlb = TLB(
             tlb_capacity,
@@ -71,6 +71,9 @@ class CPU:
         # naive-loop ablation it degrades to schedule_call inside the
         # engine, so call sites never need to know the mode
         self._resched = machine.engine.resched_inline
+        # bound kstat handles: a dispatch bumps them in place
+        self._ks = machine.kstat.counters("cpu", idx)
+        self._runq_wait = machine.kstat.histogram("kernel", 0, "runq_wait")
         # statistics
         self.busy_cycles = 0
         self.switches = 0
@@ -102,25 +105,18 @@ class CPU:
         self.dispatches += 1
         cost = self.costs.dispatch
         asid = proc.asid()
-        kstat = self.kstat
-        metrics = kstat.enabled
-        if metrics:
-            kstat.add("cpu", self.idx, "dispatches")
+        ks = self._ks
+        ks["dispatches"] += 1
         if proc.runq_since is not None:
-            if metrics:
-                kstat.observe(
-                    "kernel", 0, "runq_wait", self.engine.now - proc.runq_since
-                )
+            self._runq_wait.add(self.engine.now - proc.runq_since)
             proc.runq_since = None
         if asid != self._last_asid:
             cost += self.costs.context_switch
             self.switches += 1
-            if metrics:
-                kstat.add("cpu", self.idx, "context_switches")
+            ks["context_switches"] += 1
         else:
             cost += self.costs.context_switch_same_as
-            if metrics:
-                kstat.add("cpu", self.idx, "switches_same_as")
+            ks["switches_same_as"] += 1
         self._last_asid = asid
         self.busy_cycles += cost
         kernel = self.kernel
@@ -203,13 +199,7 @@ class CPU:
             self.engine.schedule_call(0, self._resume_cb, None)
 
     def _interpret(self, proc, effect) -> None:
-        if type(effect) is Delay:
-            if effect.user:
-                self._user_delay(proc, effect.cycles)
-            else:
-                self.busy_cycles += effect.cycles
-                self._resched(effect.cycles, self._resume_cb, None)
-            return
+        """Every effect but ``Delay``, which ``_resume`` handles inline."""
         if type(effect) is Block:
             self._deschedule(proc)
             return
@@ -285,12 +275,6 @@ class CPU:
         else:
             self._resume_cb(resume_value)
 
-    def _continue(self, proc, resume_value) -> None:
-        if type(resume_value) is _ContinueDelay:
-            self._user_delay(proc, resume_value.remaining)
-        else:
-            self._resume_cb(resume_value)
-
     # ------------------------------------------------------------------
     # leaving the CPU
 
@@ -300,8 +284,7 @@ class CPU:
         proc.need_resched = False
         self.current = None
         proc.cpu = None
-        if self.kstat.enabled:
-            self.kstat.add("cpu", self.idx, "preempt_offs")
+        self._ks["preempt_offs"] += 1
         kernel = self.kernel
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("dispatch", proc.pid, self._label, ph="E", cpu=self.idx)
@@ -316,12 +299,6 @@ class CPU:
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("dispatch", proc.pid, self._label, ph="E", cpu=self.idx)
         self.dispatcher.cpu_idle(self)
-
-    # ------------------------------------------------------------------
-    # accounting
-
-    def _charge(self, cycles: int) -> None:
-        self.busy_cycles += cycles
 
 
 class _ContinueDelay:

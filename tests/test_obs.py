@@ -63,7 +63,96 @@ def test_kstat_disabled_records_nothing():
     kstat.add("kernel", 0, "syscalls")
     kstat.set("cpu", 0, "g", 1)
     kstat.observe("kernel", 0, "h", 5)
+    # handles from a disabled registry are private sinks
+    kstat.counters("cpu", 0)["dispatches"] += 1
+    kstat.counters("cpu", 0)["runq_depth"] = 3
+    kstat.histogram("kernel", 0, "runq_wait").add(10)
     assert kstat.snapshot() == {}
+    assert kstat.scopes("cpu") == [] and kstat.scopes("kernel") == []
+    assert kstat.get("cpu", 0, "dispatches") == 0
+    assert kstat.hist("kernel", 0, "runq_wait") is None
+
+
+# ----------------------------------------------------------------------
+# bound handles: counters(kind, ident) and histogram(kind, ident, name)
+
+
+def test_untouched_handles_are_invisible_to_readers():
+    kstat = KstatRegistry()
+    scope = kstat.counters("cpu", 3)
+    hist = kstat.histogram("kernel", 0, "wait")
+    assert kstat.snapshot() == {}
+    assert kstat.scopes("cpu") == [] and kstat.scopes("kernel") == []
+    assert kstat.scope("cpu", 3) == {}
+    assert kstat.get("cpu", 3, "dispatches") == 0
+    assert kstat.hist("kernel", 0, "wait") is None
+    assert kstat.hists("kernel", 0) == {}
+    scope["dispatches"] += 1
+    hist.add(7)
+    assert kstat.scopes("cpu") == [3] and kstat.scopes("kernel") == [0]
+    assert kstat.snapshot()["cpu"][3] == {"dispatches": 1}
+    assert kstat.hist("kernel", 0, "wait") is hist
+    assert kstat.hists("kernel", 0) == {"wait": hist}
+
+
+def test_handles_and_registry_methods_share_storage():
+    by_method = KstatRegistry()
+    by_method.add("proc", 7, "syscalls", 2)
+    by_method.set("cpu", 1, "runq_depth", 4)
+    by_method.observe("kernel", 0, "lat", 100)
+    by_method.observe_n("kernel", 0, "lat", 3, 2)
+    by_handle = KstatRegistry()
+    by_handle.counters("proc", 7)["syscalls"] += 2
+    by_handle.counters("cpu", 1)["runq_depth"] = 4
+    lat = by_handle.histogram("kernel", 0, "lat")
+    lat.add(100)
+    lat.add_n(3, 2)
+    assert by_handle.snapshot() == by_method.snapshot()
+    # one name, both paths: a single counter
+    by_handle.add("proc", 7, "syscalls")
+    by_handle.counters("proc", 7)["syscalls"] += 1
+    assert by_handle.get("proc", 7, "syscalls") == 4
+    assert by_handle.counters("proc", 7) is by_handle.counters("proc", 7)
+    assert by_handle.histogram("kernel", 0, "lat") is lat
+
+
+def test_reset_zeroes_in_place_and_bound_handles_keep_counting():
+    kstat = KstatRegistry()
+    scope = kstat.counters("kernel", 0)
+    hist = kstat.histogram("kernel", 0, "lat")
+    scope["wakeups"] += 5
+    hist.add(9)
+    kstat.reset()
+    assert kstat.snapshot() == {}
+    assert kstat.get("kernel", 0, "wakeups") == 0
+    assert kstat.hist("kernel", 0, "lat") is None
+    scope["wakeups"] += 1
+    hist.add(2)
+    assert kstat.get("kernel", 0, "wakeups") == 1
+    assert kstat.hist("kernel", 0, "lat").count == 1
+    assert kstat.snapshot()["kernel"][0]["lat"]["max"] == 2
+
+
+def _syscall_free(api, arg):
+    yield from api.compute(5_000)
+    return 0
+
+
+def test_syscall_free_run_shows_no_bound_but_untouched_state():
+    sim = System(ncpus=4)
+    proc = sim.spawn(_syscall_free)
+    sim.run()
+    assert sim.stats["syscalls"] == 0
+    kstat = sim.kstat
+    # the trampoline's syscall_cycles histogram is bound but never fed
+    assert kstat.hist("kernel", 0, "syscall_cycles") is None
+    assert "syscall_cycles" not in kstat.snapshot()["kernel"][0]
+    assert "syscall_cycles" not in sim.report()
+    # the dispatcher fed runq_wait, so the latency table still has a row
+    assert "runq_wait" in sim.report()
+    # the proc's scope is bound at creation, but it never counted anything
+    assert proc.ks == {}
+    assert kstat.scopes("proc") == [] and kstat.scopes("group") == []
 
 
 def test_lockstat_contention_accounting_and_top():
@@ -184,6 +273,10 @@ def test_disabled_metrics_do_not_change_the_headline():
     assert dict(enabled.stats) == dict(disabled.stats)
     assert disabled.kstat.snapshot() == {}
     assert disabled.lockstats.snapshot() == {}
+    # the hot paths bumped their handles, which were private sinks
+    report = disabled.report()
+    assert "COUNTERS (kernel)\n(none)" in report
+    assert "LATENCY (cycles)\n(none)" in report
 
 
 # ----------------------------------------------------------------------
