@@ -1,9 +1,9 @@
 """Compare two BENCH_*.json files and gate on a metric regression.
 
-CI runs this after the smoke benchmarks: the previous ``main`` run's
-artifact is the baseline, the fresh result is the candidate.  Stdlib
-only, exit codes: 0 OK (or no baseline to compare), 1 regression, 2
-usage error.
+CI's ``bench-stats`` job runs this after its seed sweeps: the previous
+``main`` run's artifact is the baseline, the fresh result is the
+candidate.  Stdlib only, exit codes: 0 OK (or no baseline to compare),
+1 regression, 2 usage error.
 
 Two gating modes:
 
@@ -21,16 +21,16 @@ Every metric present in both files is reported in the delta table;
 only ``--metric`` on the ``--gate`` row decides pass/fail.
 
     python benchmarks/compare_bench.py \
-        --previous prev-bench/BENCH_E15.json \
-        --current bench-artifacts/BENCH_E15.json \
+        --previous prev-stats/BENCH_E15.json \
+        --current bench-stats-artifacts/BENCH_E15.json \
         --key scheduler --gate percpu \
-        --metric scan_per_pick --threshold 0.25
+        --metric scan_per_pick
 
     python benchmarks/compare_bench.py \
-        --previous prev-bench/BENCH_E16.json \
-        --current bench-artifacts/BENCH_E16.json \
+        --previous prev-stats/BENCH_E16.json \
+        --current bench-stats-artifacts/BENCH_E16.json \
         --key vm_index --gate indexed \
-        --metric scan_per_fault --threshold 0.25
+        --metric scan_per_fault
 
 ``--host`` compares two BENCH_HOST.json files on
 ``sim_cycles_per_host_sec`` instead (direction: higher is better) and,
@@ -41,8 +41,8 @@ shared-runner noise but not a real regression of the direct-run
 dispatch work:
 
     python benchmarks/compare_bench.py --host \
-        --previous prev-bench/BENCH_HOST.json \
-        --current bench-artifacts/BENCH_HOST.json
+        --previous prev-stats/BENCH_HOST.json \
+        --current bench-stats-artifacts/BENCH_HOST.json
 """
 
 from __future__ import annotations

@@ -42,19 +42,3 @@ class ZeroDevice(Device):
 
     def write(self, payload: bytes) -> int:
         return len(payload)
-
-
-class SinkRecorderDevice(Device):
-    """A test/diagnostic device that remembers everything written."""
-
-    name = "sink"
-
-    def __init__(self):
-        self.received = bytearray()
-
-    def read(self, nbytes: int) -> bytes:
-        return b""
-
-    def write(self, payload: bytes) -> int:
-        self.received += payload
-        return len(payload)

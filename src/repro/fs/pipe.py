@@ -9,7 +9,7 @@ writers block on full, EOF when the last writer closes, ``EPIPE`` (plus
 
 from __future__ import annotations
 
-from repro.errors import EINTR, EPIPE, SysError
+from repro.errors import EINTR, SysError
 from repro.sync.semaphore import Semaphore
 
 #: classic pipe capacity (ten 512-byte blocks, as in V7)
@@ -119,14 +119,3 @@ class Pipe:
                 self._write_waiters = max(self._write_waiters - 1, 0)
                 raise SysError(EINTR)
         return written
-
-    # ------------------------------------------------------------------
-
-    @property
-    def fill(self) -> int:
-        return len(self.buffer)
-
-
-def raise_epipe() -> None:
-    """Helper for the kernel layer after posting SIGPIPE."""
-    raise SysError(EPIPE)

@@ -32,10 +32,3 @@ SYNC_BIT_NAMES = {
     SUMASKSYNC: "umask",
     SULIMITSYNC: "ulimit",
 }
-
-
-def sync_bits(flag_word: int):
-    """Iterate the individual sync bits set in a flag word."""
-    for bit in SYNC_BIT_NAMES:
-        if flag_word & bit:
-            yield bit

@@ -371,12 +371,6 @@ class Kernel(
         if frame is not None:
             frame.data[ERRNO_OFFSET:ERRNO_OFFSET + 4] = errno.to_bytes(4, "little")
 
-    def geterrno(self, proc: Proc) -> int:
-        frame = self._prda_frame(proc)
-        if frame is None:
-            return 0
-        return int.from_bytes(frame.data[ERRNO_OFFSET:ERRNO_OFFSET + 4], "little")
-
     # ------------------------------------------------------------------
     # signals
 
@@ -454,18 +448,3 @@ class Kernel(
     def exit_generator(self, proc: Proc, code: int):
         """CPU hook: implicit exit when a driver falls off the end."""
         return self.do_exit(proc, make_exit_status(code))
-
-    # ------------------------------------------------------------------
-    # diagnostics
-
-    def check_quiescent(self) -> None:
-        """Raise if live processes remain but nothing can ever run."""
-        stuck = [
-            proc for proc in self.proc_table.all_procs()
-            if proc.alive() and proc.state is not Proc.ZOMBIE
-        ]
-        if stuck and self.engine.idle():
-            raise SimulationError(
-                "deadlock: %s are blocked with an empty event queue"
-                % [(proc.pid, proc.name, proc.state.value) for proc in stuck]
-            )

@@ -122,10 +122,6 @@ class Proc:
     def asid(self) -> int:
         return self.vm.asid
 
-    @property
-    def in_share_group(self) -> bool:
-        return self.shaddr is not None
-
     def shares(self, mask_bit: int) -> bool:
         """Is this process sharing the resource named by ``mask_bit``?"""
         return self.shaddr is not None and bool(self.p_shmask & mask_bit)

@@ -9,7 +9,9 @@ runnable process from a peer when its queue is empty, so no CPU idles
 while work waits.  Dispatch and preemption decisions peek only at the
 queue heads (O(ncpus)), never at every runnable process — the global
 run-queue scan this design replaced is kept as :class:`GlobalScheduler`
-for the E15 ablation.
+for the E15 ablation.  Both subclass :class:`SchedulerBase`, which holds
+wakeup, the dispatch loop, gang mode and preemption requests; they
+differ only in the queue, ``_select`` and ``_place``.
 
 Preemption is requested by setting ``need_resched`` on the running
 process; the CPU honors it at its next user-mode boundary (kernel code
@@ -70,14 +72,8 @@ class RunQueue:
         self._entries[proc.pid] = entry
         heapq.heappush(self._heap, entry)
 
-    def _prune(self) -> None:
-        while self._heap and not self._heap[0][3]:
-            heapq.heappop(self._heap)
-
     def peek(self) -> Optional[Tuple[int, int, Proc]]:
         """``(pri, seq, proc)`` of the best entry, or None when empty."""
-        # _prune inlined: peek is called once per run queue per dispatch
-        # decision, so the extra call frame showed up in profiles.
         heap = self._heap
         while heap and not heap[0][3]:
             heapq.heappop(heap)
@@ -94,19 +90,22 @@ class RunQueue:
         return True
 
 
-class Scheduler:
-    """Per-CPU run queues, cache/TLB affinity, work stealing, gang mode."""
+class SchedulerBase:
+    """What both schedulers share: everything but the run queue.
 
-    #: name under which make_scheduler finds this class
-    kind = "percpu"
+    Wakeup, requeue and idle handling, the dispatch loop with gang
+    reservation, eviction and preemption requests, and the counters are
+    written once here.  A subclass supplies the queue itself:
+    ``_enqueue``, ``_select`` (count the pick, return the best waiting
+    process or None), ``_place`` (take it off the queue and onto an
+    idle CPU), ``should_preempt``, ``reprioritize``, ``has_runnable``
+    and ``queue_depths``.
+    """
 
     def __init__(self, machine):
         self.machine = machine
         self.kernel = None  #: set by the kernel at boot (trace hooks)
-        self._queues = [RunQueue(cpu.idx) for cpu in machine.cpus]
-        self._where: Dict[int, RunQueue] = {}  #: pid -> queue holding it
         self._idle = list(machine.cpus)  #: CPUs with nothing to run
-        self._seq = 0  #: global enqueue counter (FIFO within priority)
         self.wakeups = 0
         self.gang_dispatches = 0
         self.gang_holds = 0
@@ -115,10 +114,8 @@ class Scheduler:
         self.steals = 0  #: taken from another CPU's queue
         self.picks = 0  #: dispatch decisions taken
         self.scan_steps = 0  #: queue entries examined making them
-        # bound kstat handles: kernel-wide and per-CPU (indexed by idx)
-        kstat = machine.kstat
-        self._kernel_ks = kstat.counters("kernel", 0)
-        self._cpu_ks = [kstat.counters("cpu", cpu.idx) for cpu in machine.cpus]
+        #: bound kstat handle for the kernel-wide counters
+        self._kernel_ks = machine.kstat.counters("kernel", 0)
         for cpu in machine.cpus:
             cpu.dispatcher = self
 
@@ -143,16 +140,154 @@ class Scheduler:
             self._request_preemption(proc)
 
     def requeue(self, proc: Proc) -> None:
-        """A preempted or yielding process goes back to a queue tail.
-
-        ``_enqueue`` prefers the queue of the CPU it just ran on, so a
-        preempted process contends for its own — still warm — processor
-        first.
-        """
+        """A preempted or yielding process goes back to a queue tail."""
         proc.state = ProcState.RUNNABLE
         self._enqueue(proc)
 
     def _enqueue(self, proc: Proc) -> None:
+        raise NotImplementedError
+
+    def cpu_idle(self, cpu) -> None:
+        """``cpu`` has nothing to run; find it work or park it."""
+        if cpu.current is not None:
+            raise SimulationError("cpu_idle on busy CPU%d" % cpu.idx)
+        if cpu not in self._idle:
+            self._idle.append(cpu)
+        self._dispatch_idle()
+
+    # ------------------------------------------------------------------
+    # dispatch
+
+    def _dispatch_idle(self) -> None:
+        """Fill idle CPUs until no eligible work remains."""
+        while self._idle:
+            if not self._dispatch_one():
+                return
+
+    def _dispatch_one(self) -> bool:
+        """One dispatch decision; False when nothing may be placed.
+
+        A gang member chosen by ``_select`` reserves idle CPUs: if not
+        enough processors are free to co-schedule the whole gang we
+        dispatch nothing (leaving CPUs idle to accumulate) and ask
+        running non-members to yield.  Deliberately
+        non-work-conserving — that is the price of the section 8
+        guarantee that the group runs in parallel or not at all.  The
+        companions are computed after the chosen member is placed, when
+        it no longer counts as runnable; E12's placement order depends
+        on that.
+        """
+        chosen = self._select()
+        if chosen is None:
+            return False
+        if self._is_gang(chosen):
+            if self._gang_need(chosen) > len(self._idle):
+                self.gang_holds += 1
+                self._evict_for_gang(chosen)
+                return False
+            self.gang_dispatches += 1
+            self._place(chosen)
+            for member in self._gang_companions(chosen):
+                self._place(member)
+            return True
+        self._place(self._prefer_local(chosen))
+        return True
+
+    def _select(self) -> Optional[Proc]:
+        raise NotImplementedError
+
+    def _place(self, proc: Proc) -> None:
+        raise NotImplementedError
+
+    def _prefer_local(self, best: Proc) -> Proc:
+        """The process to place for a non-gang ``best``: ``best`` itself
+        unless the subclass keeps queues an idle CPU can prefer."""
+        return best
+
+    # ------------------------------------------------------------------
+    # gang mode (extension)
+
+    @staticmethod
+    def _is_gang(proc: Proc) -> bool:
+        return proc.shaddr is not None and getattr(proc.shaddr, "gang", False)
+
+    def _gang_runnable(self, proc: Proc) -> List[Proc]:
+        return [
+            member for member in proc.shaddr.members()
+            if member.state is ProcState.RUNNABLE
+        ]
+
+    def _gang_need(self, proc: Proc) -> int:
+        """CPUs required to co-dispatch the gang (capped at the machine)."""
+        return min(len(self._gang_runnable(proc)), self.machine.ncpus)
+
+    def _gang_blocked(self, proc: Proc) -> bool:
+        """May this gang member not be dispatched yet?"""
+        if not self._is_gang(proc):
+            return False
+        return self._gang_need(proc) > len(self._idle)
+
+    def _gang_companions(self, proc: Proc) -> List[Proc]:
+        """Other members to place on idle CPUs alongside ``proc``."""
+        take = self._gang_need(proc) - 1
+        return [
+            member for member in self._gang_runnable(proc) if member is not proc
+        ][:take]
+
+    def _evict_for_gang(self, proc: Proc) -> None:
+        """Ask CPUs running non-members to free up for a waiting gang."""
+        members = set(proc.shaddr.members())
+        for cpu in self.machine.cpus:
+            running = cpu.current
+            if running is not None and running not in members:
+                running.need_resched = True
+
+    # ------------------------------------------------------------------
+    # preemption
+
+    def _request_preemption(self, incoming: Proc) -> None:
+        """Ask the worst-priority running CPU to yield to ``incoming``."""
+        victim_cpu = None
+        for cpu in self.machine.cpus:
+            running = cpu.current
+            if running is None:
+                continue
+            if running.pri <= incoming.pri:
+                continue
+            if victim_cpu is None or running.pri > victim_cpu.current.pri:
+                victim_cpu = cpu
+        if victim_cpu is not None:
+            victim_cpu.current.need_resched = True
+
+    # ------------------------------------------------------------------
+    # introspection
+
+    @property
+    def idle_count(self) -> int:
+        return len(self._idle)
+
+
+class Scheduler(SchedulerBase):
+    """Per-CPU run queues, cache/TLB affinity, work stealing, gang mode."""
+
+    #: name under which make_scheduler finds this class
+    kind = "percpu"
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        self._queues = [RunQueue(cpu.idx) for cpu in machine.cpus]
+        self._where: Dict[int, RunQueue] = {}  #: pid -> queue holding it
+        self._seq = 0  #: global enqueue counter (FIFO within priority)
+        #: bound per-CPU kstat handles, indexed by CPU idx
+        self._cpu_ks = [machine.kstat.counters("cpu", cpu.idx) for cpu in machine.cpus]
+
+    # ------------------------------------------------------------------
+    # queue maintenance
+
+    def _enqueue(self, proc: Proc) -> None:
+        """Queue ``proc`` on its last CPU's queue while that stays within
+        the affinity slack, so a preempted process contends for its own
+        — still warm — processor first."""
         engine = self.machine.engine
         proc.runq_since = engine.now
         if engine.perturbs("enqueue"):
@@ -197,63 +332,20 @@ class Scheduler:
         queue.push(proc, self._seq)
         self._where[proc.pid] = queue
 
-    def cpu_idle(self, cpu) -> None:
-        """``cpu`` has nothing to run; find it work or park it."""
-        if cpu.current is not None:
-            raise SimulationError("cpu_idle on busy CPU%d" % cpu.idx)
-        if cpu not in self._idle:
-            self._idle.append(cpu)
-        self._dispatch_idle()
-
     # ------------------------------------------------------------------
     # dispatch
 
-    def _dispatch_idle(self) -> None:
-        """Fill idle CPUs until no eligible work remains."""
-        while self._idle:
-            if not self._dispatch_one():
-                return
-
-    def _dispatch_one(self) -> bool:
-        """One dispatch decision; False when nothing may be placed.
-
-        The best candidate is found by peeking the head of every queue —
-        O(ncpus), independent of how many processes are runnable.  A
-        gang member at the head reserves idle CPUs: if not enough
-        processors are free to co-schedule the whole gang we dispatch
-        nothing (leaving CPUs idle to accumulate) and ask running
-        non-members to yield.  Deliberately non-work-conserving — that
-        is the price of the section 8 guarantee that the group runs in
-        parallel or not at all.
+    def _prefer_local(self, best: Proc) -> Proc:
+        """A same-priority head on an idle CPU's own queue, if any.
 
         Priorities are strict, but *within* the best priority class an
         idle CPU takes the head of its own queue before the globally
         oldest one — that slight FIFO bend is what makes affinity pay:
         a requeued process is usually redispatched on the CPU whose
         cache and TLB it just warmed instead of round-robining across
-        the machine.
-        """
-        chosen = self._select()
-        if chosen is None:
-            return False
-        if self._is_gang(chosen):
-            if self._gang_need(chosen) > len(self._idle):
-                self.gang_holds += 1
-                self._evict_for_gang(chosen)
-                return False
-            self.gang_dispatches += 1
-            self._place(chosen)
-            for member in self._gang_companions(chosen):
-                self._place(member)
-            return True
-        self._place(self._prefer_local(chosen))
-        return True
-
-    def _prefer_local(self, best: Proc) -> Proc:
-        """A same-priority head on an idle CPU's own queue, if any.
-
-        Gang heads are never chosen here — gangs dispatch only through
-        the global-best path so the reservation rule stays intact.
+        the machine.  Gang heads are never chosen here — gangs dispatch
+        only through the global-best path so the reservation rule stays
+        intact.
         """
         for cpu in self._idle:
             head = self._queues[cpu.idx].peek()
@@ -268,10 +360,12 @@ class Scheduler:
     def _select(self) -> Optional[Proc]:
         """Globally-best queued process, by (priority, enqueue order).
 
-        Under seeded perturbation, FIFO order *within* the best priority
-        class is not load-bearing: the RNG picks any best-priority head
-        (a legal steal tie-break), which is how the schedule explorer
-        varies who gets stolen first.
+        Found by peeking the head of every queue — O(ncpus),
+        independent of how many processes are runnable.  Under seeded
+        perturbation, FIFO order *within* the best priority class is
+        not load-bearing: the RNG picks any best-priority head (a legal
+        steal tie-break), which is how the schedule explorer varies who
+        gets stolen first.
         """
         self.picks += 1
         best = None
@@ -330,60 +424,8 @@ class Scheduler:
                     return cpu
         return self._idle[0]
 
-    def _evict_for_gang(self, proc: Proc) -> None:
-        """Ask CPUs running non-members to free up for a waiting gang."""
-        members = set(proc.shaddr.members())
-        for cpu in self.machine.cpus:
-            running = cpu.current
-            if running is not None and running not in members:
-                running.need_resched = True
-
-    # ------------------------------------------------------------------
-    # gang mode (extension)
-
-    @staticmethod
-    def _is_gang(proc: Proc) -> bool:
-        return proc.shaddr is not None and getattr(proc.shaddr, "gang", False)
-
-    def _gang_runnable(self, proc: Proc) -> List[Proc]:
-        return [
-            member for member in proc.shaddr.members()
-            if member.state is ProcState.RUNNABLE
-        ]
-
-    def _gang_need(self, proc: Proc) -> int:
-        """CPUs required to co-dispatch the gang (capped at the machine)."""
-        return min(len(self._gang_runnable(proc)), self.machine.ncpus)
-
-    def _gang_blocked(self, proc: Proc) -> bool:
-        """May this gang member not be dispatched yet?"""
-        if not self._is_gang(proc):
-            return False
-        return self._gang_need(proc) > len(self._idle)
-
-    def _gang_companions(self, proc: Proc) -> List[Proc]:
-        """Other members to place on idle CPUs alongside ``proc``."""
-        take = self._gang_need(proc) - 1
-        return [
-            member for member in self._gang_runnable(proc) if member is not proc
-        ][:take]
-
     # ------------------------------------------------------------------
     # preemption
-
-    def _request_preemption(self, incoming: Proc) -> None:
-        """Ask the worst-priority running CPU to yield to ``incoming``."""
-        victim_cpu = None
-        for cpu in self.machine.cpus:
-            running = cpu.current
-            if running is None:
-                continue
-            if running.pri <= incoming.pri:
-                continue
-            if victim_cpu is None or running.pri > victim_cpu.current.pri:
-                victim_cpu = cpu
-        if victim_cpu is not None:
-            victim_cpu.current.need_resched = True
 
     def should_preempt(self, cpu, proc: Proc) -> bool:
         """Quantum expired on ``proc``: is someone of equal/better
@@ -410,161 +452,50 @@ class Scheduler:
         """Is anybody waiting for a CPU?  (sched_yield fast-path check)"""
         return bool(self._where)
 
-    @property
-    def runnable_count(self) -> int:
-        return len(self._where)
-
-    @property
-    def idle_count(self) -> int:
-        return len(self._idle)
-
     def queue_depths(self) -> List[int]:
         """Current depth of every CPU's run queue (introspection)."""
         return [len(queue) for queue in self._queues]
 
 
-class GlobalScheduler:
+class GlobalScheduler(SchedulerBase):
     """The pre-E15 scheduler: one global run queue feeding idle CPUs.
 
-    Kept as the ablation baseline for experiment E15: ``_pick`` scans
+    Kept as the ablation baseline for experiment E15: ``_select`` scans
     every runnable process per dispatch and ``should_preempt`` re-scans
     the whole queue at every quantum expiry, the O(n) hot path the
-    per-CPU scheduler removes.  Select it with
-    ``System(scheduler="global")``.
+    per-CPU scheduler removes.  Placement ignores ``last_cpu``, so
+    ``affinity_hits``, ``migrations`` and ``steals`` stay 0.  Select it
+    with ``System(scheduler="global")``.
     """
 
     kind = "global"
 
     def __init__(self, machine):
-        self.machine = machine
-        self.kernel = None  #: set by the kernel at boot (trace hooks)
+        super().__init__(machine)
         self._queue: List[Proc] = []  #: FIFO within priority
-        self._idle = list(machine.cpus)  #: CPUs with nothing to run
-        self.wakeups = 0
-        self.gang_dispatches = 0
-        self.gang_holds = 0
-        self.affinity_hits = 0  #: always 0: placement ignores last_cpu
-        self.migrations = 0
-        self.steals = 0
-        self.picks = 0  #: dispatch decisions taken
-        self.scan_steps = 0  #: queue entries examined making them
-        self._kernel_ks = machine.kstat.counters("kernel", 0)
-        for cpu in machine.cpus:
-            cpu.dispatcher = self
 
-    # ------------------------------------------------------------------
-    # queue maintenance
-
-    def wakeup(self, proc: Proc) -> None:
-        """Make ``proc`` runnable and get it a CPU if one is idle."""
-        if proc.state in (ProcState.RUNNING, ProcState.RUNNABLE):
-            return
-        if proc.state is ProcState.ZOMBIE:
-            raise SimulationError("wakeup of zombie %r" % proc)
-        proc.state = ProcState.RUNNABLE
-        proc.runq_since = self.machine.engine.now
-        self._queue.append(proc)
-        self.wakeups += 1
-        self._kernel_ks["wakeups"] += 1
-        kernel = self.kernel
-        if kernel is not None and kernel.tracer is not None:
-            kernel.trace("wakeup", proc.pid)
-        self._dispatch_idle()
-        if proc.state is ProcState.RUNNABLE:
-            self._request_preemption(proc)
-
-    def requeue(self, proc: Proc) -> None:
-        """A preempted or yielding process goes back to the queue tail."""
-        proc.state = ProcState.RUNNABLE
+    def _enqueue(self, proc: Proc) -> None:
         proc.runq_since = self.machine.engine.now
         self._queue.append(proc)
 
     def reprioritize(self, proc: Proc) -> None:
-        """No-op: ``_pick`` reads priorities live off the global queue."""
+        """No-op: ``_select`` reads priorities live off the global queue."""
 
-    def cpu_idle(self, cpu) -> None:
-        """``cpu`` has nothing to run; find it work or park it."""
-        if cpu.current is not None:
-            raise SimulationError("cpu_idle on busy CPU%d" % cpu.idx)
-        if cpu not in self._idle:
-            self._idle.append(cpu)
-        self._dispatch_idle()
-
-    # ------------------------------------------------------------------
-    # dispatch
-
-    def _dispatch_idle(self) -> None:
-        """Fill idle CPUs from the run queue until no eligible work remains."""
-        while self._idle:
-            chosen = self._pick()
-            if chosen is None:
-                return
-            proc, companions = chosen
-            self._place(proc)
-            for member in companions:
-                self._place(member)
-
-    def _place(self, proc: Proc) -> None:
-        cpu = self._idle.pop(0)
-        self._queue.remove(proc)
-        proc.state = ProcState.RUNNING
-        cpu.assign(proc)
-
-    def _pick(self) -> Optional[tuple]:
-        """Best proc to dispatch, plus gang companions to co-dispatch.
-
-        A gang member at the head of the queue *reserves* idle CPUs: if
-        not enough processors are free to co-schedule the whole gang, we
-        return None (leaving CPUs idle to accumulate) and ask running
-        non-members to yield, rather than handing the CPUs to whoever is
-        next.  Deliberately non-work-conserving — that is the price of
-        the section 8 guarantee that the group runs in parallel or not
-        at all.
-        """
+    def _select(self) -> Optional[Proc]:
+        """Best queued process: the first of the best priority (O(n))."""
         self.picks += 1
         self.scan_steps += len(self._queue)
         best: Optional[Proc] = None
         for proc in self._queue:
             if best is None or proc.pri < best.pri:
                 best = proc
-        if best is None:
-            return None
-        if self._is_gang(best):
-            if self._gang_blocked(best):
-                self.gang_holds += 1
-                self._evict_for_gang(best)
-                return None
-            self.gang_dispatches += 1
-            return best, self._gang_companions(best)
-        return best, []
+        return best
 
-    def _evict_for_gang(self, proc: Proc) -> None:
-        """Ask CPUs running non-members to free up for a waiting gang."""
-        members = set(proc.shaddr.members())
-        for cpu in self.machine.cpus:
-            running = cpu.current
-            if running is not None and running not in members:
-                running.need_resched = True
-
-    # ------------------------------------------------------------------
-    # gang mode (extension)
-
-    _is_gang = staticmethod(Scheduler._is_gang)
-    _gang_runnable = Scheduler._gang_runnable
-    _gang_need = Scheduler._gang_need
-    _gang_blocked = Scheduler._gang_blocked
-
-    def _gang_companions(self, proc: Proc) -> List[Proc]:
-        """Other members to place on idle CPUs alongside ``proc``."""
-        take = self._gang_need(proc) - 1
-        return [
-            member for member in self._gang_runnable(proc) if member is not proc
-        ][:take]
-
-    # ------------------------------------------------------------------
-    # preemption
-
-    _request_preemption = Scheduler._request_preemption
+    def _place(self, proc: Proc) -> None:
+        cpu = self._idle.pop(0)
+        self._queue.remove(proc)
+        proc.state = ProcState.RUNNING
+        cpu.assign(proc)
 
     def should_preempt(self, cpu, proc: Proc) -> bool:
         """Quantum expired on ``proc``: is someone of equal/better priority waiting?"""
@@ -575,20 +506,9 @@ class GlobalScheduler:
         self.scan_steps += len(self._queue)
         return False
 
-    # ------------------------------------------------------------------
-    # introspection
-
     def has_runnable(self) -> bool:
         """Is anybody waiting for a CPU?  (sched_yield fast-path check)"""
         return bool(self._queue)
-
-    @property
-    def runnable_count(self) -> int:
-        return len(self._queue)
-
-    @property
-    def idle_count(self) -> int:
-        return len(self._idle)
 
     def queue_depths(self) -> List[int]:
         """Global queue: all waiting work reported on one depth."""

@@ -432,16 +432,6 @@ class AddressSpace:
             child.private.append(clone)
         return child
 
-    def cow_pages_made(self) -> int:
-        """Resident pages currently marked COW (for cost accounting)."""
-        return sum(
-            sum(1 for flag in pregion.region.cow if flag)
-            for pregion, _ in self.iter_pregions()
-        )
-
-    def total_pages(self) -> int:
-        return sum(pregion.region.npages for pregion, _ in self.iter_pregions())
-
     def teardown_private(self) -> None:
         """Detach every private pregion (process exit / exec)."""
         for pregion in self.private:

@@ -27,7 +27,7 @@ of probing every list with ``in`` first.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.mem.pregion import Growth, Pregion
 
@@ -122,14 +122,3 @@ class PregionList(list):
         if pos < len(self._down):
             return self._down[pos], steps + 1
         return None, steps
-
-    def index_snapshot(self) -> List[Pregion]:
-        """The sorted view (rebuilding if stale) — for tests/invariants."""
-        if self._built != self.generation:
-            self._rebuild()
-        return list(self._order)
-
-
-def owning_list(pregion: Pregion) -> Optional[PregionList]:
-    """The list currently holding ``pregion``, or None when detached."""
-    return pregion.owner

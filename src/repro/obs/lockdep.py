@@ -270,9 +270,6 @@ class LockDep:
     def held_by(self, ctx) -> List[HeldLock]:
         return list(self._held.get(_ctx_key(ctx), []))
 
-    def edge_count(self) -> int:
-        return len(self._edges)
-
     def edges(self) -> List[Tuple[str, str]]:
         return sorted(self._edges)
 

@@ -22,12 +22,12 @@ and every call site takes its deterministic default path.
 
 Host-speed notes (see ``docs/INTERNALS.md`` §14 and §17):
 
-* The heap stores ``(time, seq, event)`` triples so sift comparisons
-  are C-level int compares instead of ``Event.__lt__`` calls; cancelled
-  entries are reclaimed by threshold-triggered compaction and counted
-  so ``pending`` is O(1); the default drain loop batches same-cycle
-  events, hoisting the ``until``/backwards-time checks behind a single
-  time-changed test.
+* The binary heap stores ``(time, seq, event)`` triples so sift
+  comparisons are C-level int compares (``seq`` is unique, so the
+  Event itself is never compared); cancelled entries are reclaimed by
+  threshold-triggered compaction and counted so ``pending`` is O(1);
+  the default drain loop batches same-cycle events, hoisting the
+  ``until``/backwards-time checks behind a single time-changed test.
 * :meth:`Engine.resched_inline` is the **inline-continuation park**:
   the CPU's steady-state hops (kernel-``Delay`` resumes and user-delay
   chunk boundaries) park a ``(time, seq, fn, token)`` quadruple in a
@@ -40,15 +40,11 @@ Host-speed notes (see ``docs/INTERNALS.md`` §14 and §17):
   turn.  Continuations only demote to real queued events under the
   naive ablation loop or past the park-list bound, so the protocol is
   observably transparent: exact ``(time, seq)`` order either way.
-* ``queue="wheel"`` (env ``REPRO_ENGINE_QUEUE``) swaps the binary heap
-  for a :class:`TimeWheel` calendar queue — hashed fixed-width buckets
-  with O(1) amortized insert, drained in the same ``(time, seq)``
-  total order.  The heap stays the default and the ablation.
 
 ``loop="naive"`` (env ``REPRO_ENGINE_LOOP``) falls back to the seed's
 one-event-at-a-time loop with the inline slot disabled (continuations
-materialize immediately); every {loop} × {queue} combination must stay
-cycle-identical — the determinism tests diff all four.
+materialize immediately).  It is the fast loop's oracle: the two must
+stay cycle-identical, and the determinism tests diff them.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ import heapq
 import os
 import random
 from bisect import insort
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.profile import NULL_PROFILER
@@ -67,21 +63,14 @@ PERTURB_FEATURES = frozenset({"wakeup", "enqueue", "place", "select"})
 
 #: drain-loop strategies: "fast" batches same-cycle events and honors
 #: the inline-continuation slot, "naive" is the original one-event-at-a-
-#: time loop kept as a bit-identical ablation
+#: time loop kept as the fast loop's bit-identical oracle
 ENGINE_LOOP_MODES = ("fast", "naive")
-
-#: event-structure strategies: "heap" is the classic binary heap,
-#: "wheel" the calendar-queue/time-wheel with O(1) amortized insert
-ENGINE_QUEUE_MODES = ("heap", "wheel")
-
-#: calendar-queue bucket width in cycles when none is requested
-DEFAULT_WHEEL_WIDTH = 4096
 
 #: distinguishes "no resume token" from a token that is legitimately None
 _NO_TOKEN = object()
 
 #: threshold for compacting cancelled entries out of the queue: at least
-#: this many dead entries *and* at least half the structure
+#: this many dead entries *and* at least half the heap
 _COMPACT_MIN_GARBAGE = 64
 
 #: park-list safety bound: the CPUs park at most one continuation each,
@@ -97,17 +86,6 @@ def default_engine_loop() -> str:
         raise SimulationError(
             "unknown REPRO_ENGINE_LOOP %r (choose from %s)"
             % (mode, ", ".join(ENGINE_LOOP_MODES))
-        )
-    return mode
-
-
-def default_engine_queue() -> str:
-    """The event structure used when none is requested (env-overridable)."""
-    mode = os.environ.get("REPRO_ENGINE_QUEUE", "heap")
-    if mode not in ENGINE_QUEUE_MODES:
-        raise SimulationError(
-            "unknown REPRO_ENGINE_QUEUE %r (choose from %s)"
-            % (mode, ", ".join(ENGINE_QUEUE_MODES))
         )
     return mode
 
@@ -150,136 +128,9 @@ class Event:
         if engine is not None:
             engine._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return "<Event t=%d seq=%d%s>" % (self.time, self.seq, state)
-
-
-class TimeWheel:
-    """Calendar-queue event structure: hashed fixed-width buckets.
-
-    An entry at time ``t`` lands in bucket ``t // width`` — bucket ids
-    are *absolute* (unbounded ints, a dict key), not modulo a ring size,
-    so a bucket only ever holds entries of its own window and there is
-    no year-overflow case.  Insert is O(1) amortized: append to the
-    bucket's unsorted list (or an O(len) ``insort`` for the rare entry
-    landing in the window currently being drained).  A small min-heap
-    of bucket ids finds the next non-empty window without scanning, so
-    sparse timelines (an alarm 10M cycles out) cost O(log buckets), not
-    O(buckets).
-
-    Draining *activates* one bucket at a time: its entries are sorted
-    once and merged in front of whatever remains of the current drain
-    list, so :meth:`pop` always yields the global ``(time, seq)``
-    minimum — the same total order the heap produces, which is what
-    keeps ``queue="wheel"`` bit-identical to ``queue="heap"``.
-    Entries are ``(time, seq, event)`` triples; ``seq`` uniqueness
-    guarantees the Event itself is never compared.
-    """
-
-    __slots__ = (
-        "width", "_buckets", "_bucket_heap", "_drain", "_pos", "_cur_bid",
-        "_size",
-    )
-
-    def __init__(self, width: int = DEFAULT_WHEEL_WIDTH):
-        if width <= 0:
-            raise SimulationError("wheel bucket width must be positive")
-        self.width = width
-        self._buckets: Dict[int, List[Tuple[int, int, Event]]] = {}
-        self._bucket_heap: List[int] = []  #: ids not yet activated
-        self._drain: List[Tuple[int, int, Event]] = []  #: sorted ascending
-        self._pos = 0  #: consumed prefix of _drain
-        self._cur_bid = -1  #: bucket window the drain list fronts
-        self._size = 0  #: entries held (live + cancelled)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, time: int, seq: int, event: Event) -> None:
-        entry = (time, seq, event)
-        bid = time // self.width
-        if bid == self._cur_bid:
-            # the window being drained: keep the drain list sorted.
-            # Everything before _pos already fired at (time', seq') <=
-            # (time, seq), so inserting from _pos preserves order.
-            insort(self._drain, entry, self._pos)
-        else:
-            bucket = self._buckets.get(bid)
-            if bucket is None:
-                self._buckets[bid] = [entry]
-                heapq.heappush(self._bucket_heap, bid)
-            else:
-                bucket.append(entry)
-        self._size += 1
-
-    def peek(self) -> Optional[Tuple[int, int, Event]]:
-        """The globally-minimum entry, or None.  Activates buckets lazily.
-
-        After ``peek`` returns an entry, that entry is the drain head,
-        so a following :meth:`pop` removes exactly it.
-        """
-        drain = self._drain
-        pos = self._pos
-        bucket_heap = self._bucket_heap
-        buckets = self._buckets
-        width = self.width
-        while True:
-            head = drain[pos] if pos < len(drain) else None
-            # drop ids whose bucket was already activated or compacted
-            while bucket_heap and bucket_heap[0] not in buckets:
-                heapq.heappop(bucket_heap)
-            if not bucket_heap:
-                return head
-            if head is not None and bucket_heap[0] > head[0] // width:
-                return head
-            # an un-activated bucket may hold an entry ordered before
-            # the drain head: activate it and merge (disjoint windows
-            # make this a plain sorted merge)
-            bid = heapq.heappop(bucket_heap)
-            entries = sorted(buckets.pop(bid))
-            rest = drain[pos:]
-            if rest:
-                entries = list(heapq.merge(entries, rest))
-            self._drain = drain = entries
-            self._pos = pos = 0
-            self._cur_bid = bid
-
-    def pop(self) -> Optional[Tuple[int, int, Event]]:
-        """Remove and return the minimum entry (None when empty)."""
-        entry = self.peek()
-        if entry is None:
-            return None
-        pos = self._pos + 1
-        drain = self._drain
-        if pos >= 512 and 2 * pos >= len(drain):
-            del drain[:pos]
-            pos = 0
-        self._pos = pos
-        self._size -= 1
-        return entry
-
-    def compact(self) -> int:
-        """Drop cancelled entries everywhere; returns how many went."""
-        before = self._size
-        drain = [e for e in self._drain[self._pos:] if not e[2].cancelled]
-        self._drain = drain
-        self._pos = 0
-        buckets: Dict[int, List[Tuple[int, int, Event]]] = {}
-        for bid, entries in self._buckets.items():
-            kept = [e for e in entries if not e[2].cancelled]
-            if kept:
-                buckets[bid] = kept
-        self._buckets = buckets
-        self._bucket_heap = list(buckets)
-        heapq.heapify(self._bucket_heap)
-        self._size = len(drain) + sum(len(v) for v in buckets.values())
-        return before - self._size
 
 
 class Engine:
@@ -298,13 +149,11 @@ class Engine:
         seed: Optional[int] = None,
         perturb: Optional[Iterable[str]] = None,
         loop: Optional[str] = None,
-        queue: Optional[str] = None,
-        wheel_width: int = DEFAULT_WHEEL_WIDTH,
     ) -> None:
         self.now: int = 0
         #: min-heap of (time, seq, event) — int-tuple ordering keeps the
         #: sift comparisons out of Python code, seq uniqueness guarantees
-        #: the Event itself is never compared (empty when queue="wheel")
+        #: the Event itself is never compared
         self._queue: List[Tuple[int, int, Event]] = []
         self._seq: int = 0
         self._events_processed: int = 0
@@ -321,15 +170,6 @@ class Engine:
                 % (loop, ", ".join(ENGINE_LOOP_MODES))
             )
         self.loop = loop
-        if queue is None:
-            queue = default_engine_queue()
-        if queue not in ENGINE_QUEUE_MODES:
-            raise SimulationError(
-                "unknown engine queue %r (choose from %s)"
-                % (queue, ", ".join(ENGINE_QUEUE_MODES))
-            )
-        self.queue = queue
-        self._wheel = TimeWheel(wheel_width) if queue == "wheel" else None
         # Inline-continuation park (see resched_inline): a small sorted
         # list of (time, seq, fn, token) — one outstanding hop per CPU.
         # Only the fast loop uses it; under the naive ablation
@@ -376,10 +216,7 @@ class Engine:
         self._seq = seq
         time = self.now + int(delay)
         event = Event(time, seq, fn, token, self)
-        if self._wheel is None:
-            heapq.heappush(self._queue, (time, seq, event))
-        else:
-            self._wheel.push(time, seq, event)
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -446,29 +283,21 @@ class Engine:
         self._live -= 1
         garbage = self._garbage + 1
         self._garbage = garbage
-        if garbage >= _COMPACT_MIN_GARBAGE and 2 * garbage >= self.queue_size():
+        if garbage >= _COMPACT_MIN_GARBAGE and 2 * garbage >= len(self._queue):
             self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries, preserving identity.
 
-        For the heap: in-place (slice assignment) so a drain loop
-        holding a local alias to the queue keeps seeing the compacted
-        heap.  Order is only a partial order either way, but pops
-        follow the (time, seq) total order regardless, so compaction
-        can never reorder the stream.
+        In place (slice assignment), so a drain loop holding a local
+        alias to the queue keeps seeing the compacted heap.  The heap
+        is only a partial order, but pops follow the (time, seq) total
+        order regardless, so compaction can never reorder the stream.
         """
-        if self._wheel is None:
-            queue = self._queue
-            queue[:] = [entry for entry in queue if not entry[2].cancelled]
-            heapq.heapify(queue)
-        else:
-            self._wheel.compact()
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapq.heapify(queue)
         self._garbage = 0
-
-    def queue_size(self) -> int:
-        """Entries physically queued (live + not-yet-reclaimed garbage)."""
-        return len(self._queue) if self._wheel is None else len(self._wheel)
 
     # ------------------------------------------------------------------
     # execution
@@ -492,14 +321,9 @@ class Engine:
             fallbacks0 = self.inline_fallbacks
         try:
             if self.loop == "fast":
-                if self._wheel is None:
-                    self._drain_fast(until, max_events)
-                else:
-                    self._drain_fast_wheel(until, max_events)
-            elif self._wheel is None:
-                self._drain_naive(until, max_events)
+                self._drain_fast(until, max_events)
             else:
-                self._drain_naive_wheel(until, max_events)
+                self._drain_naive(until, max_events)
         finally:
             self._running = False
             if profiled:
@@ -623,101 +447,8 @@ class Engine:
             self._events_processed += processed
             self.inline_hops += hops
 
-    def _drain_fast_wheel(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> None:
-        """The fast drain against the calendar queue.
-
-        Same structure as :meth:`_drain_fast` with the heap peek/pop
-        replaced by wheel calls; the inline burst still bypasses the
-        queue entirely, so the method-call cost only lands on the
-        residual queued events the wheel exists to absorb.
-        """
-        wheel = self._wheel
-        peek = wheel.peek
-        wpop = wheel.pop
-        parked = self._parked
-        no_token = _NO_TOKEN
-        profile = self.profile
-        budget = max(1, max_events) if max_events is not None else 0
-        processed = 0
-        hops = 0
-        now = self.now
-        try:
-            while True:
-                while True:
-                    head = peek()
-                    if head is None or not head[2].cancelled:
-                        break
-                    wpop()
-                    self._garbage -= 1
-                if parked and (head is None or parked[0] < head):
-                    profiled = profile.enabled
-                    if profiled:
-                        profile.push("engine.inline")
-                    try:
-                        while True:
-                            item = parked[0]
-                            t = item[0]
-                            if t != now:
-                                if until is not None and t > until:
-                                    self.now = until
-                                    return
-                                if t < now:
-                                    raise SimulationError(
-                                        "event queue time went backwards"
-                                    )
-                                now = self.now = t
-                            del parked[0]
-                            hops += 1
-                            item[2](item[3])
-                            processed += 1
-                            if processed == budget:
-                                return
-                            if not parked:
-                                break
-                            while True:
-                                head = peek()
-                                if head is None or not head[2].cancelled:
-                                    break
-                                wpop()
-                                self._garbage -= 1
-                            if head is not None and head < parked[0]:
-                                break
-                    finally:
-                        if profiled:
-                            profile.pop()
-                    continue
-                if head is None:
-                    break
-                event = head[2]
-                t = head[0]
-                if t != now:
-                    if until is not None and t > until:
-                        self.now = until
-                        return
-                    if t < now:
-                        raise SimulationError("event queue time went backwards")
-                    now = self.now = t
-                wpop()
-                event.cancelled = True
-                self._live -= 1
-                token = event.token
-                if token is no_token:
-                    event.fn()
-                else:
-                    event.fn(token)
-                processed += 1
-                if processed == budget:
-                    return
-            if until is not None and until > now:
-                self.now = until
-        finally:
-            self._events_processed += processed
-            self.inline_hops += hops
-
     def _drain_naive(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """The seed's one-event-at-a-time loop, kept as the ablation."""
+        """The seed's one-event-at-a-time loop, kept as the fast loop's oracle."""
         processed = 0
         while self._queue:
             time, _, event = self._queue[0]
@@ -729,42 +460,6 @@ class Engine:
                 self.now = until
                 return
             heapq.heappop(self._queue)
-            if time < self.now:
-                raise SimulationError("event queue time went backwards")
-            self.now = time
-            event.cancelled = True
-            self._live -= 1
-            token = event.token
-            if token is _NO_TOKEN:
-                event.fn()
-            else:
-                event.fn(token)
-            processed += 1
-            self._events_processed += 1
-            if max_events is not None and processed >= max_events:
-                return
-        if until is not None:
-            self.now = max(self.now, until)
-
-    def _drain_naive_wheel(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> None:
-        """The one-event-at-a-time ablation against the calendar queue."""
-        wheel = self._wheel
-        processed = 0
-        while True:
-            head = wheel.peek()
-            if head is None:
-                break
-            time, _, event = head
-            if event.cancelled:
-                wheel.pop()
-                self._garbage -= 1
-                continue
-            if until is not None and time > until:
-                self.now = until
-                return
-            wheel.pop()
             if time < self.now:
                 raise SimulationError("event queue time went backwards")
             self.now = time

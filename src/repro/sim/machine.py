@@ -18,7 +18,7 @@ from repro.obs.lockstat import LockStatRegistry
 from repro.obs.profile import NULL_PROFILER, HostProfiler, active_session
 from repro.sim.costs import CostModel, default_costs
 from repro.sim.cpu import CPU
-from repro.sim.engine import ENGINE_LOOP_MODES, ENGINE_QUEUE_MODES, Engine
+from repro.sim.engine import ENGINE_LOOP_MODES, Engine
 
 
 #: pregion-lookup / TLB-flush strategies: "indexed" is the fast path,
@@ -42,7 +42,6 @@ class Machine:
         vm_index: str = "indexed",
         profile: bool = False,
         engine_loop: Optional[str] = None,
-        engine_queue: Optional[str] = None,
     ):
         if ncpus <= 0:
             raise ValueError("need at least one CPU")
@@ -56,17 +55,10 @@ class Machine:
                 "unknown engine_loop %r (choose from %s)"
                 % (engine_loop, ", ".join(ENGINE_LOOP_MODES))
             )
-        if engine_queue is not None and engine_queue not in ENGINE_QUEUE_MODES:
-            raise ValueError(
-                "unknown engine_queue %r (choose from %s)"
-                % (engine_queue, ", ".join(ENGINE_QUEUE_MODES))
-            )
         # Must be set before the CPUs exist: each CPU's TLB keys its
         # per-ASID index decision off this flag.
         self.vm_index = vm_index
-        self.engine = Engine(
-            seed=seed, perturb=perturb, loop=engine_loop, queue=engine_queue
-        )
+        self.engine = Engine(seed=seed, perturb=perturb, loop=engine_loop)
         self.costs = costs if costs is not None else default_costs()
         self.costs.validate()
         self.frames = FrameAllocator(memory_bytes // PAGE_SIZE)

@@ -55,7 +55,6 @@ class System:
         vm_index: str = "indexed",
         profile: Optional[bool] = None,
         engine_loop: Optional[str] = None,
-        engine_queue: Optional[str] = None,
     ):
         if profile is None:
             # --profile CLIs open a session; Systems built while one is
@@ -75,7 +74,6 @@ class System:
             vm_index=vm_index,
             profile=profile,
             engine_loop=engine_loop,
-            engine_queue=engine_queue,
         )
         if inject:
             self.machine.inject.arm_many(inject)

@@ -1,25 +1,22 @@
-"""Randomized equivalence of every drain loop x event structure.
+"""Randomized equivalence of the fast drain loop and its naive oracle.
 
 One generated *script* — a pure-data schedule of events, inline
 continuations, cancels (including cancel-after-fire), nested
 reschedules, cancel storms that cross the compaction threshold, and
-partial drains via ``until`` / ``max_events`` — is executed against all
-four {fast, naive} x {heap, wheel} engines.  Every combination must
-agree on the full firing log (time and label of every callback), the
-final clock, ``events_processed``, and what remains pending.  This is
-the randomized backstop behind the workload-level fingerprint tests:
-anything the hand-written cases miss, a seedful of scripts won't.
+partial drains via ``until`` / ``max_events`` — is executed against a
+``loop="fast"`` and a ``loop="naive"`` engine.  The fast loop must
+agree with the naive reference on the full firing log (time and label
+of every callback), the final clock, ``events_processed``, and what
+remains pending.  This is the randomized backstop behind the
+workload-level fingerprint tests: anything the hand-written cases
+miss, a seedful of scripts won't.
 """
 
 import random
 
 import pytest
 
-from repro.sim.engine import ENGINE_LOOP_MODES, ENGINE_QUEUE_MODES, Engine
-
-MODES = [
-    (loop, queue) for loop in ENGINE_LOOP_MODES for queue in ENGINE_QUEUE_MODES
-]
+from repro.sim.engine import Engine
 
 
 def _gen_ops(rng, next_id, depth):
@@ -80,8 +77,8 @@ def _gen_script(seed):
     return rounds
 
 
-def _execute(script, loop, queue):
-    eng = Engine(loop=loop, queue=queue, wheel_width=8)
+def _execute(script, loop):
+    eng = Engine(loop=loop)
     log = []
     handles = {}
 
@@ -125,9 +122,7 @@ def _execute(script, loop, queue):
 @pytest.mark.parametrize("seed", range(12))
 def test_all_drains_agree_on_random_scripts(seed):
     script = _gen_script(seed)
-    results = {mode: _execute(script, *mode) for mode in MODES}
-    reference = results[("fast", "heap")]
+    reference = _execute(script, "naive")
     assert reference["pending"] == 0  # the final drain leaves nothing owed
     assert reference["log"], "degenerate script: nothing fired"
-    for mode, outcome in results.items():
-        assert outcome == reference, "diverged under %s/%s" % mode
+    assert _execute(script, "fast") == reference

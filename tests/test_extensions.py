@@ -164,7 +164,7 @@ def test_exec_keep_group_gets_fresh_address_space():
         yield from api.store_word(base, 42)
         yield from api.sproc(execer, PR_SALL, base)
         pid, status = yield from api.wait()
-        from repro import SIGSEGV, status_signal
+        from repro import status_signal
 
         out["sig"] = status_signal(status)
         return 0

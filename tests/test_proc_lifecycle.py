@@ -294,7 +294,6 @@ def test_mmap_munmap_lifecycle():
 def test_stack_overflow_is_segv():
     """Growing past the prctl stack ceiling must kill the process."""
     from repro import SIGSEGV, status_signal
-    from repro.mem.frames import PAGE_SIZE
 
     def hog(api, arg):
         # touch far below the stack reservation

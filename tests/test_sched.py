@@ -169,7 +169,8 @@ def test_cpu_utilization_accounting():
     assert 0.1 < sim.machine.utilization() <= 1.0
 
 
-def test_gang_scheduling_dispatches_members_together():
+@pytest.mark.parametrize("kind", ["percpu", "global"])
+def test_gang_scheduling_dispatches_members_together(kind):
     """Extension (section 8): gang members run side by side."""
 
     def member(api, ctx):
@@ -189,7 +190,7 @@ def test_gang_scheduling_dispatches_members_together():
         return 0
 
     log = []
-    sim = System(ncpus=4)
+    sim = System(ncpus=4, scheduler=kind)
     sim.spawn(lambda api, a: main(api, log))
     sim.run()
     starts = sorted(t for _, what, t in log if what == "start")
@@ -351,8 +352,9 @@ def test_quantum_polling_does_not_inflate_gang_holds(kind):
     assert sched.gang_holds == before
 
 
-def test_gang_hold_counted_once_per_blocked_dispatch():
-    sim = System(ncpus=2, scheduler="percpu")
+@pytest.mark.parametrize("kind", ["percpu", "global"])
+def test_gang_hold_counted_once_per_blocked_dispatch(kind):
+    sim = System(ncpus=2, scheduler=kind)
     sched = sim.kernel.sched
     runners = [_make_stub_proc(100), _make_stub_proc(103)]
     for cpu, running in zip(sim.machine.cpus, runners):
