@@ -32,17 +32,15 @@ only ``--metric`` on the ``--gate`` row decides pass/fail.
         --key vm_index --gate indexed \
         --metric scan_per_fault
 
-``--host`` compares two BENCH_HOST.json files on
-``sim_cycles_per_host_sec`` instead (direction: higher is better) and,
-when either side carries inline-continuation counters
-(``inline_hops``/``inline_fallbacks``), reports the hit-rate telemetry
-next to the headline rate.  The default threshold (0.35) tolerates
-shared-runner noise but not a real regression of the direct-run
-dispatch work:
+``--host`` instead compares two perfbench summaries — the JSON line
+``perfbench/run.py --trace 0`` prints last — on
+``metrics.sim_cycles_per_host_sec.value`` (direction: higher is
+better).  The default threshold (0.35) tolerates shared-runner noise
+but not a real regression of the simulator's host speed:
 
     python benchmarks/compare_bench.py --host \
-        --previous prev-stats/BENCH_HOST.json \
-        --current bench-stats-artifacts/BENCH_HOST.json
+        --previous prev-stats/PERF_server.json \
+        --current bench-stats-artifacts/PERF_server.json
 """
 
 from __future__ import annotations
@@ -150,46 +148,22 @@ def _gate_threshold(gate, metric, before, after, threshold, direction) -> int:
     return 1 if worse else 0
 
 
-def _inline_line(label, summary):
-    """One side's inline-continuation telemetry, or None if absent."""
-    counters = summary.get("counters", {})
-    hops = counters.get("inline_hops", 0)
-    fallbacks = counters.get("inline_fallbacks", 0)
-    if not hops and not fallbacks:
-        return None
-    events = summary.get("events", 0)
-    rate = 100.0 * hops / events if events else 0.0
-    return "  %-9s %s hops, %s fallbacks, %.1f%% of %s events inline" % (
-        label, "{:,}".format(hops), "{:,}".format(fallbacks), rate,
-        "{:,}".format(events),
-    )
+def _host_rate(path):
+    """A perfbench summary's ``sim_cycles_per_host_sec``, or None."""
+    with open(path) as handle:
+        data = json.load(handle)
+    metric = data.get("metrics", {}).get("sim_cycles_per_host_sec", {})
+    value = metric.get("value")
+    return value if isinstance(value, (int, float)) else None
 
 
 def _compare_host(args) -> int:
-    with open(args.previous) as handle:
-        prev = json.load(handle)
-    with open(args.current) as handle:
-        cur = json.load(handle)
-    before = prev.get("sim_cycles_per_host_sec")
-    after = cur.get("sim_cycles_per_host_sec")
-    if not isinstance(before, (int, float)) or not isinstance(after, (int, float)):
+    before = _host_rate(args.previous)
+    after = _host_rate(args.current)
+    if before is None or after is None:
         print("sim_cycles_per_host_sec missing on one side - passing")
         return 0
-    print(
-        "host speed: %.0f -> %.0f sim cycles/host-sec "
-        "(%.3f -> %.3f host-s inside Engine.run)"
-        % (before, after,
-           prev.get("wall_seconds", 0.0), cur.get("wall_seconds", 0.0))
-    )
-    inline = [
-        line
-        for line in (_inline_line("baseline", prev), _inline_line("candidate", cur))
-        if line is not None
-    ]
-    if inline:
-        print("inline dispatch:")
-        for line in inline:
-            print(line)
+    print("host speed: %.0f -> %.0f sim cycles/host-sec" % (before, after))
     return _gate_threshold("host", "sim_cycles_per_host_sec",
                            before, after, args.threshold, "higher")
 
@@ -209,12 +183,12 @@ def main(argv=None) -> int:
                         help="allowed relative change when no CIs "
                              "(default 0.25; 0.35 with --host)")
     parser.add_argument("--host", action="store_true",
-                        help="compare two BENCH_HOST.json files on "
+                        help="compare two perfbench JSON summaries on "
                              "sim_cycles_per_host_sec (higher is better)")
     args = parser.parse_args(argv)
-    # --host re-baselined after the direct-run dispatch work: the rate
-    # is high enough now that 0.35 clears runner noise while catching a
-    # real fast-path regression (0.5 let half the win evaporate silently)
+    # --host gates one single-shot perfbench run per workload: 0.35
+    # clears shared-runner noise while still catching a regression of
+    # about a third (0.5 let half a speedup evaporate silently)
     if args.threshold is None:
         args.threshold = 0.35 if args.host else 0.25
 

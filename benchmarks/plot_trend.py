@@ -7,10 +7,11 @@ it into reviewable artifacts:
 
 * ``trend_<EID>.svg`` — the experiment's headline metric over time, one
   polyline per table row, with the bootstrap CI as a shaded band;
-* ``trend_host.svg`` — simulated cycles per host second across runs
-  (the self-profiler's summary number, when present);
 * ``TREND.md`` — the latest run's metric table per experiment with
   deltas against the previous entry.
+
+Host speed is not tracked here: ``perfbench/run.py`` measures it, and
+the ``host`` blocks that older trend entries carry are ignored.
 
 Stdlib only — no matplotlib in CI.
 
@@ -152,18 +153,6 @@ def render_markdown(grouped: Dict[str, List[dict]]) -> str:
                     row, metric, stat["mean"], stat["ci_lo"], stat["ci_hi"],
                     delta))
         lines.append("")
-    hosts = [(eid, run) for eid, runs in sorted(grouped.items())
-             for run in runs
-             if (run.get("host") or {}).get("sim_cycles_per_host_sec")]
-    if hosts:
-        lines.append("## Host speed")
-        lines.append("")
-        lines.append("| experiment | sim cycles / host second |")
-        lines.append("|---|---:|")
-        for eid, run in hosts[-12:]:
-            lines.append("| %s | %s |" % (
-                eid, "{:,}".format(int(run["host"]["sim_cycles_per_host_sec"]))))
-        lines.append("")
     return "\n".join(lines)
 
 
@@ -182,23 +171,6 @@ def render_all(trend_path: str, out_dir: str) -> List[str]:
         path = os.path.join(out_dir, "trend_%s.svg" % eid)
         with open(path, "w") as handle:
             handle.write(render_chart("%s: %s" % (eid, metric), metric, series))
-        written.append(path)
-
-    host_series = {}
-    for eid, runs in sorted(grouped.items()):
-        points = [
-            (index, float(run["host"]["sim_cycles_per_host_sec"]), 0.0, 0.0)
-            for index, run in enumerate(runs)
-            if (run.get("host") or {}).get("sim_cycles_per_host_sec")
-        ]
-        points = [(i, v, v, v) for i, v, _, _ in points]
-        if points:
-            host_series[eid] = points
-    if host_series:
-        path = os.path.join(out_dir, "trend_host.svg")
-        with open(path, "w") as handle:
-            handle.write(render_chart("host speed", "sim cycles / host sec",
-                                      host_series))
         written.append(path)
 
     path = os.path.join(out_dir, "TREND.md")

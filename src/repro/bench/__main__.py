@@ -3,7 +3,7 @@
     python -m repro.bench                       # run everything once
     python -m repro.bench E1 E6                 # run a subset
     python -m repro.bench --list                # show what exists
-    python -m repro.bench e15 --seeds 10 --jobs 4 --profile
+    python -m repro.bench e15 --seeds 10 --jobs 4
 
 Each experiment prints its table and claim results; a non-zero exit code
 means some claim failed.  Tables land in benchmarks/results/ along with
@@ -14,10 +14,9 @@ seeds (sharded across ``--jobs`` host processes), attaches a bootstrap
 confidence interval to every metric (stored under ``"stats"`` in the
 BENCH json, gated on CI overlap by benchmarks/compare_bench.py), and
 requires the paper claims to hold under *every* seed, not just the
-default schedule.  ``--profile`` arms the host-side self-profiler and
-writes the per-phase breakdown plus ``sim_cycles_per_host_sec`` to
-BENCH_HOST.json.  ``--trend PATH`` appends this run's summary to a
-BENCH_TREND.json so the perf trajectory accumulates across PRs.
+default schedule.  ``--trend PATH`` appends this run's summary to a
+BENCH_TREND.json so the perf trajectory accumulates across PRs.  Host
+speed is measured by ``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -35,21 +34,6 @@ def _list_experiments() -> int:
     return 0
 
 
-def _write_host_json(summary: dict) -> str:
-    import json
-    import os
-
-    from repro.bench.harness import _default_results_dir
-
-    directory = os.environ.get("REPRO_RESULTS_DIR", _default_results_dir())
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_HOST.json")
-    with open(path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench", description=__doc__.splitlines()[0]
@@ -64,9 +48,6 @@ def main(argv) -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="J",
                         help="host processes for the seed sweep "
                              "(default: min(seeds, cpu_count))")
-    parser.add_argument("--profile", action="store_true",
-                        help="arm the host self-profiler; write "
-                             "BENCH_HOST.json")
     parser.add_argument("--trend", metavar="PATH",
                         help="append results to the BENCH_TREND.json "
                              "at PATH")
@@ -81,8 +62,8 @@ def main(argv) -> int:
 
     # Host-side tuning only: bench processes are short-lived, so cyclic
     # garbage (generator frames, proc parent/child links) is reclaimed at
-    # exit anyway, while collector pauses otherwise eat 10-20% of the
-    # measured wall time on the event-dense experiments.
+    # exit anyway, while collector pauses otherwise cost the event-dense
+    # experiments 10-20% of their run time.
     import gc
 
     gc.disable()
@@ -94,55 +75,31 @@ def main(argv) -> int:
         print("available: %s" % ", ".join(ALL_EXPERIMENTS))
         return 2
 
-    from repro.obs import profile as profile_mod
-
-    session = profile_mod.begin_session() if args.profile else None
     failures = 0
-    try:
-        for eid in chosen:
-            import inspect
+    for eid in chosen:
+        import inspect
 
-            func = ALL_EXPERIMENTS[eid]
-            kwargs = {}
-            if (args.scale is not None
-                    and "scale" in inspect.signature(func).parameters):
-                kwargs["scale"] = args.scale
-            result = func(**kwargs)
-            sweep = None
-            if args.seeds > 0:
-                from repro.bench.stats import run_sweep
+        func = ALL_EXPERIMENTS[eid]
+        kwargs = {}
+        if (args.scale is not None
+                and "scale" in inspect.signature(func).parameters):
+            kwargs["scale"] = args.scale
+        result = func(**kwargs)
+        sweep = None
+        if args.seeds > 0:
+            from repro.bench.stats import run_sweep
 
-                sweep = run_sweep(
-                    eid, nseeds=args.seeds, jobs=args.jobs,
-                    profiled=args.profile, **kwargs,
-                )
-                result.stats = sweep.stats()
-                if session is not None:
-                    for run in sweep.runs:
-                        if run.get("host"):
-                            session.absorb(run["host"])
-                print(sweep.render())
-                failures += len(sweep.failed_claims)
-            result.save()
-            result.save_json()
-            failures += sum(1 for claim in result.claims if not claim.holds)
-            if args.trend:
-                from repro.bench.stats import append_trend, trend_entry
+            sweep = run_sweep(eid, nseeds=args.seeds, jobs=args.jobs, **kwargs)
+            result.stats = sweep.stats()
+            print(sweep.render())
+            failures += len(sweep.failed_claims)
+        result.save()
+        result.save_json()
+        failures += sum(1 for claim in result.claims if not claim.holds)
+        if args.trend:
+            from repro.bench.stats import append_trend, trend_entry
 
-                # per-experiment host numbers come from that sweep's
-                # shards; the whole-run summary lands in BENCH_HOST.json
-                host = sweep.host_summary() if sweep is not None else None
-                if host is None and session is not None:
-                    host = session.merged()
-                append_trend(args.trend, trend_entry(eid, sweep, host))
-    finally:
-        profile_mod.end_session()
-
-    if session is not None:
-        summary = session.merged()
-        path = _write_host_json(summary)
-        print(session.render())
-        print("host profile written to %s" % path)
+            append_trend(args.trend, trend_entry(eid, sweep))
 
     if failures:
         print("%d claim(s) FAILED" % failures)

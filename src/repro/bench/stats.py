@@ -137,28 +137,20 @@ def extract_metrics(result) -> Dict[str, Dict[str, float]]:
 
 def _sweep_worker(job):
     """Top-level worker (multiprocessing needs it importable)."""
-    eid, seed, profiled, kwargs = job
+    eid, seed, kwargs = job
     import gc
 
-    from repro.obs import profile as profile_mod
-
     # Same host-side tuning as the CLI entry point: sweep shards are
-    # short-lived, and collector pauses would pollute the profiled wall
-    # time they report.
+    # short-lived, so their cyclic garbage dies with the process and
+    # collector pauses would only slow them down.
     gc.disable()
 
-    session = profile_mod.begin_session() if profiled else None
-    try:
-        result = run_experiment(eid, seed=seed, **kwargs)
-    finally:
-        profile_mod.end_session()
+    result = run_experiment(eid, seed=seed, **kwargs)
     failed = [c.description for c in result.claims if not c.holds]
-    host = session.merged() if session is not None else None
     return {
         "seed": seed,
         "metrics": extract_metrics(result),
         "failed_claims": failed,
-        "host": host,
     }
 
 
@@ -207,18 +199,6 @@ class SweepResult:
             for row, metrics in self.samples().items()
         }
 
-    def host_summary(self) -> Optional[dict]:
-        """Merged profiler output across every profiled shard, if any."""
-        from repro.obs.profile import ProfileSession
-
-        session = ProfileSession()
-        found = False
-        for run in self.runs:
-            if run.get("host"):
-                session.absorb(run["host"])
-                found = True
-        return session.merged() if found else None
-
     def render(self, alpha: float = DEFAULT_ALPHA) -> str:
         """The CI table: one line per (row, metric)."""
         pct = int(round((1.0 - alpha) * 100))
@@ -248,15 +228,13 @@ def run_sweep(
     eid: str,
     nseeds: int = 10,
     jobs: Optional[int] = None,
-    profiled: bool = False,
     **kwargs,
 ) -> SweepResult:
     """Run ``eid`` under seeds ``0..nseeds-1`` sharded across ``jobs``.
 
     ``jobs=1`` (or a single seed) runs in-process — no fork, no pickle —
     which is what the tests use; anything larger spins a Pool.  Worker
-    payloads are plain dicts, so profiled sweeps ship their host-time
-    summaries back with the metrics.
+    payloads are plain dicts of metrics and failed claims.
     """
     eid = eid.upper()
     seeds = list(range(nseeds))
@@ -264,7 +242,7 @@ def run_sweep(
         jobs = min(len(seeds), os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(seeds) or 1))
     sweep = SweepResult(eid, seeds, jobs)
-    payload = [(eid, seed, profiled, kwargs) for seed in seeds]
+    payload = [(eid, seed, kwargs) for seed in seeds]
     if jobs == 1:
         sweep.runs = [_sweep_worker(job) for job in payload]
     else:
@@ -305,12 +283,8 @@ def append_trend(path: str, entry: dict) -> dict:
     return doc
 
 
-def trend_entry(
-    eid: str,
-    sweep: Optional[SweepResult] = None,
-    host: Optional[dict] = None,
-) -> dict:
-    """One BENCH_TREND entry: identity, CI'd metrics, host speed."""
+def trend_entry(eid: str, sweep: Optional[SweepResult] = None) -> dict:
+    """One BENCH_TREND entry: identity and CI'd metrics."""
     entry = {
         "experiment": eid.upper(),
         "time": int(time.time()),
@@ -329,11 +303,5 @@ def trend_entry(
                 for metric, stat in metrics.items()
             }
             for row, metrics in sweep.stats().items()
-        }
-    if host is not None:
-        entry["host"] = {
-            "sim_cycles_per_host_sec": host.get("sim_cycles_per_host_sec"),
-            "wall_seconds": host.get("wall_seconds"),
-            "sim_cycles": host.get("sim_cycles"),
         }
     return entry

@@ -100,11 +100,6 @@ def _parse_args(argv) -> argparse.Namespace:
         "--list", action="store_true",
         help="list scenarios (and inject sites) and exit",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="arm the host self-profiler; print the per-phase host-time "
-        "breakdown after the run",
-    )
     return parser.parse_args(argv)
 
 
@@ -188,22 +183,6 @@ def _inject_sweep(args) -> int:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if args.profile:
-        from repro.obs import profile as profile_mod
-
-        profile_mod.begin_session()
-        try:
-            status = _dispatch(args)
-        finally:
-            session = profile_mod.end_session()
-        if session is not None:
-            print()
-            print(session.render())
-        return status
-    return _dispatch(args)
-
-
-def _dispatch(args) -> int:
     if args.list:
         for name in sorted(SCENARIOS):
             scenario = SCENARIOS[name]

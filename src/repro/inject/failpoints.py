@@ -34,8 +34,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from repro.obs.profile import NULL_PROFILER
-
 #: cycles charged when a ``*.delay`` site fires (lock hold-off injection)
 INJECT_DELAY_CYCLES = 400
 
@@ -148,7 +146,6 @@ class FailPointRegistry:
 
     __slots__ = (
         "_plans", "hits", "fired", "_kstat", "armed", "_recording",
-        "profile",
     )
 
     def __init__(self, kstat=None):
@@ -160,8 +157,6 @@ class FailPointRegistry:
         #: before calling :meth:`fire`
         self.armed = False
         self._recording = False
-        #: host profiler timing the hit checks (machine swaps in a live one)
-        self.profile = NULL_PROFILER
 
     # ------------------------------------------------------------------
 
@@ -194,20 +189,9 @@ class FailPointRegistry:
     def fire(self, site: str) -> bool:
         """Record a hit at ``site``; True when the armed policy fires."""
         if not self.armed:
-            # The no-op case returns before even the profiler bracketing:
-            # there is nothing meaningful to attribute to "inject.fire".
-            # (The syscall trampoline tests ``armed`` itself and skips
-            # the call.)
+            # The disarmed case counts nothing.  (The syscall trampoline
+            # tests ``armed`` itself and skips the call.)
             return False
-        profile = self.profile
-        if profile.enabled:
-            t0 = profile.clock()
-            fired = self._fire(site)
-            profile.leaf("inject.fire", t0)
-            return fired
-        return self._fire(site)
-
-    def _fire(self, site: str) -> bool:
         hit_no = self.hits.get(site, 0) + 1
         self.hits[site] = hit_no
         plan = self._plans.get(site)

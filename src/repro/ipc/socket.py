@@ -198,6 +198,3 @@ class SocketNamespace:
         if socket is None or socket.closed:
             raise SysError(ECONNREFUSED, name)
         return socket
-
-    def unbind(self, name: str) -> None:
-        self._names.pop(name, None)

@@ -1,7 +1,7 @@
 """Observability: kstat counters, lock-contention profiling, /proc text.
 
 The instrumentation substrate every performance experiment measures
-against.  Three layers, all host-side and all free of simulated cycles:
+against.  Four layers, all host-side and all free of simulated cycles:
 
 * :mod:`repro.obs.kstat` — named counters/gauges/histograms registered
   per-kernel, per-CPU, per-process, and per-share-group (the Solaris
@@ -11,11 +11,10 @@ against.  Three layers, all host-side and all free of simulated cycles:
 * :mod:`repro.obs.lockdep` — lock-order/deadlock checking over the same
   primitives (off by default; ``System(lockdep=True)``);
 * :mod:`repro.obs.procfs` — ``/proc``-style text tables rendered from a
-  live :class:`~repro.system.System` (``System.report()``);
-* :mod:`repro.obs.profile` — the host-side self-profiler: per-phase
-  wall-time breakdown of the simulator itself and the
-  ``sim_cycles_per_host_sec`` speed metric (off by default;
-  ``System(profile=True)`` or any ``--profile`` CLI flag).
+  live :class:`~repro.system.System` (``System.report()``).
+
+Host speed — how fast the simulator itself runs, and where its host time
+goes by layer — is measured outside the package, by ``perfbench/``.
 
 Counters never charge cycles, so enabling or disabling them cannot move
 a benchmark headline number — `tests/test_obs.py` holds this and the
@@ -26,29 +25,15 @@ from repro.obs.kstat import Histogram, KstatRegistry
 from repro.obs.lockdep import NULL_LOCKDEP, LockDep, LockOrderViolation, lock_class
 from repro.obs.lockstat import LockStat, LockStatRegistry
 from repro.obs.procfs import render_system
-from repro.obs.profile import (
-    NULL_PROFILER,
-    HostProfiler,
-    ProfileSession,
-    active_session,
-    begin_session,
-    end_session,
-)
 
 __all__ = [
     "Histogram",
-    "HostProfiler",
     "KstatRegistry",
     "LockDep",
     "LockOrderViolation",
     "LockStat",
     "LockStatRegistry",
     "NULL_LOCKDEP",
-    "NULL_PROFILER",
-    "ProfileSession",
-    "active_session",
-    "begin_session",
-    "end_session",
     "lock_class",
     "render_system",
 ]

@@ -8,9 +8,9 @@ Hot owners (the CPU, the scheduler, the syscall trampoline, the VM
 lookup) bind *handles* once — ``counters(kind, ident)`` is one scope's
 live counter dict, ``histogram(kind, ident, name)`` one live
 :class:`Histogram` — so a bump is a single in-place ``scope[name] += n``
-with no key tuple, no registry call and no profiler test.  Cold sites
-keep ``add``/``set``/``observe``, which write the same storage.  Readers
-skip scopes and histograms nobody has touched, so binding a handle is
+with no key tuple and no registry call.  Cold sites keep
+``add``/``set``/``observe``, which write the same storage.  Readers skip
+scopes and histograms nobody has touched, so binding a handle is
 invisible until it records.
 
 Counters are host-side instrumentation: they never charge simulated
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from typing import DefaultDict, Dict, Optional, Tuple
-
-from repro.obs.profile import NULL_PROFILER
 
 
 class Histogram:
@@ -150,13 +148,10 @@ class KstatRegistry:
     its handles are private sinks that no reader sees.
     """
 
-    __slots__ = ("enabled", "profile", "_values", "_hists")
+    __slots__ = ("enabled", "_values", "_hists")
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        #: host profiler timing the registry methods (machine swaps in a
-        #: live one); handle bumps are not timed
-        self.profile = NULL_PROFILER
         #: (kind, ident) -> {name: int}; a missing name reads as 0
         self._values: Dict[Tuple[str, int], DefaultDict[str, int]] = {}
         #: (kind, ident) -> {name: Histogram}
@@ -197,41 +192,25 @@ class KstatRegistry:
         """Bump counter ``name`` in scope ``(kind, ident)`` by ``n``."""
         if not self.enabled:
             return
-        profile = self.profile
-        t0 = profile.clock() if profile.enabled else 0.0
         self.counters(kind, ident)[name] += n
-        if t0:
-            profile.leaf("obs.kstat", t0)
 
     def set(self, kind: str, ident: int, name: str, value: int) -> None:
         """Set gauge ``name`` (last write wins)."""
         if not self.enabled:
             return
-        profile = self.profile
-        t0 = profile.clock() if profile.enabled else 0.0
         self.counters(kind, ident)[name] = value
-        if t0:
-            profile.leaf("obs.kstat", t0)
 
     def observe(self, kind: str, ident: int, name: str, value: int) -> None:
         """Record ``value`` into histogram ``name``."""
         if not self.enabled:
             return
-        profile = self.profile
-        t0 = profile.clock() if profile.enabled else 0.0
         self.histogram(kind, ident, name).add(value)
-        if t0:
-            profile.leaf("obs.kstat", t0)
 
     def observe_n(self, kind: str, ident: int, name: str, value: int, n: int) -> None:
         """Record ``n`` identical samples into histogram ``name`` (O(1))."""
         if not self.enabled:
             return
-        profile = self.profile
-        t0 = profile.clock() if profile.enabled else 0.0
         self.histogram(kind, ident, name).add_n(value, n)
-        if t0:
-            profile.leaf("obs.kstat", t0)
 
     # ------------------------------------------------------------------
     # reading (untouched scopes and empty histograms are invisible)

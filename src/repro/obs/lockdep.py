@@ -93,12 +93,6 @@ class _Edge:
         self.cycle = cycle
         self.chain = chain  #: held chain + the attempted lock, at edge time
 
-    def render(self) -> str:
-        lines = ["%s -> %s (by %s at cycle %d):" % (
-            self.src, self.dst, self.ctx_label, self.cycle)]
-        lines.extend("  " + held.describe() for held in self.chain)
-        return "\n".join(lines)
-
 
 class LockOrderViolation(SimulationError):
     """A structured lockdep finding.

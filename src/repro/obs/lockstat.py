@@ -133,9 +133,6 @@ class LockStatRegistry:
     def snapshot(self) -> dict:
         return {name: stat.as_dict() for name, stat in self._stats.items()}
 
-    def reset(self) -> None:
-        self._stats.clear()
-
     # ------------------------------------------------------------------
 
     def report(self, n: int = 10) -> str:

@@ -178,7 +178,6 @@ def render_layers(system) -> str:
         ("kstat", machine.kstat.enabled),
         ("lockdep", machine.lockdep is not NULL_LOCKDEP),
         ("inject", bool(machine.inject.armed_sites)),
-        ("profile", machine.profile.enabled),
         ("trace", kernel.tracer is not None),
     ]
     return "layers: " + "  ".join(

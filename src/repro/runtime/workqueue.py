@@ -98,12 +98,6 @@ class WorkQueue:
         """Generator: mark the queue finished; poppers drain then stop."""
         yield from api.store_word(self.base + 12, 1)
 
-    def pending(self, api):
-        """Generator: items currently queued (racy, for monitoring)."""
-        head = yield from api.load_word(self.base + 4)
-        tail = yield from api.load_word(self.base + 8)
-        return tail - head
-
 
 class BlockingWorkQueue(WorkQueue):
     """A :class:`WorkQueue` whose poppers and pushers *sleep* when stuck.

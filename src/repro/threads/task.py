@@ -44,7 +44,3 @@ class Task:
         except ValueError:
             raise SimulationError("thread %d not in task" % thread.pid)
         return len(self.threads)
-
-    @property
-    def nthreads(self) -> int:
-        return len(self.threads)

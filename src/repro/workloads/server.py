@@ -116,11 +116,6 @@ class ServerConfig:
     def nbatches(self) -> int:
         return (self.nrequests + self.batch - 1) // self.batch
 
-    @property
-    def nprocs(self) -> int:
-        """Total simulated processes the topology stands up."""
-        return 2 + self.ngroups * (1 + self.nworkers + self.naio)
-
 
 class Batch:
     """One scheduled arrival: ``nreq`` requests over ``keys`` (coalesced)."""

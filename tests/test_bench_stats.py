@@ -94,18 +94,6 @@ def test_sweep_same_seed_reproduces_identical_metrics():
     assert one.runs[0]["metrics"] == two.runs[0]["metrics"]
 
 
-def test_sweep_profiled_ships_host_summaries():
-    sweep = run_sweep("e15", nseeds=1, jobs=1, profiled=True, rounds=4)
-    host = sweep.host_summary()
-    assert host is not None
-    assert host["sim_cycles"] > 0
-    assert "engine.loop" in host["phases"]
-    # and the session did not leak into later Systems
-    from repro.obs.profile import active_session
-
-    assert active_session() is None
-
-
 # ----------------------------------------------------------------------
 # the trend file
 
@@ -127,15 +115,12 @@ def test_append_trend_survives_corrupt_file(tmp_path):
     assert len(doc["entries"]) == 1
 
 
-def test_trend_entry_shapes_metrics_and_host():
+def test_trend_entry_shapes_metrics():
     sweep = run_sweep("e15", nseeds=1, jobs=1, rounds=4)
-    entry = trend_entry("e15", sweep, host={"sim_cycles_per_host_sec": 5.0,
-                                            "wall_seconds": 2.0,
-                                            "sim_cycles": 10})
+    entry = trend_entry("e15", sweep)
     assert entry["experiment"] == "E15"
     assert entry["seeds"] == 1
     assert "mean" in entry["metrics"]["percpu"]["makespan_cycles"]
-    assert entry["host"]["sim_cycles_per_host_sec"] == 5.0
 
 
 # ----------------------------------------------------------------------
@@ -218,10 +203,15 @@ def test_compare_bench_host_mode_gates_on_rate(tmp_path, capsys):
     compare_bench = _load_compare_bench()
 
     def host_json(name, rate):
+        # the summary line perfbench/run.py --trace 0 prints last
         path = str(tmp_path / name)
         with open(path, "w") as handle:
-            json.dump({"sim_cycles_per_host_sec": rate,
-                       "wall_seconds": 1.0}, handle)
+            json.dump({"correct": True, "attempted": 1, "failed": 0,
+                       "metrics": {
+                           "sim_cycles_per_host_sec": {
+                               "value": rate, "unit": "cycles/s"},
+                           "host_s": {"value": 1.0, "unit": "s"},
+                       }}, handle)
         return path
 
     ok = compare_bench.main([

@@ -26,8 +26,8 @@ from repro.sim.trace import Tracer
 
 
 # ----------------------------------------------------------------------
-# step() goes through the guarded run() path (satellite: step bypassed
-# the _running guard, the backwards-time check and profiler bracketing)
+# step() goes through the guarded run() path: the _running guard and
+# the backwards-time check
 
 
 def test_step_raises_on_reentry():

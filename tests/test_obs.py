@@ -422,10 +422,8 @@ def test_layers_line_reflects_armed_layers():
     assert "kstat=on" in line
     assert "lockdep=off" in line
     assert "inject=off" in line
-    assert "profile=off" in line
-    armed = System(ncpus=2, lockdep=True, profile=True)
+    armed = System(ncpus=2, lockdep=True)
     armed.spawn(_group_main, {"members": 2, "pages": 4})
     armed.run()
     line = [l for l in armed.report().splitlines() if l.startswith("layers:")][0]
     assert "lockdep=on" in line
-    assert "profile=on" in line

@@ -13,7 +13,7 @@ plot_trend = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(plot_trend)
 
 
-def _entry(sha, tput, p99, host=None):
+def _entry(sha, tput, p99, legacy_host=None):
     entry = {
         "experiment": "E17",
         "time": 1_700_000_000,
@@ -33,22 +33,23 @@ def _entry(sha, tput, p99, host=None):
             for row, mult in (("x0.30", 0.4), ("x1.80", 1.0))
         },
     }
-    if host:
-        entry["host"] = {"sim_cycles_per_host_sec": host,
-                         "wall_seconds": 10.0, "sim_cycles": host * 10}
+    if legacy_host:
+        # older trend files carry a host block; the plotter ignores it
+        entry["host"] = {"sim_cycles_per_host_sec": legacy_host,
+                         "wall_seconds": 10.0, "sim_cycles": legacy_host * 10}
     return entry
 
 
 def test_render_all_writes_valid_artifacts(tmp_path):
     trend = tmp_path / "BENCH_TREND.json"
     trend.write_text(json.dumps({"entries": [
-        _entry("aaa111", 3.0, 4_000_000, host=180_000),
-        _entry("bbb222", 3.3, 3_600_000, host=200_000),
+        _entry("aaa111", 3.0, 4_000_000, legacy_host=180_000),
+        _entry("bbb222", 3.3, 3_600_000),
     ]}))
     out = tmp_path / "out"
     written = plot_trend.render_all(str(trend), str(out))
     names = {os.path.basename(path) for path in written}
-    assert names == {"trend_E17.svg", "trend_host.svg", "TREND.md"}
+    assert names == {"trend_E17.svg", "TREND.md"}
     for path in written:
         assert os.path.getsize(path) > 0
         if path.endswith(".svg"):
@@ -58,7 +59,7 @@ def test_render_all_writes_valid_artifacts(tmp_path):
     assert "E17" in digest and "bbb222" in digest
     assert "throughput_per_kcycle" in digest
     assert "+10.0%" in digest          # 3.0 -> 3.3 delta vs previous run
-    assert "sim cycles / host second" in digest
+    assert "sim cycles / host second" not in digest
 
 
 def test_headline_metric_priority():
