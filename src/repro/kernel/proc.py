@@ -119,9 +119,6 @@ class Proc:
 
     # ------------------------------------------------------------------
 
-    def asid(self) -> int:
-        return self.vm.asid
-
     def shares(self, mask_bit: int) -> bool:
         """Is this process sharing the resource named by ``mask_bit``?"""
         return self.shaddr is not None and bool(self.p_shmask & mask_bit)

@@ -1,17 +1,18 @@
 """The multiprocessor scheduler: per-CPU run queues with affinity.
 
-Each CPU owns a priority run queue.  ``wakeup`` enqueues a process on
-the CPU it last ran on when that queue is not noticeably deeper than its
-peers (warm cache, and — for share-group members, which all run under
-one ASID — a warm TLB); otherwise it falls back to the least-loaded
-queue.  An idle CPU drains its own queue first and *steals* the best
-runnable process from a peer when its queue is empty, so no CPU idles
-while work waits.  Dispatch and preemption decisions peek only at the
-queue heads (O(ncpus)), never at every runnable process — the global
-run-queue scan this design replaced is kept as :class:`GlobalScheduler`
-for the E15 ablation.  Both subclass :class:`SchedulerBase`, which holds
-wakeup, the dispatch loop, gang mode and preemption requests; they
-differ only in the queue, ``_select`` and ``_place``.
+Each CPU owns a priority run queue: a flat heap whose head is always a
+live entry.  ``wakeup`` enqueues a process on the CPU it last ran on
+when that queue is not noticeably deeper than its peers (warm cache,
+and — for share-group members, which all run under one ASID — a warm
+TLB); otherwise it falls back to the least-loaded queue.  An idle CPU
+drains its own queue first and *steals* the best runnable process from
+a peer when its queue is empty, so no CPU idles while work waits.
+Dispatch and preemption decisions read only the queue heads (O(ncpus)),
+never every runnable process — the global run-queue scan this design
+replaced is kept as :class:`GlobalScheduler` for the E15 ablation.
+Both subclass :class:`SchedulerBase`, which holds wakeup, the dispatch
+loop, gang mode and preemption requests; they differ only in the queue,
+``_select`` and ``_place``.
 
 Preemption is requested by setting ``need_resched`` on the running
 process; the CPU honors it at its next user-mode boundary (kernel code
@@ -32,7 +33,7 @@ E12 measures what this buys spinlock-heavy workloads.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.kernel.proc import Proc, ProcState
@@ -40,54 +41,6 @@ from repro.kernel.proc import Proc, ProcState
 #: a waking process stays on its last CPU's queue as long as that queue
 #: is at most this much deeper than the shallowest queue
 AFFINITY_SLACK = 1
-
-
-class RunQueue:
-    """One CPU's priority run queue.
-
-    A binary heap of ``[pri, seq, proc, alive]`` entries with lazy
-    deletion: ``remove`` (work stealing, gang co-dispatch, priority
-    changes) marks the entry dead and the next ``peek``/``pop`` prunes
-    it.  ``seq`` is the scheduler-wide enqueue counter, so FIFO order
-    within a priority is preserved across queues and runs are
-    deterministic.
-    """
-
-    __slots__ = ("idx", "_heap", "_entries")
-
-    def __init__(self, idx: int):
-        self.idx = idx
-        self._heap: List[list] = []
-        self._entries: Dict[int, list] = {}  #: pid -> live heap entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, proc: Proc, seq: int) -> None:
-        if proc.pid in self._entries:
-            raise SimulationError(
-                "pid %d enqueued twice on runq%d" % (proc.pid, self.idx)
-            )
-        entry = [proc.pri, seq, proc, True]
-        self._entries[proc.pid] = entry
-        heapq.heappush(self._heap, entry)
-
-    def peek(self) -> Optional[Tuple[int, int, Proc]]:
-        """``(pri, seq, proc)`` of the best entry, or None when empty."""
-        heap = self._heap
-        while heap and not heap[0][3]:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        entry = heap[0]
-        return entry[0], entry[1], entry[2]
-
-    def remove(self, proc: Proc) -> bool:
-        entry = self._entries.pop(proc.pid, None)
-        if entry is None:
-            return False
-        entry[3] = False
-        return True
 
 
 class SchedulerBase:
@@ -180,7 +133,7 @@ class SchedulerBase:
         chosen = self._select()
         if chosen is None:
             return False
-        if self._is_gang(chosen):
+        if chosen.shaddr is not None and chosen.shaddr.gang:
             if self._gang_need(chosen) > len(self._idle):
                 self.gang_holds += 1
                 self._evict_for_gang(chosen)
@@ -207,10 +160,6 @@ class SchedulerBase:
     # ------------------------------------------------------------------
     # gang mode (extension)
 
-    @staticmethod
-    def _is_gang(proc: Proc) -> bool:
-        return proc.shaddr is not None and getattr(proc.shaddr, "gang", False)
-
     def _gang_runnable(self, proc: Proc) -> List[Proc]:
         return [
             member for member in proc.shaddr.members()
@@ -223,7 +172,7 @@ class SchedulerBase:
 
     def _gang_blocked(self, proc: Proc) -> bool:
         """May this gang member not be dispatched yet?"""
-        if not self._is_gang(proc):
+        if proc.shaddr is None or not proc.shaddr.gang:
             return False
         return self._gang_need(proc) > len(self._idle)
 
@@ -268,18 +217,35 @@ class SchedulerBase:
 
 
 class Scheduler(SchedulerBase):
-    """Per-CPU run queues, cache/TLB affinity, work stealing, gang mode."""
+    """Per-CPU run queues, cache/TLB affinity, work stealing, gang mode.
+
+    Each CPU's queue is a binary heap of ``[pri, seq, proc, alive,
+    cpu_idx]`` entries.  ``seq`` is the scheduler-wide enqueue counter,
+    so FIFO order within a priority is preserved across queues, runs are
+    deterministic, and comparing two entries never reaches ``proc``.
+    Removal (work stealing, gang co-dispatch, priority changes) marks
+    the entry dead and at once pops dead entries off that heap's head,
+    so a non-empty heap's ``[0]`` is always its live best.
+    """
 
     #: name under which make_scheduler finds this class
     kind = "percpu"
 
     def __init__(self, machine):
         super().__init__(machine)
-        self._queues = [RunQueue(cpu.idx) for cpu in machine.cpus]
-        self._where: Dict[int, RunQueue] = {}  #: pid -> queue holding it
+        self._heaps: List[list] = [[] for _ in machine.cpus]
+        self._depth = [0] * len(machine.cpus)  #: live entries per CPU
+        self._entries: Dict[int, list] = {}  #: pid -> live heap entry
         self._seq = 0  #: global enqueue counter (FIFO within priority)
         #: bound per-CPU kstat handles, indexed by CPU idx
         self._cpu_ks = [machine.kstat.counters("cpu", cpu.idx) for cpu in machine.cpus]
+        # the engine's seed and feature set are fixed when it is built
+        engine = machine.engine
+        self._engine = engine
+        self._rng = engine.rng
+        self._perturb_enqueue = engine.perturbs("enqueue")
+        self._perturb_select = engine.perturbs("select")
+        self._perturb_place = engine.perturbs("place")
 
     # ------------------------------------------------------------------
     # queue maintenance
@@ -288,49 +254,52 @@ class Scheduler(SchedulerBase):
         """Queue ``proc`` on its last CPU's queue while that stays within
         the affinity slack, so a preempted process contends for its own
         — still warm — processor first."""
-        engine = self.machine.engine
-        proc.runq_since = engine.now
-        if engine.perturbs("enqueue"):
+        proc.runq_since = self._engine.now
+        depth = self._depth
+        shallowest = min(depth)
+        if self._perturb_enqueue:
             # Schedule exploration: any queue within the affinity slack
             # of the shallowest is a legal home — let the seeded RNG
             # pick among them instead of always preferring last_cpu.
-            shallowest = min(len(q) for q in self._queues)
-            candidates = [
-                q for q in self._queues
-                if len(q) <= shallowest + AFFINITY_SLACK
-            ]
-            queue = engine.rng.choice(candidates)
-            self._seq += 1
-            queue.push(proc, self._seq)
-            self._where[proc.pid] = queue
-            self._cpu_ks[queue.idx]["runq_depth"] = len(queue)
-            return
-        home = proc.last_cpu
-        queue = None
-        if home is not None:
-            shallowest = min(len(q) for q in self._queues)
-            if len(self._queues[home]) <= shallowest + AFFINITY_SLACK:
-                queue = self._queues[home]
-        elif self._idle:
-            # never-run process: head straight for a queue that will
-            # drain immediately
-            queue = self._queues[self._idle[0].idx]
-        if queue is None:
-            queue = min(self._queues, key=len)
+            home = self._rng.choice([
+                idx for idx, queued in enumerate(depth)
+                if queued <= shallowest + AFFINITY_SLACK
+            ])
+        else:
+            home = proc.last_cpu
+            if home is None and self._idle:
+                # never-run process: head straight for a queue that will
+                # drain immediately
+                home = self._idle[0].idx
+            elif home is None or depth[home] > shallowest + AFFINITY_SLACK:
+                home = depth.index(shallowest)
+        self._push(proc, home)
+        depth[home] += 1
+        self._cpu_ks[home]["runq_depth"] = depth[home]
+
+    def _push(self, proc: Proc, home: int) -> None:
+        """Put ``proc`` on CPU ``home``'s heap under a fresh seq."""
+        if proc.pid in self._entries:
+            raise SimulationError("pid %d enqueued twice" % proc.pid)
         self._seq += 1
-        queue.push(proc, self._seq)
-        self._where[proc.pid] = queue
-        self._cpu_ks[queue.idx]["runq_depth"] = len(queue)
+        entry = [proc.pri, self._seq, proc, True, home]
+        self._entries[proc.pid] = entry
+        heapq.heappush(self._heaps[home], entry)
+
+    def _unlink(self, proc: Proc) -> int:
+        """Take ``proc``'s entry off its heap; return that heap's CPU."""
+        entry = self._entries.pop(proc.pid)
+        entry[3] = False
+        home = entry[4]
+        heap = self._heaps[home]
+        while heap and not heap[0][3]:
+            heapq.heappop(heap)
+        return home
 
     def reprioritize(self, proc: Proc) -> None:
         """``proc.pri`` changed; re-key its queue entry if it is waiting."""
-        queue = self._where.pop(proc.pid, None)
-        if queue is None:
-            return
-        queue.remove(proc)
-        self._seq += 1
-        queue.push(proc, self._seq)
-        self._where[proc.pid] = queue
+        if proc.pid in self._entries:
+            self._push(proc, self._unlink(proc))
 
     # ------------------------------------------------------------------
     # dispatch
@@ -347,20 +316,20 @@ class Scheduler(SchedulerBase):
         only through the global-best path so the reservation rule stays
         intact.
         """
+        heaps = self._heaps
         for cpu in self._idle:
-            head = self._queues[cpu.idx].peek()
+            heap = heaps[cpu.idx]
             self.scan_steps += 1
-            if head is None:
-                continue
-            pri, _seq, proc = head
-            if pri == best.pri and not self._is_gang(proc):
-                return proc
+            if heap and heap[0][0] == best.pri:
+                proc = heap[0][2]
+                if proc.shaddr is None or not proc.shaddr.gang:
+                    return proc
         return best
 
     def _select(self) -> Optional[Proc]:
         """Globally-best queued process, by (priority, enqueue order).
 
-        Found by peeking the head of every queue — O(ncpus),
+        Found by reading the head of every queue — O(ncpus),
         independent of how many processes are runnable.  Under seeded
         perturbation, FIFO order *within* the best priority class is
         not load-bearing: the RNG picks any best-priority head (a legal
@@ -368,31 +337,27 @@ class Scheduler(SchedulerBase):
         gets stolen first.
         """
         self.picks += 1
+        heaps = self._heaps
+        self.scan_steps += len(heaps)
         best = None
-        best_key = None
-        for queue in self._queues:
-            self.scan_steps += 1
-            head = queue.peek()
-            if head is None:
-                continue
-            pri, seq, proc = head
-            if best is None or (pri, seq) < best_key:
-                best, best_key = proc, (pri, seq)
-        engine = self.machine.engine
-        if best is not None and engine.perturbs("select"):
-            heads = [
-                head[2] for head in (queue.peek() for queue in self._queues)
-                if head is not None and head[0] == best.pri
-            ]
+        for heap in heaps:
+            if heap and (best is None or heap[0] < best):
+                best = heap[0]
+        if best is None:
+            return None
+        proc = best[2]
+        if self._perturb_select:
+            heads = [heap[0][2] for heap in heaps if heap and heap[0][0] == proc.pri]
             if len(heads) > 1:
-                return engine.rng.choice(heads)
-        return best
+                return self._rng.choice(heads)
+        return proc
 
     def _place(self, proc: Proc) -> None:
-        queue = self._where.pop(proc.pid)
-        queue.remove(proc)
-        self._cpu_ks[queue.idx]["runq_depth"] = len(queue)
-        cpu = self._choose_cpu(proc, queue)
+        home = self._unlink(proc)
+        depth = self._depth[home] - 1
+        self._depth[home] = depth
+        self._cpu_ks[home]["runq_depth"] = depth
+        cpu = self._choose_cpu(proc, home)
         self._idle.remove(cpu)
         proc.state = ProcState.RUNNING
         if proc.last_cpu is not None:
@@ -402,27 +367,28 @@ class Scheduler(SchedulerBase):
             else:
                 self.migrations += 1
                 self._kernel_ks["sched_migrations"] += 1
-        if cpu.idx != queue.idx:
+        if cpu.idx != home:
             self.steals += 1
             self._kernel_ks["sched_steals"] += 1
             self._cpu_ks[cpu.idx]["runq_steals"] += 1
         cpu.assign(proc)
 
-    def _choose_cpu(self, proc: Proc, queue: RunQueue):
-        """Best idle CPU for ``proc``: its queue's owner, then last_cpu,
-        then whichever went idle first.  Under seeded perturbation any
-        idle CPU is a legal placement (an affinity tie-break)."""
-        engine = self.machine.engine
-        if len(self._idle) > 1 and engine.perturbs("place"):
-            return engine.rng.choice(self._idle)
-        for cpu in self._idle:
-            if cpu.idx == queue.idx:
+    def _choose_cpu(self, proc: Proc, home: int):
+        """Best idle CPU for ``proc``: its queue's owner ``home``, then
+        last_cpu, then whichever went idle first.  Under seeded
+        perturbation any idle CPU is a legal placement (an affinity
+        tie-break)."""
+        idle = self._idle
+        if self._perturb_place and len(idle) > 1:
+            return self._rng.choice(idle)
+        for cpu in idle:
+            if cpu.idx == home:
                 return cpu
-        if proc.last_cpu is not None and proc.last_cpu != queue.idx:
-            for cpu in self._idle:
+        if proc.last_cpu is not None and proc.last_cpu != home:
+            for cpu in idle:
                 if cpu.idx == proc.last_cpu:
                     return cpu
-        return self._idle[0]
+        return idle[0]
 
     # ------------------------------------------------------------------
     # preemption
@@ -437,24 +403,24 @@ class Scheduler(SchedulerBase):
         CPUs stealing, so no remote scan is needed here.
         """
         self.scan_steps += 1
-        head = self._queues[cpu.idx].peek()
-        if head is None:
+        heap = self._heaps[cpu.idx]
+        if not heap:
             return False
-        pri, _seq, candidate = head
-        if self._gang_blocked(candidate):
+        head = heap[0]
+        if self._gang_blocked(head[2]):
             return False
-        return pri <= proc.pri
+        return head[0] <= proc.pri
 
     # ------------------------------------------------------------------
     # introspection
 
     def has_runnable(self) -> bool:
-        """Is anybody waiting for a CPU?  (sched_yield fast-path check)"""
-        return bool(self._where)
+        """Is anybody waiting for a CPU?  (``yield_cpu`` fast-path check)"""
+        return bool(self._entries)
 
     def queue_depths(self) -> List[int]:
         """Current depth of every CPU's run queue (introspection)."""
-        return [len(queue) for queue in self._queues]
+        return list(self._depth)
 
 
 class GlobalScheduler(SchedulerBase):
@@ -507,7 +473,7 @@ class GlobalScheduler(SchedulerBase):
         return False
 
     def has_runnable(self) -> bool:
-        """Is anybody waiting for a CPU?  (sched_yield fast-path check)"""
+        """Is anybody waiting for a CPU?  (``yield_cpu`` fast-path check)"""
         return bool(self._queue)
 
     def queue_depths(self) -> List[int]:

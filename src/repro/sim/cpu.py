@@ -12,13 +12,14 @@ boundary the CPU lets the kernel deliver pending signals and honors
 preemption requests; kernel-mode execution is never preempted, which is
 the classic System V invariant the paper leans on (section 6).
 
-The steady-state hop between ``_resume`` and ``_boundary`` uses the
-engine's inline-continuation slot (``engine.resched_inline``) with the
-callables prebound in ``__init__``: when the hop is the strictly next
-event on the timeline the engine fires it directly — no Event, no queue
-traffic, no closures (see ``docs/INTERNALS.md`` §14 and §17).  Paths
-that need a cancellable handle or follow anything other than the
-straight-line interpreter hop stay on ``engine.schedule_call``.
+The steady-state hops between ``_resume`` and ``_boundary``, and the
+dispatch hop from ``assign`` to the first boundary, use the engine's
+inline-continuation slot (``engine.resched_inline``) with the callables
+prebound in ``__init__``: when the hop is the strictly next event on the
+timeline the engine fires it directly — no Event, no queue traffic, no
+closures (see ``docs/INTERNALS.md`` §14 and §17).  Paths that need a
+cancellable handle or follow anything other than these straight-line
+hops stay on ``engine.schedule_call``.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class CPU:
         proc.quantum_left = self.costs.quantum
         self.dispatches += 1
         cost = self.costs.dispatch
-        asid = proc.asid()
+        asid = proc.vm.asid
         ks = self._ks
         ks["dispatches"] += 1
         if proc.runq_since is not None:
@@ -117,9 +118,9 @@ class CPU:
         kernel = self.kernel
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("dispatch", proc.pid, self._label, ph="B", cpu=self.idx)
-        self.engine.schedule(cost, self._dispatch_cb)
+        self._resched(cost, self._dispatch_cb, None)
 
-    def _dispatch_boundary(self) -> None:
+    def _dispatch_boundary(self, _token) -> None:
         """First boundary after dispatch: continue where the proc left off."""
         proc = self.current
         value = proc.resume_value
@@ -193,7 +194,7 @@ class CPU:
             if self.dispatcher is not None and self.dispatcher.has_runnable():
                 self._preempt(proc, resume_value=None)
             else:
-                # sched_yield with an empty run queue: stay on the CPU
+                # yield_cpu with an empty run queue: stay on the CPU
                 cost = self.costs.spin_poll
                 self.busy_cycles += cost
                 self.engine.schedule_call(cost, self._boundary_cb, None)

@@ -29,16 +29,17 @@ Host-speed notes (see ``docs/INTERNALS.md`` §14 and §17):
   the default drain loop batches same-cycle events, hoisting the
   ``until``/backwards-time checks behind a single time-changed test.
 * :meth:`Engine.resched_inline` is the **inline-continuation park**:
-  the CPU's steady-state hops (kernel-``Delay`` resumes and user-delay
-  chunk boundaries) park a ``(time, seq, fn, token)`` quadruple in a
-  tiny sorted list on the engine — one outstanding hop per CPU —
-  instead of materializing a heap event.  Whenever the earliest parked
-  continuation is due *strictly earlier* than every queued event (ties
-  broken by the ``seq`` reserved at park time) the drain loop advances
-  the clock and fires it directly — zero Event allocation, zero queue
-  traffic; when a queued event is due first the parked hops wait their
-  turn.  Continuations only demote to real queued events under the
-  naive ablation loop or past the park-list bound, so the protocol is
+  the CPU's steady-state hops (kernel-``Delay`` resumes, user-delay
+  chunk boundaries and the dispatch hop after ``CPU.assign``) park a
+  ``(time, seq, fn, token)`` quadruple in a tiny sorted list on the
+  engine — one outstanding hop per CPU — instead of materializing a
+  heap event.  Whenever the earliest parked continuation is due
+  *strictly earlier* than every queued event (ties broken by the
+  ``seq`` reserved at park time) the drain loop advances the clock and
+  fires it directly — zero Event allocation, zero queue traffic; when a
+  queued event is due first the parked hops wait their turn.
+  Continuations only demote to real queued events under the naive
+  ablation loop or past the park-list bound, so the protocol is
   observably transparent: exact ``(time, seq)`` order either way.
 
 ``loop="naive"`` (env ``REPRO_ENGINE_LOOP``) falls back to the seed's

@@ -291,27 +291,32 @@ def _member(api, arg):
     base = yield from api.sbrk(8192)
     yield from api.store_word(base, 7)
     yield from api.load_word(base)
-    yield from api.alarm(5_000)
+    # armed past the compute it guards, so the cancel below always runs
+    yield from api.alarm(50_000)
     yield from api.compute(20_000)
     yield from api.alarm(0)  # cancel: exercises heap garbage on both loops
-    yield from api.sched_yield()
+    yield from api.yield_cpu()  # requeue, then a parked dispatch hop
     yield from api.compute(9_000)
     return 0
 
 
-def _main(api, ctx):
+def _main(api, statuses):
     for _ in range(4):
         yield from api.sproc(_member, PR_SALL)
     for _ in range(4):
-        yield from api.wait()
+        _pid, status = yield from api.wait()
+        statuses.append(status)
     return 0
 
 
 def _fingerprint(loop, seed):
     sim = System(ncpus=3, perturb_seed=seed, engine_loop=loop)
     tracer = Tracer.attach(sim.kernel, capacity=100_000)
-    sim.spawn(_main, {})
+    statuses = []
+    sim.spawn(_main, statuses)
     sim.run()
+    assert statuses == [0, 0, 0, 0]
+    assert sim.stats["signal_deaths"] == 0
     blob = json.dumps(sim.kstat.snapshot(), sort_keys=True) + json.dumps(
         tracer.to_chrome_trace(), sort_keys=True, default=str
     )
