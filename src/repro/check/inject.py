@@ -33,7 +33,8 @@ from repro.system import System
 #: scenarios the sweep drives by default — racy-counter is fine here
 #: (the judge checks leaks, not final-state equality)
 SWEEP_SCENARIOS = (
-    "fault-storm", "fd-churn", "mmap-churn", "unshare-churn", "racy-counter"
+    "fault-storm", "fd-churn", "mmap-churn", "unshare-churn", "privdata-fork",
+    "racy-counter",
 )
 
 #: sites that deliver SIGKILL rather than an errno — a stalled guest

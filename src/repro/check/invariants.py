@@ -6,7 +6,7 @@ the invariant holds).  They never mutate state and never charge cycles,
 so tests and the schedule explorer can call them after — or even during
 — a run.
 
-The three relationships, straight from the paper:
+The relationships, with the paper sections they come from:
 
 * **shaddr refcounts** (section 6.1): ``s_refcnt`` counts the member
   list, every member points back at the block, and nobody dead lingers
@@ -22,6 +22,10 @@ The three relationships, straight from the paper:
   cleared ``PR_SADDR`` means a private address space, a set one means
   the group's, and a pending sync flag is only legal while the matching
   mask bit is still set.
+* **vm index** (the section 6.2 lookup's fast path): every pregion
+  list's sorted view matches its members, no two non-empty members of
+  one list overlap (the indexed lookup and overlap check rely on it),
+  and every space runs under the ASID its attachment implies.
 """
 
 from __future__ import annotations
@@ -90,9 +94,13 @@ def check_pregion_tlb(sim) -> List[str]:
     """Every TLB entry for a live ASID must match a current translation.
 
     Share-group members run under one ASID but each keeps a private
-    PRDA pregion at the same virtual address, so an entry is valid if
-    *any* live address space with that ASID resolves the page to a
-    resident frame with the cached pfn.  A writable entry additionally
+    PRDA pregion (and any ``PR_PRIVDATA`` shadow) at the same virtual
+    address.  Such a private translation stays only in the TLB of the
+    CPU its process runs on — the fault path caches it there alone and
+    the CPU drops it when the process leaves — but this checker does
+    not tie entries to CPUs, so an entry is valid if *any* live address
+    space with that ASID resolves the page to a resident frame with the
+    cached pfn.  A writable entry additionally
     requires the page to be writable now (not copy-on-write) in the
     space that matched.  Entries for retired ASIDs are skipped: ASIDs
     are never recycled, so they can only belong to exited processes.
@@ -232,6 +240,37 @@ def check_shmask_consistency(sim) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# pregion list indexes and ASIDs
+
+def check_vm_index(sim) -> List[str]:
+    """Pregion lists are coherent with their sorted views; ASIDs current.
+
+    Covers each live space's private list and each live group's shared
+    list (:meth:`PregionList.index_errors`), and checks that a space's
+    ``asid`` is its ``SharedVM``'s while it has one, else its own.
+    """
+    findings: List[str] = []
+    for proc in _live_procs(sim):
+        vm = proc.vm
+        findings.extend(
+            "pid %d private list: %s" % (proc.pid, error)
+            for error in vm.private.index_errors()
+        )
+        want = vm.shared.asid if vm.shared is not None else vm._own_asid
+        if vm.asid != want:
+            findings.append(
+                "pid %d: runs under asid %s but its attachment implies %s"
+                % (proc.pid, vm.asid, want)
+            )
+    for block in _live_blocks(sim):
+        findings.extend(
+            "shaddr sgid=%d shared list: %s" % (block.sgid, error)
+            for error in block.shared_vm.pregions.index_errors()
+        )
+    return findings
+
+
+# ----------------------------------------------------------------------
 
 #: name -> checker, the order reports list them in
 CHECKERS = {
@@ -240,6 +279,7 @@ CHECKERS = {
     "tlb-asid-index": check_tlb_asid_index,
     "fd-refcounts": check_fd_refcounts,
     "shmask-consistency": check_shmask_consistency,
+    "vm-index": check_vm_index,
 }
 
 

@@ -19,7 +19,9 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.fs.file import O_CREAT, O_RDWR
 from repro.mem.frames import PAGE_SIZE
+from repro.mem.layout import DATA_BASE
 from repro.share.mask import (
+    PR_PRIVDATA,
     PR_SADDR,
     PR_SALL,
     PR_SDIR,
@@ -333,6 +335,54 @@ def _unshare_churn_main(api, out):
 
 
 # ----------------------------------------------------------------------
+# privdata-fork: fork() from PR_PRIVDATA members — a fork child copies
+# exactly what its parent sees, and private translations under the
+# group's ASID never leak between members (sections 5.1 and 8)
+
+_PF_MEMBERS = 3
+_PF_GROUP_VALUE = 7
+
+
+def _pf_child(api, arg):
+    """Fork child: read the parent's private DATA, then COW-break it."""
+    out, index = arg
+    out["child-read-%d" % index] = yield from api.load_word(DATA_BASE)
+    yield from api.store_word(DATA_BASE, 500 + index)
+    out["child-wrote-%d" % index] = yield from api.load_word(DATA_BASE)
+    return 0
+
+
+def _pf_member(api, arg):
+    out, counter, index = arg
+    yield from api.store_word(DATA_BASE, 100 + index)  # private shadow
+    pid = yield from api.fork(_pf_child, (out, index))
+    if pid != -1:
+        yield from api.wait()
+    out["member-%d" % index] = yield from api.load_word(DATA_BASE)
+    yield from api.fetch_add(counter, 1)
+    return 0
+
+
+def _privdata_fork_main(api, out):
+    counter = yield from api.mmap(PAGE_SIZE)
+    if counter == -1:
+        return 1
+    yield from api.store_word(DATA_BASE, _PF_GROUP_VALUE)
+    started = 0
+    for index in range(_PF_MEMBERS):
+        pid = yield from api.sproc(
+            _pf_member, PR_SALL | PR_PRIVDATA, (out, counter, index)
+        )
+        if pid != -1:
+            started += 1
+    for _ in range(started):
+        yield from api.wait()
+    out["group"] = yield from api.load_word(DATA_BASE)
+    out["members"] = yield from api.load_word(counter)
+    return 0
+
+
+# ----------------------------------------------------------------------
 # racy-counter: a deliberate lost-update race (test fixture)
 
 _RC_PROCS = 4
@@ -387,6 +437,11 @@ SCENARIOS: Dict[str, Scenario] = {
             "and member exit",
         ),
         Scenario(
+            "privdata-fork", _privdata_fork_main, 2,
+            "PR_PRIVDATA members fork children that read and COW-break "
+            "their parent's private data",
+        ),
+        Scenario(
             "racy-counter", _racy_counter_main, 2,
             "deliberate lost-update race; final count is schedule-dependent",
         ),
@@ -395,4 +450,6 @@ SCENARIOS: Dict[str, Scenario] = {
 
 #: the scenarios ``python -m repro.check`` explores by default —
 #: everything whose final state must be schedule independent
-DEFAULT_SCENARIOS = ("fault-storm", "fd-churn", "mmap-churn", "unshare-churn")
+DEFAULT_SCENARIOS = (
+    "fault-storm", "fd-churn", "mmap-churn", "unshare-churn", "privdata-fork"
+)

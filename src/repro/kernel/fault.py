@@ -74,11 +74,10 @@ class FaultMixin:
         (and counted) the TLB via :meth:`vm_hit` and missed.
         """
         cpu = proc.cpu
-        tlb = cpu.tlb
         asid = proc.vm.asid
         vpn = vaddr >> PAGE_SHIFT
         if not prelooked:
-            entry = tlb.lookup(asid, vpn)
+            entry = cpu.tlb.lookup(asid, vpn)
             if entry is not None and (not write or entry.writable):
                 if info is not None:
                     info["kind"] = Fault.HIT
@@ -103,7 +102,7 @@ class FaultMixin:
                 if kind is Fault.HIT:
                     frame = res.pregion.region.pages[res.page_index]
                     writable = proc.vm.writable_now(res.pregion, res.page_index)
-                    tlb.insert(asid, vpn, frame.pfn, writable)
+                    self._tlb_fill(proc, cpu, res, asid, vpn, frame.pfn, writable)
                     return frame
                 if kind is Fault.ZERO or kind is Fault.COW:
                     proc.faults += 1
@@ -127,7 +126,7 @@ class FaultMixin:
                         continue
                     self.pcount(proc, "pages_touched")
                     writable = proc.vm.writable_now(res.pregion, res.page_index)
-                    tlb.insert(asid, vpn, frame.pfn, writable)
+                    self._tlb_fill(proc, cpu, res, asid, vpn, frame.pfn, writable)
                     return frame
                 if kind is Fault.GROW:
                     if locked == "read":
@@ -153,7 +152,7 @@ class FaultMixin:
                         yield from self._out_of_memory(proc, user, mode)
                         continue
                     self.pcount(proc, "pages_touched")
-                    tlb.insert(asid, vpn, frame.pfn, True)
+                    self._tlb_fill(proc, cpu, res, asid, vpn, frame.pfn, True)
                     return frame
                 # SEGV
                 if not user:
@@ -178,6 +177,23 @@ class FaultMixin:
                 yield from vmshare.read_release(proc)
             elif locked == "update":
                 yield from vmshare.update_release(proc)
+
+    @staticmethod
+    def _tlb_fill(proc, cpu, res, asid: int, vpn: int, pfn: int,
+                  writable: bool) -> None:
+        """Cache a refilled translation in the CPU the fault began on.
+
+        A private pregion under a shared ASID (the PRDA, a
+        ``PR_PRIVDATA`` shadow) is cached only while its process runs
+        there: the fault may have blocked on the read lock and resumed
+        on another CPU, and the CPU drops the noted entry when the
+        process leaves it (``CPU._drop_private_tlb``).
+        """
+        if res.shared or proc.vm.shared is None:
+            cpu.tlb.insert(asid, vpn, pfn, writable)
+        elif proc.cpu is cpu:
+            cpu.tlb.insert(asid, vpn, pfn, writable)
+            cpu.private_tlb.add((asid, vpn))
 
     def _out_of_memory(self, proc, user: bool, locked: str):
         """Generator: physical memory exhausted mid-fault.

@@ -116,7 +116,12 @@ class AddressSpace:
         self.frames = machine.frames
         self.shared = shared
         self._kernel_ks = machine.kstat.counters("kernel", 0)
+        #: the E16 ablation, read once: linear scans instead of the index
+        self._linear = machine.vm_index == "linear"
+        #: the ASID allocated for this space itself (None if born shared)
         self._own_asid = machine.alloc_asid() if shared is None else None
+        #: the ASID this space runs under: its group's while it shares one
+        self.asid = shared.asid if shared is not None else self._own_asid
         self._private = PregionList()
         self._next_stack_index = 0
         self._next_map_base = layout.MAP_BASE
@@ -138,11 +143,10 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # identity
 
-    @property
-    def asid(self) -> int:
-        if self.shared is not None:
-            return self.shared.asid
-        return self._own_asid
+    def join(self, shared: SharedVM) -> None:
+        """Start running on a group's shared image, under its ASID."""
+        self.shared = shared
+        self.asid = shared.asid
 
     # ------------------------------------------------------------------
     # pregion lists
@@ -156,7 +160,7 @@ class AddressSpace:
                 yield pregion, True
 
     def find(self, vaddr: int) -> Tuple[Optional[Pregion], bool]:
-        if getattr(self.machine, "vm_index", "indexed") == "linear":
+        if self._linear:
             return self._find_linear(vaddr)
         return self._find_indexed(vaddr)
 
@@ -202,11 +206,33 @@ class AddressSpace:
         return None, False
 
     def check_overlap(self, vlow: int, vhigh: int) -> None:
-        for pregion, _shared in self.iter_pregions():
-            if pregion.overlaps(vlow, vhigh):
-                raise SimulationError(
-                    "mapping %#x..%#x overlaps %r" % (vlow, vhigh, pregion)
-                )
+        """Refuse a mapping that overlaps any visible pregion.
+
+        Asks each list's sorted view (in both ``vm_index`` modes: the
+        check counts nothing, so the ablation's timeline is unchanged).
+        """
+        existing = self._private.overlapping(vlow, vhigh)
+        if existing is None and self.shared is not None:
+            existing = self.shared.pregions.overlapping(vlow, vhigh)
+        if existing is not None:
+            raise SimulationError(
+                "mapping %#x..%#x overlaps %r" % (vlow, vhigh, existing)
+            )
+
+    def unshadowed_shared(self) -> List[Pregion]:
+        """The shared pregions no private pregion shadows.
+
+        What a fork child or an unsharing member must clone from the
+        group: a ``PR_PRIVDATA`` member's private DATA hides the
+        group's, exactly as in the fault path.
+        """
+        if self.shared is None:
+            return []
+        private = self._private
+        return [
+            pregion for pregion in self.shared.pregions
+            if private.overlapping(pregion.vlow, pregion.vhigh) is None
+        ]
 
     def attach_private(self, pregion: Pregion, allow_shadow: bool = False) -> Pregion:
         """Attach to the private list.
@@ -217,11 +243,11 @@ class AddressSpace:
         works — the enhancement the paper's section 6.2 anticipates.
         """
         if allow_shadow:
-            for existing in self.private:
-                if existing.overlaps(pregion.vlow, pregion.vhigh):
-                    raise SimulationError(
-                        "shadow mapping overlaps private %r" % existing
-                    )
+            existing = self._private.overlapping(pregion.vlow, pregion.vhigh)
+            if existing is not None:
+                raise SimulationError(
+                    "shadow mapping overlaps private %r" % existing
+                )
         else:
             self.check_overlap(pregion.vlow, pregion.vhigh)
         self.private.append(pregion)
@@ -279,22 +305,33 @@ class AddressSpace:
         The candidate must be the nearest DOWN-growing pregion above the
         address, and the gap must be within its growth ceiling.
         """
-        if getattr(self.machine, "vm_index", "indexed") == "linear":
-            best: Optional[Tuple[Pregion, bool]] = None
-            for pregion, shared in self.iter_pregions():
-                if pregion.growth is not Growth.DOWN:
-                    continue
-                if pregion.vlow <= vaddr:
-                    continue
-                if best is None or pregion.vlow < best[0].vlow:
-                    best = (pregion, shared)
-            if best is not None and best[0].can_grow_down_to(vaddr):
-                return best
-            return None
-        # Indexed: one bisect per list over DOWN-growing members only.
-        # Ties on vlow go to the private candidate, matching the linear
-        # scan's private-first iteration with a strict ``<`` comparison.
-        best = None
+        if self._linear:
+            best = self._growable_stack_linear(vaddr)
+        else:
+            best = self._growable_stack_indexed(vaddr)
+        if best is not None and best[0].can_grow_down_to(vaddr):
+            return best
+        return None
+
+    def _growable_stack_linear(self, vaddr: int) -> Optional[Tuple[Pregion, bool]]:
+        """The nearest DOWN pregion above ``vaddr``, by a full scan."""
+        best: Optional[Tuple[Pregion, bool]] = None
+        for pregion, shared in self.iter_pregions():
+            if pregion.growth is not Growth.DOWN:
+                continue
+            if pregion.vlow <= vaddr:
+                continue
+            if best is None or pregion.vlow < best[0].vlow:
+                best = (pregion, shared)
+        return best
+
+    def _growable_stack_indexed(self, vaddr: int) -> Optional[Tuple[Pregion, bool]]:
+        """The same candidate, by one bisect per list over DOWN members.
+
+        Ties on vlow go to the private candidate, matching the linear
+        scan's private-first iteration with a strict ``<`` comparison.
+        """
+        best: Optional[Tuple[Pregion, bool]] = None
         candidate, _steps = self._private.nearest_down_above(vaddr)
         if candidate is not None:
             best = (candidate, False)
@@ -304,9 +341,7 @@ class AddressSpace:
                 best is None or candidate.vlow < best[0].vlow
             ):
                 best = (candidate, True)
-        if best is not None and best[0].can_grow_down_to(vaddr):
-            return best
-        return None
+        return best
 
     # ------------------------------------------------------------------
     # fault actions (called by the kernel fault handler, under locks)
@@ -406,9 +441,11 @@ class AddressSpace:
         Matches the paper: a ``fork()`` (or non-VM-sharing ``sproc()``)
         from a share group member *"leaves any visible stack or other
         regions from the share group as copy-on-write elements of the new
-        process"*.  The caller must flush the parent's TLB afterwards
-        because resident pages became read-only-COW on the parent side
-        too.
+        process"*.  A shared pregion that a private one shadows is not
+        visible, so it is not copied: the child sees what its parent
+        sees, and its private list stays free of overlaps.  The caller
+        must flush the parent's TLB afterwards because resident pages
+        became read-only-COW on the parent side too.
         """
         child = AddressSpace(self.machine)
         child.stack_max_bytes = (
@@ -423,7 +460,7 @@ class AddressSpace:
             self.shared._next_map_base if self.shared is not None
             else self._next_map_base
         )
-        for pregion, _shared in self.iter_pregions():
+        for pregion in list(self._private) + self.unshadowed_shared():
             clone_region = pregion.region.dup_cow()
             clone = Pregion(
                 clone_region, pregion.vbase, pregion.prot,

@@ -119,7 +119,9 @@ class Pregion:
         added = (self.vbase - new_base) >> PAGE_SHIFT
         self.region.grow_front(added)
         self.vbase = new_base
-        self._index_changed()
+        if self.owner is not None:
+            # the owning list's sorted view is keyed on the base address
+            self.owner.invalidate()
         return added
 
     def grow_up(self, npages: int) -> None:
@@ -129,17 +131,10 @@ class Pregion:
         if self.max_pages and self.region.npages + npages > self.max_pages:
             raise MemoryError("region growth limit exceeded")
         self.region.grow(npages)
-        self._index_changed()
 
     def shrink(self, npages: int) -> None:
         """Shrink from the high end (negative sbrk)."""
         self.region.shrink(npages)
-        self._index_changed()
-
-    def _index_changed(self) -> None:
-        """Tell the owning list's interval index that our extent moved."""
-        if self.owner is not None:
-            self.owner.invalidate()
 
     def detach(self) -> None:
         """Drop this attachment's region reference."""

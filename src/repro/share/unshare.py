@@ -111,12 +111,9 @@ def copy_out_aspace(kernel, proc, staged):
     vm._next_stack_index = shared._next_stack_index
     vm._next_map_base = shared._next_map_base
     staged["vm"] = vm
-    privates = list(proc.vm.private)
     costs = kernel.costs
     copied = 0
-    for pregion in list(shared.pregions):
-        if any(p.overlaps(pregion.vlow, pregion.vhigh) for p in privates):
-            continue
+    for pregion in proc.vm.unshadowed_shared():
         if kernel.fail("unshare.pregion"):
             raise SysError(ENOMEM, "injected: pregion copy-out")
         clone_region = pregion.region.dup_cow()

@@ -121,5 +121,5 @@ def move_pregions_to_shared(proc) -> int:
             shared_vm.pregions.append(pregion)
             moved += 1
     proc.vm.private = keep
-    proc.vm.shared = shared_vm
+    proc.vm.join(shared_vm)
     return moved

@@ -35,7 +35,7 @@ class CPU:
     """One processor of the simulated multiprocessor."""
 
     __slots__ = (
-        "idx", "machine", "engine", "costs", "tlb",
+        "idx", "machine", "engine", "costs", "tlb", "private_tlb",
         "current", "kernel", "dispatcher", "_last_asid", "_label",
         "_resume_cb", "_boundary_cb", "_dispatch_cb", "_resched",
         "_ks", "_runq_wait",
@@ -53,6 +53,9 @@ class CPU:
             cpu_idx=idx,
             asid_index=machine.vm_index != "linear",
         )
+        #: ``(asid, vpn)`` of private translations the current process
+        #: cached under a shared ASID; they leave the TLB with it
+        self.private_tlb = set()
         self.current = None  #: the proc executing on this CPU, or None
         self.kernel = None  #: set by Kernel.boot()
         self.dispatcher = None  #: set by the scheduler at boot
@@ -271,6 +274,8 @@ class CPU:
         proc.need_resched = False
         self.current = None
         proc.cpu = None
+        if self.private_tlb:
+            self._drop_private_tlb()
         self._ks["preempt_offs"] += 1
         kernel = self.kernel
         if kernel is not None and kernel.tracer is not None:
@@ -282,10 +287,24 @@ class CPU:
         """The process blocked; free the CPU."""
         self.current = None
         proc.cpu = None
+        if self.private_tlb:
+            self._drop_private_tlb()
         kernel = self.kernel
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("dispatch", proc.pid, self._label, ph="E", cpu=self.idx)
         self.dispatcher.cpu_idle(self)
+
+    def _drop_private_tlb(self) -> None:
+        """The outgoing process's PRDA and private shadows leave the TLB.
+
+        Every VM-sharing member maps its own PRDA (and any
+        ``PR_PRIVDATA`` shadow) at the same VPN under the group's ASID,
+        so such an entry must not outlive its process's stay here.
+        """
+        tlb = self.tlb
+        for asid, vpn in self.private_tlb:
+            tlb.discard(asid, vpn)
+        self.private_tlb.clear()
 
 
 class _ContinueDelay:

@@ -155,6 +155,15 @@ class TLB:
             self.flush_pages += 1
         self.flushes += 1
 
+    def discard(self, asid: int, vpn: int) -> None:
+        """Drop one translation without counting a flush.
+
+        Models the R2000 reloading its wired PRDA entry at a context
+        switch: part of the switch, not a flush, so no statistic moves.
+        """
+        if self._entries.pop((asid, vpn), None) is not None:
+            self._index_drop(asid, vpn)
+
     def flush_range(self, asid: int, vpn_lo: int, vpn_hi: int) -> None:
         """Drop translations for ``vpn_lo <= vpn < vpn_hi`` in one space."""
         if self._by_asid is not None:

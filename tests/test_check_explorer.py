@@ -8,6 +8,7 @@ one — reproducibly, from nothing but the seed its report prints.
 
 import json
 
+import pytest
 
 from repro.check import __main__ as check_cli
 from repro.check.explore import explore, run_once
@@ -15,9 +16,13 @@ from repro.check.invariants import (
     check_fd_refcounts,
     check_pregion_tlb,
     check_shaddr_refcounts,
+    check_vm_index,
     run_invariants,
 )
 from repro.check.scenarios import DEFAULT_SCENARIOS, SCENARIOS, Scenario
+from repro.mem.addrspace import make_region
+from repro.mem.pregion import PROT_RW, Pregion
+from repro.mem.region import RegionType
 from repro.system import System
 
 
@@ -82,6 +87,39 @@ def test_fd_refcount_leak_detected():
     assert check_fd_refcounts(sim) == []
 
 
+def _live_shared_list(sim):
+    block = next(
+        proc.shaddr
+        for proc in sim.kernel.proc_table.all_procs()
+        if proc.alive() and proc.shaddr is not None
+    )
+    pregions = block.shared_vm.pregions
+    pregions.lookup(0)  # make sure the sorted view is built
+    assert len(pregions) >= 2
+    return pregions
+
+
+def test_misordered_vm_index_detected():
+    sim = _partial_fd_churn()
+    pregions = _live_shared_list(sim)
+    assert check_vm_index(sim) == []
+    order = pregions._order
+    order[0], order[1] = order[1], order[0]
+    findings = check_vm_index(sim)
+    assert findings and "sorted view" in findings[0]
+
+
+def test_overlapping_pregions_in_one_list_detected():
+    sim = _partial_fd_churn()
+    pregions = _live_shared_list(sim)
+    victim = pregions[0]
+    region = make_region(sim.machine.frames, 4096, RegionType.SHM)
+    # append skips the attach-time overlap check: a broken fork image
+    pregions.append(Pregion(region, victim.vbase, PROT_RW))
+    findings = check_vm_index(sim)
+    assert findings and "overlaps" in findings[0]
+
+
 # ----------------------------------------------------------------------
 # explorer: pass, fail, reproduce, shrink
 
@@ -90,6 +128,24 @@ def test_default_scenarios_schedule_independent():
     report = explore(DEFAULT_SCENARIOS, nseeds=4)
     assert report.ok, report.render()
     assert report.runs == len(DEFAULT_SCENARIOS) * 5  # baseline + 4 seeds
+
+
+@pytest.mark.parametrize("seed", [None, 30, 43, 56])
+def test_privdata_fork_children_see_their_parents_data(seed):
+    """Fork children of PR_PRIVDATA members read their parent's private
+    DATA, and their COW writes reach neither the parent nor the group.
+
+    The perturbation seeds are schedules in which a member's fault
+    blocked on the read lock and resumed on another CPU: caching that
+    private refill in the CPU it left served the next member there."""
+    out, sim = SCENARIOS["privdata-fork"].run(seed=seed)
+    for index in range(3):
+        assert out["child-read-%d" % index] == 100 + index
+        assert out["child-wrote-%d" % index] == 500 + index
+        assert out["member-%d" % index] == 100 + index
+    assert out["group"] == 7
+    assert out["members"] == 3
+    assert run_invariants(sim) == []
 
 
 def test_explorer_detects_lost_update_race():

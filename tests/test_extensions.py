@@ -3,6 +3,7 @@ selective region sharing, exec-keeping-the-group, group priority,
 gang scheduling hint, stop-sharing, plus the /dev devices and alarm().
 """
 
+import pytest
 
 from repro import (
     O_CREAT,
@@ -90,6 +91,72 @@ def test_privdata_triggers_shootdown():
 
     out, sim = run_program(main)
     assert sim.stats["shootdowns"] >= 1
+
+
+@pytest.mark.parametrize("vm_index", ["indexed", "linear"])
+def test_privdata_member_fork_child_copies_the_members_data(vm_index):
+    """fork() copies what its caller sees: the member's private DATA,
+    not the group's segment that the private copy shadows."""
+
+    def forked(api, ctx):
+        from repro.mem.region import RegionType
+
+        addr, out = ctx
+        out["fork_child_saw"] = yield from api.load_word(addr)
+        out["fork_child_data_pregions"] = sum(
+            1 for pregion in api.proc.vm.private
+            if pregion.rtype is RegionType.DATA
+        )
+        return 0
+
+    def member(api, ctx):
+        addr, out = ctx
+        yield from api.store_word(addr, 777)  # private COW write
+        yield from api.fork(forked, ctx)
+        yield from api.wait()
+        return 0
+
+    def main(api, out):
+        addr = _data_addr(api)
+        yield from api.store_word(addr, 111)
+        yield from api.sproc(member, PR_SALL | PR_PRIVDATA, (addr, out))
+        yield from api.wait()
+        return 0
+
+    out, _ = run_program(main, vm_index=vm_index)
+    assert out["fork_child_saw"] == 777
+    assert out["fork_child_data_pregions"] == 1, "the shadowed copy stays out"
+
+
+def test_privdata_leader_keeps_its_view_on_one_cpu():
+    """On one CPU the member's private DATA translation, cached under
+    the group's ASID, must not serve the leader — neither while the
+    member lives nor after its frame is freed."""
+
+    def member(api, ctx):
+        addr, ctl = ctx
+        yield from api.store_word(addr, 777)  # private COW write
+        yield from api.store_word(ctl, 1)
+        while (yield from api.load_word(ctl + 4)) == 0:
+            yield from api.yield_cpu()
+        return 0
+
+    def main(api, out):
+        addr = _data_addr(api)
+        ctl = yield from api.mmap(4096)
+        yield from api.store_word(addr, 111)
+        yield from api.sproc(member, PR_SALL | PR_PRIVDATA, (addr, ctl))
+        while (yield from api.load_word(ctl)) == 0:
+            yield from api.yield_cpu()
+        out["while_member_lives"] = yield from api.load_word(addr)
+        yield from api.store_word(ctl + 4, 1)
+        yield from api.wait()
+        out["after_member_exits"] = yield from api.load_word(addr)
+        return 0
+
+    out, _ = run_program(main, ncpus=1)
+    assert out["while_member_lives"] == 111
+    assert out["after_member_exits"] == 111
 
 
 def test_privdata_not_implied_by_pr_sall():

@@ -4,6 +4,7 @@ Each test pins down a behaviour stated in the paper — section references
 in the docstrings.
 """
 
+import pytest
 
 from repro import (
     O_CREAT,
@@ -278,8 +279,13 @@ def test_region_shrink_performs_shootdown():
     assert sim.machine.shootdowns >= 1
 
 
-def test_prda_is_private_per_member():
-    """Section 5.1: the PRDA stays private so errno etc. works."""
+@pytest.mark.parametrize("ncpus", [1, 2])
+def test_prda_is_private_per_member(ncpus):
+    """Section 5.1: the PRDA stays private so errno etc. works.
+
+    One CPU runs both members in turn under the group's ASID, so the
+    child's PRDA translation must leave the TLB when the child does.
+    """
     from repro.runtime.prda import PRDA_USER
 
     def child(api, ctl):
@@ -300,11 +306,12 @@ def test_prda_is_private_per_member():
         yield from api.wait()
         return 0
 
-    out, _ = run_program(main, ncpus=2)
+    out, _ = run_program(main, ncpus=ncpus)
     assert out["mine"] == 7, "child's PRDA store must not be visible"
 
 
-def test_errno_lives_in_prda_per_process():
+@pytest.mark.parametrize("ncpus", [1, 2])
+def test_errno_lives_in_prda_per_process(ncpus):
     """Two members fail different syscalls; each sees its own errno."""
 
     def child(api, out):
@@ -319,7 +326,7 @@ def test_errno_lives_in_prda_per_process():
         out["parent_errno"] = yield from api.errno()
         return 0
 
-    out, _ = run_program(main)
+    out, _ = run_program(main, ncpus=ncpus)
     assert out["child_rc"] == -1
     assert out["child_errno"] == EBADF
     assert out["parent_errno"] == 0, "parent never failed a call"

@@ -1,9 +1,11 @@
 """The VM translation fast path: interval index vs linear scan.
 
-The property test drives randomized attach/detach/grow/shadow sequences
-and asserts the indexed and linear lookups agree on every probe — the
-index is an optimization, never a semantic change.  The rest covers the
-one-pass detach regression, the ablation flag, and determinism.
+The property test drives randomized attach/detach/grow/shrink/shadow
+sequences and asserts the indexed and linear lookups agree on every
+probe, and that the indexed overlap check rejects exactly what a linear
+scan rejects — the index is an optimization, never a semantic change.
+The rest covers the one-pass detach regression, the ablation flag, and
+determinism.
 """
 
 import random
@@ -44,7 +46,7 @@ def _make_pregion(machine, slot, growth):
     return Pregion(region, base, PROT_RW)
 
 
-def _assert_equivalent(machine, vm):
+def _assert_equivalent(vm):
     for slot in range(NSLOTS):
         for page in (0, 1, 7, SLOT_PAGES - 6, SLOT_PAGES - 1):
             vaddr = _slot_base(slot) + page * PAGE_SIZE + 4
@@ -52,10 +54,8 @@ def _assert_equivalent(machine, vm):
             idx = vm._find_indexed(vaddr)
             assert lin[0] is idx[0], hex(vaddr)
             assert lin[1] == idx[1], hex(vaddr)
-            machine.vm_index = "linear"
-            grow_lin = vm._growable_stack(vaddr)
-            machine.vm_index = "indexed"
-            grow_idx = vm._growable_stack(vaddr)
+            grow_lin = vm._growable_stack_linear(vaddr)
+            grow_idx = vm._growable_stack_indexed(vaddr)
             if grow_lin is None:
                 assert grow_idx is None, hex(vaddr)
             else:
@@ -64,19 +64,40 @@ def _assert_equivalent(machine, vm):
                 assert grow_lin[1] == grow_idx[1]
 
 
+def _assert_overlap_check_exact(vm, rng):
+    """``check_overlap`` raises for exactly what a linear scan rejects."""
+    span = NSLOTS * SLOT_PAGES
+    for _ in range(15):
+        lo_page = rng.randrange(span)
+        hi_page = lo_page + rng.randrange(2 * SLOT_PAGES)
+        vlow = BASE + lo_page * PAGE_SIZE
+        vhigh = BASE + hi_page * PAGE_SIZE
+        linear = any(
+            pregion.overlaps(vlow, vhigh)
+            for pregion, _shared in vm.iter_pregions()
+        )
+        try:
+            vm.check_overlap(vlow, vhigh)
+            raised = False
+        except SimulationError:
+            raised = True
+        assert raised == linear, (hex(vlow), hex(vhigh))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_index_matches_linear_scan_under_random_traffic(seed):
     machine = Machine(ncpus=1)
     shared_vm = SharedVM(machine)
     vm = AddressSpace(machine, shared=shared_vm)
     rng = random.Random(seed)
+    probe_rng = random.Random(1000 + seed)
     private_at = {}
     shared_at = {}
 
     for _ in range(80):
         op = rng.choice(
             ["attach_private", "attach_shared", "shadow",
-             "detach", "grow_up", "grow_down"]
+             "detach", "grow_up", "grow_down", "shrink"]
         )
         if op == "attach_private":
             free = [s for s in range(NSLOTS)
@@ -128,7 +149,38 @@ def test_index_matches_linear_scan_under_random_traffic(seed):
                 target = pregion.vlow - PAGE_SIZE
                 if pregion.can_grow_down_to(target):
                     pregion.grow_down_to(target)
-        _assert_equivalent(machine, vm)
+        elif op == "shrink":
+            # An empty pregion still counts as overlapping any range
+            # that strictly contains its address.
+            candidates = [
+                p for p in list(private_at.values()) + list(shared_at.values())
+                if p.region.npages
+            ]
+            if candidates:
+                pregion = rng.choice(candidates)
+                pregion.shrink(pregion.region.npages)
+        _assert_equivalent(vm)
+        _assert_overlap_check_exact(vm, probe_rng)
+
+
+def test_view_keeps_stable_order_and_overlap_check_skips_empties():
+    """Edits keep the view equal to a stable sort (a newer member goes
+    after older ones with the same start), and the overlap check walks
+    past an empty member lying inside a non-empty one."""
+    machine = Machine(ncpus=1)
+    vm = AddressSpace(machine)
+    data = _make_pregion(machine, 0, Growth.UP)
+    vm.attach_private(data)
+    vm.check_overlap(_slot_base(5), _slot_base(6))  # builds the view
+    empty = make_region(machine.frames, 0, RegionType.SHM)
+    at_end = Pregion(empty, data.vhigh, PROT_RW)
+    at_start = Pregion(empty, data.vlow, PROT_RW)
+    vm.attach_private(at_end)
+    vm.attach_private(at_start)
+    assert vm.private.index_errors() == []
+    data.grow_up(2)  # now strictly contains ``at_end``
+    with pytest.raises(SimulationError):
+        vm.check_overlap(data.vhigh - PAGE_SIZE, data.vhigh)
 
 
 def test_detach_of_unattached_raises():
