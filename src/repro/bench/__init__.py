@@ -1,4 +1,4 @@
-"""Benchmark harness and the twelve paper-reproduction experiments."""
+"""Benchmark harness and the seventeen paper-reproduction experiments."""
 
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.harness import Claim, ExperimentResult, mean, ratio

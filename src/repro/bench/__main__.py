@@ -3,25 +3,29 @@
     python -m repro.bench                       # run everything once
     python -m repro.bench E1 E6                 # run a subset
     python -m repro.bench --list                # show what exists
+    python -m repro.bench --scale quick         # E17 at its per-PR scale
     python -m repro.bench e15 --seeds 10 --jobs 4
 
 Each experiment prints its table and claim results; a non-zero exit code
-means some claim failed.  Tables land in benchmarks/results/ along with
-a machine-readable BENCH_<eid>.json.
+means some claim failed.  Tables land in benchmarks/results/ (or
+``$REPRO_RESULTS_DIR``) along with a machine-readable BENCH_<eid>.json.
+A plain run of everything reproduces each committed ``eNN.txt`` byte
+for byte; ``--scale quick`` rewrites ``e17.txt`` at the quick scale.
 
 ``--seeds N`` additionally runs each experiment under N perturbation
 seeds (sharded across ``--jobs`` host processes), attaches a bootstrap
 confidence interval to every metric (stored under ``"stats"`` in the
 BENCH json, gated on CI overlap by benchmarks/compare_bench.py), and
 requires the paper claims to hold under *every* seed, not just the
-default schedule.  ``--trend PATH`` appends this run's summary to a
-BENCH_TREND.json so the perf trajectory accumulates across PRs.  Host
-speed is measured by ``perfbench/run.py``, not here.
+default schedule.  Host speed is measured by ``perfbench/run.py``, not
+here.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import inspect
 import sys
 
 from repro.bench.experiments import ALL_EXPERIMENTS
@@ -48,9 +52,6 @@ def main(argv) -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="J",
                         help="host processes for the seed sweep "
                              "(default: min(seeds, cpu_count))")
-    parser.add_argument("--trend", metavar="PATH",
-                        help="append results to the BENCH_TREND.json "
-                             "at PATH")
     parser.add_argument("--scale", choices=("full", "quick"), default=None,
                         help="workload scale for experiments that take "
                              "one (E17): full for nightly/acceptance "
@@ -59,14 +60,6 @@ def main(argv) -> int:
 
     if args.list:
         return _list_experiments()
-
-    # Host-side tuning only: bench processes are short-lived, so cyclic
-    # garbage (generator frames, proc parent/child links) is reclaimed at
-    # exit anyway, while collector pauses otherwise cost the event-dense
-    # experiments 10-20% of their run time.
-    import gc
-
-    gc.disable()
 
     chosen = [eid.upper() for eid in args.eids] or list(ALL_EXPERIMENTS)
     unknown = [eid for eid in chosen if eid not in ALL_EXPERIMENTS]
@@ -77,15 +70,12 @@ def main(argv) -> int:
 
     failures = 0
     for eid in chosen:
-        import inspect
-
         func = ALL_EXPERIMENTS[eid]
         kwargs = {}
         if (args.scale is not None
                 and "scale" in inspect.signature(func).parameters):
             kwargs["scale"] = args.scale
         result = func(**kwargs)
-        sweep = None
         if args.seeds > 0:
             from repro.bench.stats import run_sweep
 
@@ -96,10 +86,6 @@ def main(argv) -> int:
         result.save()
         result.save_json()
         failures += sum(1 for claim in result.claims if not claim.holds)
-        if args.trend:
-            from repro.bench.stats import append_trend, trend_entry
-
-            append_trend(args.trend, trend_entry(eid, sweep))
 
     if failures:
         print("%d claim(s) FAILED" % failures)
@@ -109,4 +95,9 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
+    # Host-side tuning, only in a process the bench owns: it is
+    # short-lived, so cyclic garbage (generator frames, proc parent/child
+    # links) is reclaimed at exit anyway, while collector pauses otherwise
+    # cost the event-dense experiments 10-20% of their run time.
+    gc.disable()
     sys.exit(main(sys.argv))

@@ -1,11 +1,11 @@
-"""The fourteen experiments (one per paper table/figure/claim, plus two
-bonus ablations).
+"""The seventeen experiments (one per paper table/figure/claim, plus
+bonus ablations and the flagship server workload).
 
 Each ``run_eNN`` builds fresh simulated systems, runs a deterministic
 workload, and returns an :class:`~repro.bench.harness.ExperimentResult`
-whose *claims* encode the paper's qualitative statements.  The
-``benchmarks/bench_eNN_*.py`` files drive these under pytest-benchmark;
-``EXPERIMENTS.md`` indexes them against the paper text.
+whose *claims* encode the paper's qualitative statements.  ``python -m
+repro.bench [EID...]`` runs them; ``EXPERIMENTS.md`` indexes them
+against the paper text.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Every experiment produces an :class:`ExperimentResult` — rows of
 simulated-cycle measurements plus *claims*: the qualitative shapes the
 paper states (who wins, by roughly what factor, where crossovers fall).
-``check()`` turns the claims into assertions, so a regression in the
-kernel that flips a result fails the benchmark suite, not just changes a
-number nobody reads.
+``python -m repro.bench`` exits non-zero when a claim fails, and
+``check()`` turns the claims into assertions for library callers, so a
+regression in the kernel that flips a result fails loudly instead of
+just changing a number nobody reads.
 
 Rendered tables are printed and also written under
 ``benchmarks/results/`` so EXPERIMENTS.md can reference the exact output.

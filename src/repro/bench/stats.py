@@ -1,15 +1,14 @@
-"""Statistical claims harness: N-seed sweeps, bootstrap CIs, trend files.
+"""Statistical claims harness: N-seed sweeps and bootstrap CIs.
 
 A single seeded run is a point estimate; the paper-reproduction claims
 deserve error bars.  This module runs any E-benchmark over ``N``
 perturbation seeds (sharded across host cores with ``multiprocessing``),
 collects every numeric metric each run reports, and attaches a
 *nonparametric bootstrap confidence interval* (percentile method, seeded
-resampler — no distributional assumptions) to each one.  Downstream,
-``benchmarks/compare_bench.py`` gates regressions on **CI overlap**
-instead of a raw percentage threshold, and ``append_trend`` keeps a
-per-PR ``BENCH_TREND.json`` so the perf trajectory is a queryable
-artifact rather than archaeology through CI logs.
+resampler — no distributional assumptions) to each one.  ``python -m
+repro.bench EID --seeds N`` stores them under ``"stats"`` in
+``BENCH_<eid>.json``, and ``benchmarks/compare_bench.py`` gates
+regressions on **CI overlap** instead of a raw percentage threshold.
 
 Determinism: seed ``s`` always produces the same run (the engine's
 perturbation RNG is seeded), and the bootstrap resampler is its own
@@ -19,12 +18,10 @@ command line that ran it.
 
 from __future__ import annotations
 
-import json
+import gc
 import multiprocessing
 import os
 import random
-import time
-from inspect import signature
 from typing import Dict, List, Optional, Sequence
 
 #: resamples for the percentile bootstrap (enough for stable 95% bounds)
@@ -98,20 +95,17 @@ def summarize(
 
 
 def run_experiment(eid: str, seed: Optional[int] = None, **kwargs):
-    """Run experiment ``eid`` once; pass ``seed`` if the function takes it.
+    """Run experiment ``eid`` once under perturbation seed ``seed``.
 
-    Experiments that accept a ``seed`` parameter thread it into their
-    ``System(perturb_seed=...)`` builds so distinct seeds explore
-    distinct legal schedules; the rest are fully deterministic and every
-    seed reproduces the same numbers (their CIs collapse to a point,
-    which the overlap gate handles fine).
+    Every experiment threads ``seed`` into its ``System(perturb_seed=...)``
+    builds, so distinct seeds explore distinct legal schedules; ``None``
+    is each one's default schedule.  Experiments whose numbers no legal
+    schedule moves reproduce them under every seed (their CIs collapse
+    to a point, which the overlap gate handles fine).
     """
     from repro.bench.experiments import ALL_EXPERIMENTS
 
-    func = ALL_EXPERIMENTS[eid.upper()]
-    if seed is not None and "seed" in signature(func).parameters:
-        return func(seed=seed, **kwargs)
-    return func(**kwargs)
+    return ALL_EXPERIMENTS[eid.upper()](seed=seed, **kwargs)
 
 
 def extract_metrics(result) -> Dict[str, Dict[str, float]]:
@@ -138,13 +132,6 @@ def extract_metrics(result) -> Dict[str, Dict[str, float]]:
 def _sweep_worker(job):
     """Top-level worker (multiprocessing needs it importable)."""
     eid, seed, kwargs = job
-    import gc
-
-    # Same host-side tuning as the CLI entry point: sweep shards are
-    # short-lived, so their cyclic garbage dies with the process and
-    # collector pauses would only slow them down.
-    gc.disable()
-
     result = run_experiment(eid, seed=seed, **kwargs)
     failed = [c.description for c in result.claims if not c.holds]
     return {
@@ -246,62 +233,9 @@ def run_sweep(
     if jobs == 1:
         sweep.runs = [_sweep_worker(job) for job in payload]
     else:
-        with multiprocessing.Pool(jobs) as pool:
+        # Same host-side tuning as the CLI entry point, in processes the
+        # sweep owns: shards are short-lived, so their cyclic garbage dies
+        # with them and collector pauses would only slow them down.
+        with multiprocessing.Pool(jobs, initializer=gc.disable) as pool:
             sweep.runs = pool.map(_sweep_worker, payload)
     return sweep
-
-
-# ----------------------------------------------------------------------
-# the trend file
-
-
-def append_trend(path: str, entry: dict) -> dict:
-    """Append ``entry`` to the BENCH_TREND.json at ``path``.
-
-    The file is ``{"entries": [...]}`` — one entry per (PR, experiment)
-    — so plotting the perf trajectory is a one-liner and a regression's
-    onset is a lookup, not a bisect.  Corrupt or legacy files start
-    fresh rather than poisoning the artifact chain.
-    """
-    doc = {"entries": []}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                loaded = json.load(handle)
-            if isinstance(loaded, dict) and isinstance(
-                loaded.get("entries"), list
-            ):
-                doc = loaded
-        except (OSError, ValueError):
-            pass
-    doc["entries"].append(entry)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return doc
-
-
-def trend_entry(eid: str, sweep: Optional[SweepResult] = None) -> dict:
-    """One BENCH_TREND entry: identity and CI'd metrics."""
-    entry = {
-        "experiment": eid.upper(),
-        "time": int(time.time()),
-        "sha": os.environ.get("GITHUB_SHA"),
-    }
-    if sweep is not None:
-        entry["seeds"] = len(sweep.seeds)
-        entry["metrics"] = {
-            row: {
-                metric: {
-                    "mean": stat["mean"],
-                    "ci_lo": stat["ci_lo"],
-                    "ci_hi": stat["ci_hi"],
-                    "n": stat["n"],
-                }
-                for metric, stat in metrics.items()
-            }
-            for row, metrics in sweep.stats().items()
-        }
-    return entry

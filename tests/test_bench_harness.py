@@ -1,6 +1,8 @@
 """The benchmark harness itself: tables, claims, persistence."""
 
+import gc
 import os
+import re
 
 import pytest
 
@@ -95,6 +97,16 @@ def test_cli_list(capsys):
     assert "E1" in out and "E13" in out
 
 
+def test_cli_has_exactly_four_options(capsys):
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["prog", "--help"])
+    assert excinfo.value.code == 0
+    options = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert options == {"--help", "--list", "--seeds", "--jobs", "--scale"}
+
+
 def test_cli_rejects_unknown(capsys):
     from repro.bench.__main__ import main
 
@@ -107,3 +119,19 @@ def test_cli_runs_one_experiment(tmp_path, monkeypatch, capsys):
 
     assert main(["prog", "E2"]) == 0
     assert (tmp_path / "e2.txt").exists()
+
+
+def test_bench_leaves_the_callers_gc_enabled(tmp_path, monkeypatch):
+    """Only processes the bench owns turn the host collector off."""
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    from repro.bench.__main__ import main
+    from repro.bench.stats import run_sweep
+
+    gc.enable()
+    try:
+        assert main(["prog", "E2"]) == 0
+        assert gc.isenabled()
+        run_sweep("e15", nseeds=1, jobs=1, rounds=4)
+        assert gc.isenabled()
+    finally:
+        gc.enable()

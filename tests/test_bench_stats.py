@@ -6,15 +6,9 @@ import os
 
 import pytest
 
+from repro.bench.__main__ import main as bench_main
 from repro.bench.harness import ExperimentResult
-from repro.bench.stats import (
-    append_trend,
-    bootstrap_ci,
-    extract_metrics,
-    run_sweep,
-    summarize,
-    trend_entry,
-)
+from repro.bench.stats import bootstrap_ci, extract_metrics, run_sweep, summarize
 
 
 # ----------------------------------------------------------------------
@@ -92,35 +86,6 @@ def test_sweep_same_seed_reproduces_identical_metrics():
     one = run_sweep("e15", nseeds=1, jobs=1, rounds=4)
     two = run_sweep("e15", nseeds=1, jobs=1, rounds=4)
     assert one.runs[0]["metrics"] == two.runs[0]["metrics"]
-
-
-# ----------------------------------------------------------------------
-# the trend file
-
-
-def test_append_trend_accumulates_entries(tmp_path):
-    path = str(tmp_path / "BENCH_TREND.json")
-    append_trend(path, {"experiment": "E15", "seeds": 3})
-    doc = append_trend(path, {"experiment": "E16", "seeds": 3})
-    assert [e["experiment"] for e in doc["entries"]] == ["E15", "E16"]
-    with open(path) as handle:
-        assert len(json.load(handle)["entries"]) == 2
-
-
-def test_append_trend_survives_corrupt_file(tmp_path):
-    path = str(tmp_path / "BENCH_TREND.json")
-    with open(path, "w") as handle:
-        handle.write("not json {")
-    doc = append_trend(path, {"experiment": "E15"})
-    assert len(doc["entries"]) == 1
-
-
-def test_trend_entry_shapes_metrics():
-    sweep = run_sweep("e15", nseeds=1, jobs=1, rounds=4)
-    entry = trend_entry("e15", sweep)
-    assert entry["experiment"] == "E15"
-    assert entry["seeds"] == 1
-    assert "mean" in entry["metrics"]["percpu"]["makespan_cycles"]
 
 
 # ----------------------------------------------------------------------
@@ -227,3 +192,33 @@ def test_compare_bench_host_mode_gates_on_rate(tmp_path, capsys):
     ])
     assert bad == 1
     assert "REGRESSION" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# end to end: the CLI's seed sweep writes the file CI's gate reads
+
+
+@pytest.mark.parametrize(
+    "eid,key,gate,metric",
+    [
+        ("E15", "scheduler", "percpu", "scan_per_pick"),
+        ("E16", "vm_index", "indexed", "scan_per_fault"),
+    ],
+)
+def test_cli_seed_sweep_feeds_the_ci_overlap_gate(tmp_path, monkeypatch,
+                                                  capsys, eid, key, gate,
+                                                  metric):
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    assert bench_main(["prog", eid, "--seeds", "2", "--jobs", "1"]) == 0
+    path = str(tmp_path / ("BENCH_%s.json" % eid))
+    with open(path) as handle:
+        stat = json.load(handle)["stats"][gate][metric]
+    assert stat["ci_lo"] <= stat["mean"] <= stat["ci_hi"]
+    capsys.readouterr()
+
+    code = _load_compare_bench().main([
+        "--previous", path, "--current", path,
+        "--key", key, "--gate", gate, "--metric", metric,
+    ])
+    assert code == 0
+    assert "gate (CI overlap" in capsys.readouterr().out
