@@ -1,4 +1,4 @@
-"""The kernel: boot, the syscall trampoline, signals, process drivers.
+"""The kernel: boot, the syscall trampoline, signals, process start and exit.
 
 This class composes the mixins (fault handling, process calls, file
 calls, SysV IPC, sockets, Mach-style threads) into the complete simulated
@@ -14,9 +14,10 @@ Design goals carried over from the paper (section 6):
 3. the overall kernel structure is unchanged — share groups hook the
    fork path, the fault path and the syscall entry path only;
 4. no penalty for normal processes — the only added cost on the syscall
-   path is the single batched ``p_flag`` test (and even that disappears
-   when ``share_groups_enabled=False``, the configuration experiment E2
-   compares against).
+   path is the single batched ``p_flag`` test, inline in the trampoline
+   (:meth:`Kernel.syscall`); even that disappears when
+   ``share_groups_enabled=False``, the configuration experiment E2
+   compares against.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ class Kernel(
         # bound kstat handles for the syscall trampoline
         self._kernel_ks = self.kstat.counters("kernel", 0)
         self._syscall_cycles = self.kstat.histogram("kernel", 0, "syscall_cycles")
+        #: ``"syscall.<handler>"`` kstat keys, built once per handler name
+        self._syscall_keys: Dict[str, str] = {}
+        # the trampoline's fixed delays (costs never change after boot)
+        costs = self.costs
+        self._entry_delay = kdelay(costs.syscall_entry)
+        self._exit_delay = kdelay(costs.syscall_exit)
+        self._flag_batch_delay = kdelay(costs.flag_batch_test)
+        self._flag_single_delay = kdelay(costs.flag_single_test)
         self.fs = FileSystem()
         self.sched = make_scheduler(scheduler, machine)
         self.sched.kernel = self
@@ -241,29 +250,30 @@ class Kernel(
 
         return UserAPI(self, proc)
 
-    def _driver(self, proc: Proc, func: Callable, arg):
-        """The bottom frame of every process: run the program, then exit.
+    def _program_frame(self, proc: Proc, func: Callable, arg):
+        """The bottom frame of a process: the program's own generator.
 
-        A program's integer return value becomes its exit code.
+        When it returns, the CPU exits the process in the same event
+        (:meth:`exit_generator`).  A program that is not a generator
+        function gets a frame that fails at its first dispatch.
         """
+        body = func(proc.api, arg)
+        if hasattr(body, "send"):
+            return body
+        return self._not_a_program(func, body)
 
-        def driver():
-            body = func(proc.api, arg)
-            if not hasattr(body, "send"):
-                raise SimulationError(
-                    "program %r is not a generator function: simulated "
-                    "programs must contain a yield (e.g. 'yield from "
-                    "api.getpid()'); it returned %r instead"
-                    % (getattr(func, "__name__", func), body)
-                )
-            result = yield from body
-            code = result if isinstance(result, int) else 0
-            yield from self.do_exit(proc, make_exit_status(code))
-
-        return driver()
+    @staticmethod
+    def _not_a_program(func: Callable, body):
+        raise SimulationError(
+            "program %r is not a generator function: simulated "
+            "programs must contain a yield (e.g. 'yield from "
+            "api.getpid()'); it returned %r instead"
+            % (getattr(func, "__name__", func), body)
+        )
+        yield  # pragma: no cover - makes this a generator function
 
     def _start_child(self, child: Proc, entry: Callable, arg) -> None:
-        child.frames = [self._driver(child, entry, arg)]
+        child.frames = [self._program_frame(child, entry, arg)]
         self.sched.wakeup(child)
 
     def on_proc_exit(self, proc: Proc) -> None:
@@ -275,21 +285,42 @@ class Kernel(
     def syscall(self, proc: Proc, handler):
         """Generator: kernel entry, sync check, handler, signal delivery.
 
+        The share-group sync-on-entry test (section 6.3) is inline: with
+        batching, one test of the collected ``p_flag`` bits; the
+        unbatched ablation (experiment E11) pays one test per resource
+        bit instead, which is what the paper's scheme replaced.  Either
+        way the synchronization routine runs only when a bit is set.
+
         Failing handlers raise :class:`SysError`; the trampoline stores
         the error number in the PRDA ``errno`` slot and returns -1,
         following the System V convention.
         """
+        name = handler.__name__
+        key = self._syscall_keys.get(name)
+        if key is None:
+            key = self._syscall_keys[name] = "syscall." + name
         proc.syscalls += 1
         self.stats["syscalls"] += 1
-        name = getattr(handler, "__name__", "?")
         entered = self.engine.now
         self._kernel_ks["syscalls"] += 1
-        self.pcount(proc, "syscall." + name)
+        # pcount(proc, key), inline: this bump is on every syscall
+        proc.ks[key] += 1
+        if proc.shaddr is not None:
+            proc.shaddr.ks[key] += 1
         if self.tracer is not None:
             self.trace("syscall", proc.pid, name, ph="B")
         proc.in_kernel = True
-        yield kdelay(self.costs.syscall_entry)
-        yield from self.entry_checks(proc)
+        yield self._entry_delay
+        if self.share_groups_enabled:
+            if self.batched_flag_test:
+                yield self._flag_batch_delay
+            else:
+                for _bit in SYNC_BIT_NAMES:
+                    yield self._flag_single_delay
+            if proc.p_flag & ALL_SYNC:
+                self.stats["sync_entries"] += 1
+                self.pcount(proc, "sync_entries")
+                yield from resources.sync_on_entry(self, proc)
         inject = self.inject
         if inject.armed and inject.fire("syscall.entry"):
             # Abrupt-kill injection: the process dies at the boundary
@@ -309,40 +340,17 @@ class Kernel(
             self._syscall_cycles.add(self.engine.now - entered)
             if self.tracer is not None:
                 self.trace("syscall", proc.pid, name, ph="E")
-        yield kdelay(self.costs.syscall_exit)
+        yield self._exit_delay
         if inject.armed and inject.fire("syscall.exit"):
             # Abrupt-kill injection at the return boundary: the handler's
             # work is complete and unwound; the pending check below
             # delivers the kill.
             self.psignal(proc, SIGKILL)
-        if proc.pending:
+        # (proc.pending._pending: the raw set, as in the CPU's boundary
+        # precheck, so a syscall with nothing pending makes no call)
+        if proc.pending._pending and not self.signals_held(proc):
             yield from self.deliver_pending(proc)
         return ret
-
-    def entry_checks(self, proc: Proc):
-        """Generator: the share-group sync-on-entry test (section 6.3).
-
-        With batching, a single test of the collected ``p_flag`` bits;
-        only when one is set does the synchronization routine run.  The
-        unbatched ablation (experiment E11) tests each resource's bit
-        separately on every entry, which is what the paper's scheme
-        replaced.
-        """
-        if not self.share_groups_enabled:
-            return
-        if self.batched_flag_test:
-            yield kdelay(self.costs.flag_batch_test)
-            if proc.p_flag & ALL_SYNC:
-                self.stats["sync_entries"] += 1
-                self.pcount(proc, "sync_entries")
-                yield from resources.sync_on_entry(self, proc)
-        else:
-            for bit in SYNC_BIT_NAMES:
-                yield kdelay(self.costs.flag_single_test)
-                if proc.p_flag & bit:
-                    self.stats["sync_entries"] += 1
-            if proc.p_flag & ALL_SYNC:
-                yield from resources.sync_on_entry(self, proc)
 
     # ------------------------------------------------------------------
     # errno in the PRDA
@@ -391,13 +399,23 @@ class Kernel(
         ):
             proc.sleeping_on.cancel(proc)
 
+    @staticmethod
+    def signals_held(proc: Proc) -> bool:
+        """Must ``proc``'s pending signals wait for a running handler?
+
+        Delivery is not reentered while a handler runs: new signals stay
+        pending until it returns, the classic return-to-user rule.
+        SIGKILL never waits.  Both asynchronous delivery points, the
+        user-mode boundary and the syscall exit, ask this.
+        """
+        return proc.delivering > 0 and SIGKILL not in proc.pending
+
     def deliver_pending(self, proc: Proc):
         """Generator: deliver every pending signal (runs in proc context).
 
-        Delivery is not reentered while a handler runs (``delivering``
-        guard in :meth:`user_boundary`): new signals stay pending until
-        the handler returns, the classic return-to-user rule.  SIGKILL
-        bypasses the guard.
+        The asynchronous delivery points first ask :meth:`signals_held`;
+        a signal posted while a handler runs waits in ``proc.pending``,
+        and this loop delivers it once the handler returns.
         """
         proc.delivering += 1
         try:
@@ -429,15 +447,14 @@ class Kernel(
             return None
         if proc.block_count < 0:
             return self.blocked_frame(proc)
-        if not proc.pending:
-            return None
-        from repro.kernel.signals import SIGKILL
-
-        if proc.delivering and SIGKILL not in proc.pending:
-            # a handler is already running: let it finish first
+        if not proc.pending or self.signals_held(proc):
             return None
         return self.deliver_pending(proc)
 
-    def exit_generator(self, proc: Proc, code: int):
-        """CPU hook: implicit exit when a driver falls off the end."""
+    def exit_generator(self, proc: Proc, result):
+        """CPU hook: the exit of a process whose program returned ``result``.
+
+        An int result is the exit code; anything else exits 0.
+        """
+        code = result if isinstance(result, int) else 0
         return self.do_exit(proc, make_exit_status(code))

@@ -87,7 +87,7 @@ class Proc:
         self.delivering = 0  #: depth of in-progress handler delivery
 
         # execution state driven by the CPU interpreter
-        self.frames: List = []  #: generator stack; bottom is the driver
+        self.frames: List = []  #: generator stack; bottom is the program
         self.saved_resume: List = []  #: resume values saved per pushed frame
         self.resume_value = None
         self.need_resched = False

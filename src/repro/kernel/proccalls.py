@@ -283,7 +283,7 @@ class ProcSyscalls:
         ua.reset_handlers()
         proc.pending.clear()
         self.stats["execs"] += 1
-        raise _ExecTaken(self._driver(proc, image.func, arg))
+        raise _ExecTaken(self._program_frame(proc, image.func, arg))
 
     # ------------------------------------------------------------------
     # exit and wait

@@ -14,9 +14,16 @@ sync check, handler, signal delivery, exit cost) and follows the System V
 convention: ``-1`` on failure with the error number stored in the PRDA
 ``errno`` slot (read it with :meth:`UserAPI.errno`).
 
+A syscall stub is a plain function: it builds the handler generator and
+hands back the trampoline generator wrapped round it, so the caller's
+``yield from`` drives the trampoline with no stub frame in between.
+Nothing enters the kernel until that generator is iterated.
+
 Memory operations (:meth:`load`, :meth:`store`, :meth:`cas` ...) are not
 system calls — they are user-mode instructions that go through the TLB
-and may page-fault.
+and may page-fault.  They hand back the kernel's generator the same way.
+Only :meth:`compute`, :meth:`yield_cpu` and :meth:`errno` are generator
+functions of their own.
 """
 
 from __future__ import annotations
@@ -41,10 +48,7 @@ class UserAPI:
     # plumbing
 
     def _call(self, handler):
-        # Returns the trampoline generator directly rather than
-        # wrapping it in ``yield from``: the caller's ``yield from``
-        # delegates to it identically, and every effect it yields
-        # traverses one generator frame fewer on the host.
+        """The one doorway into the trampoline: its generator for ``handler``."""
         return self.kernel.syscall(self.proc, handler)
 
     # ------------------------------------------------------------------
@@ -57,11 +61,6 @@ class UserAPI:
     def yield_cpu(self):
         """Voluntarily give up the processor."""
         yield Yield()
-
-    # The memory instructions hand back the kernel generator directly
-    # (no wrapper frame): ``yield from`` delegation and the returned
-    # value are identical either way, and the hot load/store paths are
-    # one frame shallower per effect on the host.
 
     def load(self, vaddr: int, nbytes: int):
         return self.kernel.user_read(self.proc, vaddr, nbytes)
@@ -104,347 +103,241 @@ class UserAPI:
     # process lifecycle
 
     def fork(self, entry, arg=0):
-        result = yield from self._call(self.kernel.sys_fork(self.proc, entry, arg))
-        return result
+        return self._call(self.kernel.sys_fork(self.proc, entry, arg))
 
     def sproc(self, entry, shmask: int, arg=0):
-        result = yield from self._call(
-            self.kernel.sys_sproc(self.proc, entry, shmask, arg)
-        )
-        return result
+        return self._call(self.kernel.sys_sproc(self.proc, entry, shmask, arg))
 
     def exec(self, path: str, arg=0, keep_group: bool = False):
-        result = yield from self._call(
-            self.kernel.sys_exec(self.proc, path, arg, keep_group)
-        )
-        return result
+        return self._call(self.kernel.sys_exec(self.proc, path, arg, keep_group))
 
     def exit(self, code: int = 0):
-        yield from self._call(self.kernel.sys_exit(self.proc, code))
+        return self._call(self.kernel.sys_exit(self.proc, code))
 
     def wait(self):
-        result = yield from self._call(self.kernel.sys_wait(self.proc))
-        return result
+        return self._call(self.kernel.sys_wait(self.proc))
 
     def kill(self, pid: int, sig: int):
-        result = yield from self._call(self.kernel.sys_kill(self.proc, pid, sig))
-        return result
+        return self._call(self.kernel.sys_kill(self.proc, pid, sig))
 
     def signal(self, sig: int, handler):
-        result = yield from self._call(self.kernel.sys_signal(self.proc, sig, handler))
-        return result
+        return self._call(self.kernel.sys_signal(self.proc, sig, handler))
 
     def pause(self):
-        result = yield from self._call(self.kernel.sys_pause(self.proc))
-        return result
+        return self._call(self.kernel.sys_pause(self.proc))
 
     def uwait(self, vaddr: int, expected: int):
         """Sleep while the shared word equals ``expected`` (futex-style;
         extension — see kernel/usync.py)."""
-        result = yield from self._call(
-            self.kernel.sys_uwait(self.proc, vaddr, expected)
-        )
-        return result
+        return self._call(self.kernel.sys_uwait(self.proc, vaddr, expected))
 
     def uwake(self, vaddr: int, count: int = 1):
         """Wake up to ``count`` uwait sleepers on the word."""
-        result = yield from self._call(
-            self.kernel.sys_uwake(self.proc, vaddr, count)
-        )
-        return result
+        return self._call(self.kernel.sys_uwake(self.proc, vaddr, count))
 
     def blockproc(self, pid: int):
         """Suspend a process (section 8 extension; IRIX blockproc)."""
-        result = yield from self._call(self.kernel.sys_blockproc(self.proc, pid))
-        return result
+        return self._call(self.kernel.sys_blockproc(self.proc, pid))
 
     def unblockproc(self, pid: int):
-        result = yield from self._call(self.kernel.sys_unblockproc(self.proc, pid))
-        return result
+        return self._call(self.kernel.sys_unblockproc(self.proc, pid))
 
     def alarm(self, cycles: int):
         """Arm (or with 0, cancel) a SIGALRM timer, in cycles."""
-        result = yield from self._call(self.kernel.sys_alarm(self.proc, cycles))
-        return result
+        return self._call(self.kernel.sys_alarm(self.proc, cycles))
 
     def getpid(self):
-        result = yield from self._call(self.kernel.sys_getpid(self.proc))
-        return result
+        return self._call(self.kernel.sys_getpid(self.proc))
 
     def getppid(self):
-        result = yield from self._call(self.kernel.sys_getppid(self.proc))
-        return result
+        return self._call(self.kernel.sys_getppid(self.proc))
 
     def nice(self, incr: int):
-        result = yield from self._call(self.kernel.sys_nice(self.proc, incr))
-        return result
+        return self._call(self.kernel.sys_nice(self.proc, incr))
 
     def prctl(self, option: int, value: int = 0, value2: int = 0):
-        result = yield from self._call(
-            self.kernel.sys_prctl(self.proc, option, value, value2)
-        )
-        return result
+        return self._call(self.kernel.sys_prctl(self.proc, option, value, value2))
 
     # ------------------------------------------------------------------
     # address space
 
     def sbrk(self, incr: int):
-        result = yield from self._call(self.kernel.sys_sbrk(self.proc, incr))
-        return result
+        return self._call(self.kernel.sys_sbrk(self.proc, incr))
 
     def mmap(self, nbytes: int):
-        result = yield from self._call(self.kernel.sys_mmap(self.proc, nbytes))
-        return result
+        return self._call(self.kernel.sys_mmap(self.proc, nbytes))
 
     def munmap(self, vaddr: int):
-        result = yield from self._call(self.kernel.sys_munmap(self.proc, vaddr))
-        return result
+        return self._call(self.kernel.sys_munmap(self.proc, vaddr))
 
     # ------------------------------------------------------------------
     # files
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o666):
-        result = yield from self._call(
-            self.kernel.sys_open(self.proc, path, flags, mode)
-        )
-        return result
+        return self._call(self.kernel.sys_open(self.proc, path, flags, mode))
 
     def creat(self, path: str, mode: int = 0o666):
-        result = yield from self._call(self.kernel.sys_creat(self.proc, path, mode))
-        return result
+        return self._call(self.kernel.sys_creat(self.proc, path, mode))
 
     def close(self, fd: int):
-        result = yield from self._call(self.kernel.sys_close(self.proc, fd))
-        return result
+        return self._call(self.kernel.sys_close(self.proc, fd))
 
     def read(self, fd: int, nbytes: int):
         """Read into a host buffer; returns bytes (or -1 on error)."""
-        result = yield from self._call(self.kernel.sys_read(self.proc, fd, nbytes))
-        return result
+        return self._call(self.kernel.sys_read(self.proc, fd, nbytes))
 
     def write(self, fd: int, payload: bytes):
-        result = yield from self._call(self.kernel.sys_write(self.proc, fd, payload))
-        return result
+        return self._call(self.kernel.sys_write(self.proc, fd, payload))
 
     def read_v(self, fd: int, vaddr: int, nbytes: int):
         """POSIX-shaped read into guest memory; returns the byte count."""
-        result = yield from self._call(
-            self.kernel.sys_read_v(self.proc, fd, vaddr, nbytes)
-        )
-        return result
+        return self._call(self.kernel.sys_read_v(self.proc, fd, vaddr, nbytes))
 
     def write_v(self, fd: int, vaddr: int, nbytes: int):
-        result = yield from self._call(
-            self.kernel.sys_write_v(self.proc, fd, vaddr, nbytes)
-        )
-        return result
+        return self._call(self.kernel.sys_write_v(self.proc, fd, vaddr, nbytes))
 
     def pread_v(self, fd: int, vaddr: int, nbytes: int, offset: int):
         """Positional read into guest memory (fd offset untouched)."""
-        result = yield from self._call(
-            self.kernel.sys_pread_v(self.proc, fd, vaddr, nbytes, offset)
-        )
-        return result
+        return self._call(self.kernel.sys_pread_v(self.proc, fd, vaddr, nbytes, offset))
 
     def pwrite_v(self, fd: int, vaddr: int, nbytes: int, offset: int):
         """Positional write from guest memory (fd offset untouched)."""
-        result = yield from self._call(
+        return self._call(
             self.kernel.sys_pwrite_v(self.proc, fd, vaddr, nbytes, offset)
         )
-        return result
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET):
-        result = yield from self._call(
-            self.kernel.sys_lseek(self.proc, fd, offset, whence)
-        )
-        return result
+        return self._call(self.kernel.sys_lseek(self.proc, fd, offset, whence))
 
     def dup(self, fd: int):
-        result = yield from self._call(self.kernel.sys_dup(self.proc, fd))
-        return result
+        return self._call(self.kernel.sys_dup(self.proc, fd))
 
     def dup2(self, fd: int, newfd: int):
-        result = yield from self._call(self.kernel.sys_dup2(self.proc, fd, newfd))
-        return result
+        return self._call(self.kernel.sys_dup2(self.proc, fd, newfd))
 
     def pipe(self):
         """Returns ``(read_fd, write_fd)`` or -1."""
-        result = yield from self._call(self.kernel.sys_pipe(self.proc))
-        return result
+        return self._call(self.kernel.sys_pipe(self.proc))
 
     def mkdir(self, path: str, mode: int = 0o777):
-        result = yield from self._call(self.kernel.sys_mkdir(self.proc, path, mode))
-        return result
+        return self._call(self.kernel.sys_mkdir(self.proc, path, mode))
 
     def link(self, existing: str, newpath: str):
-        result = yield from self._call(
-            self.kernel.sys_link(self.proc, existing, newpath)
-        )
-        return result
+        return self._call(self.kernel.sys_link(self.proc, existing, newpath))
 
     def ftruncate(self, fd: int, length: int = 0):
-        result = yield from self._call(
-            self.kernel.sys_ftruncate(self.proc, fd, length)
-        )
-        return result
+        return self._call(self.kernel.sys_ftruncate(self.proc, fd, length))
 
     def readdir(self, path: str):
         """Directory entry names (a list), or -1."""
-        result = yield from self._call(self.kernel.sys_readdir(self.proc, path))
-        return result
+        return self._call(self.kernel.sys_readdir(self.proc, path))
 
     def unlink(self, path: str):
-        result = yield from self._call(self.kernel.sys_unlink(self.proc, path))
-        return result
+        return self._call(self.kernel.sys_unlink(self.proc, path))
 
     def stat(self, path: str):
-        result = yield from self._call(self.kernel.sys_stat(self.proc, path))
-        return result
+        return self._call(self.kernel.sys_stat(self.proc, path))
 
     def fstat(self, fd: int):
-        result = yield from self._call(self.kernel.sys_fstat(self.proc, fd))
-        return result
+        return self._call(self.kernel.sys_fstat(self.proc, fd))
 
     def chdir(self, path: str):
-        result = yield from self._call(self.kernel.sys_chdir(self.proc, path))
-        return result
+        return self._call(self.kernel.sys_chdir(self.proc, path))
 
     def chroot(self, path: str):
-        result = yield from self._call(self.kernel.sys_chroot(self.proc, path))
-        return result
+        return self._call(self.kernel.sys_chroot(self.proc, path))
 
     def umask(self, mask: int):
-        result = yield from self._call(self.kernel.sys_umask(self.proc, mask))
-        return result
+        return self._call(self.kernel.sys_umask(self.proc, mask))
 
     def ulimit(self, cmd: int, value: int = 0):
-        result = yield from self._call(self.kernel.sys_ulimit(self.proc, cmd, value))
-        return result
+        return self._call(self.kernel.sys_ulimit(self.proc, cmd, value))
 
     # ------------------------------------------------------------------
     # identity
 
     def getuid(self):
-        result = yield from self._call(self.kernel.sys_getuid(self.proc))
-        return result
+        return self._call(self.kernel.sys_getuid(self.proc))
 
     def getgid(self):
-        result = yield from self._call(self.kernel.sys_getgid(self.proc))
-        return result
+        return self._call(self.kernel.sys_getgid(self.proc))
 
     def setuid(self, uid: int):
-        result = yield from self._call(self.kernel.sys_setuid(self.proc, uid))
-        return result
+        return self._call(self.kernel.sys_setuid(self.proc, uid))
 
     def setgid(self, gid: int):
-        result = yield from self._call(self.kernel.sys_setgid(self.proc, gid))
-        return result
+        return self._call(self.kernel.sys_setgid(self.proc, gid))
 
     # ------------------------------------------------------------------
     # System V IPC
 
     def shmget(self, key: int, nbytes: int, flags: int = 0):
-        result = yield from self._call(
-            self.kernel.sys_shmget(self.proc, key, nbytes, flags)
-        )
-        return result
+        return self._call(self.kernel.sys_shmget(self.proc, key, nbytes, flags))
 
     def shmat(self, shmid: int):
-        result = yield from self._call(self.kernel.sys_shmat(self.proc, shmid))
-        return result
+        return self._call(self.kernel.sys_shmat(self.proc, shmid))
 
     def shmdt(self, vaddr: int):
-        result = yield from self._call(self.kernel.sys_shmdt(self.proc, vaddr))
-        return result
+        return self._call(self.kernel.sys_shmdt(self.proc, vaddr))
 
     def shm_rmid(self, shmid: int):
         """IPC_RMID: destroy the segment once all attaches are gone."""
-        result = yield from self._call(
-            self.kernel.sys_shmctl_rmid(self.proc, shmid)
-        )
-        return result
+        return self._call(self.kernel.sys_shmctl_rmid(self.proc, shmid))
 
     def semget(self, key: int, nsems: int, flags: int = 0):
-        result = yield from self._call(
-            self.kernel.sys_semget(self.proc, key, nsems, flags)
-        )
-        return result
+        return self._call(self.kernel.sys_semget(self.proc, key, nsems, flags))
 
     def semop(self, semid: int, ops):
-        result = yield from self._call(self.kernel.sys_semop(self.proc, semid, ops))
-        return result
+        return self._call(self.kernel.sys_semop(self.proc, semid, ops))
 
     def msgget(self, key: int, flags: int = 0):
-        result = yield from self._call(self.kernel.sys_msgget(self.proc, key, flags))
-        return result
+        return self._call(self.kernel.sys_msgget(self.proc, key, flags))
 
     def msgsnd(self, msqid: int, mtype: int, payload: bytes):
-        result = yield from self._call(
-            self.kernel.sys_msgsnd(self.proc, msqid, mtype, payload)
-        )
-        return result
+        return self._call(self.kernel.sys_msgsnd(self.proc, msqid, mtype, payload))
 
     def msgrcv(self, msqid: int, mtype: int = 0, max_bytes: int = 1 << 20):
-        result = yield from self._call(
-            self.kernel.sys_msgrcv(self.proc, msqid, mtype, max_bytes)
-        )
-        return result
+        return self._call(self.kernel.sys_msgrcv(self.proc, msqid, mtype, max_bytes))
 
     # ------------------------------------------------------------------
     # sockets
 
     def socket(self):
-        result = yield from self._call(self.kernel.sys_socket(self.proc))
-        return result
+        return self._call(self.kernel.sys_socket(self.proc))
 
     def socketpair(self):
-        result = yield from self._call(self.kernel.sys_socketpair(self.proc))
-        return result
+        return self._call(self.kernel.sys_socketpair(self.proc))
 
     def bind(self, fd: int, name: str):
-        result = yield from self._call(self.kernel.sys_bind(self.proc, fd, name))
-        return result
+        return self._call(self.kernel.sys_bind(self.proc, fd, name))
 
     def listen(self, fd: int, backlog: int = 5):
-        result = yield from self._call(self.kernel.sys_listen(self.proc, fd, backlog))
-        return result
+        return self._call(self.kernel.sys_listen(self.proc, fd, backlog))
 
     def connect(self, fd: int, name: str):
-        result = yield from self._call(self.kernel.sys_connect(self.proc, fd, name))
-        return result
+        return self._call(self.kernel.sys_connect(self.proc, fd, name))
 
     def accept(self, fd: int):
-        result = yield from self._call(self.kernel.sys_accept(self.proc, fd))
-        return result
+        return self._call(self.kernel.sys_accept(self.proc, fd))
 
     def send(self, fd: int, payload: bytes):
-        result = yield from self._call(self.kernel.sys_send(self.proc, fd, payload))
-        return result
+        return self._call(self.kernel.sys_send(self.proc, fd, payload))
 
     def recv(self, fd: int, nbytes: int):
-        result = yield from self._call(self.kernel.sys_recv(self.proc, fd, nbytes))
-        return result
+        return self._call(self.kernel.sys_recv(self.proc, fd, nbytes))
 
     def sendfd(self, fd: int, passed_fd: int):
         """Pass a descriptor over a socket (the BSD-style baseline)."""
-        result = yield from self._call(
-            self.kernel.sys_sendfd(self.proc, fd, passed_fd)
-        )
-        return result
+        return self._call(self.kernel.sys_sendfd(self.proc, fd, passed_fd))
 
     def recvfd(self, fd: int):
-        result = yield from self._call(self.kernel.sys_recvfd(self.proc, fd))
-        return result
+        return self._call(self.kernel.sys_recvfd(self.proc, fd))
 
     # ------------------------------------------------------------------
     # Mach-style threads (the comparison baseline)
 
     def thread_create(self, entry, arg=0):
-        result = yield from self._call(
-            self.kernel.sys_thread_create(self.proc, entry, arg)
-        )
-        return result
+        return self._call(self.kernel.sys_thread_create(self.proc, entry, arg))
 
     def thread_join(self):
-        result = yield from self._call(self.kernel.sys_thread_join(self.proc))
-        return result
+        return self._call(self.kernel.sys_thread_join(self.proc))

@@ -1,11 +1,11 @@
 """The CPU: drives one process's generator stack and interprets effects.
 
 Each simulated process carries a stack of generator *frames*
-(``proc.frames``).  The bottom frame is the process driver created by the
-kernel (user program plus implicit exit); additional frames are pushed to
-run asynchronously delivered signal handlers.  The CPU repeatedly resumes
-the top frame, interprets the effect it yields, and schedules the next
-resumption on the discrete-event engine.
+(``proc.frames``).  The bottom frame is the program's own generator;
+when it returns, the kernel's exit runs in the same event.  Additional
+frames are pushed to run asynchronously delivered signal handlers.  The
+CPU repeatedly resumes the top frame, interprets the effect it yields,
+and schedules the next resumption on the discrete-event engine.
 
 User-mode delays are chunked at quantum boundaries.  At every user-mode
 boundary the CPU lets the kernel deliver pending signals and honors
@@ -144,12 +144,12 @@ class CPU:
                 effect = frame.throw(exc)
             else:
                 effect = frame.send(value)
-        except StopIteration:
-            self._frame_done(proc)
+        except StopIteration as stop:
+            self._frame_done(proc, stop.value)
             return
         except ExecImage as image:
-            # exec(): throw away the old image, start the new driver.
-            proc.frames = [image.driver]
+            # exec(): throw away the old image, start the new program.
+            proc.frames = [image.frame]
             proc.saved_resume = []
             self.engine.schedule_call(0, self._resume_cb, None)
             return
@@ -176,17 +176,20 @@ class CPU:
             return
         self._interpret(proc, effect)
 
-    def _frame_done(self, proc) -> None:
-        """The top frame ran to completion."""
-        proc.frames.pop()
-        if proc.frames:
+    def _frame_done(self, proc, result) -> None:
+        """The top frame ran to completion, returning ``result``."""
+        frames = proc.frames
+        frames.pop()
+        if frames:
+            # a pushed frame (signal delivery, a blockproc park): its
+            # result is dropped
             saved = proc.saved_resume.pop()
             self.engine.schedule_call(0, self._boundary_cb, saved)
         else:
-            # The driver fell off the end without exiting; the kernel
-            # turns that into an implicit exit(0).
-            proc.frames.append(self.kernel.exit_generator(proc, 0))
-            self.engine.schedule_call(0, self._resume_cb, None)
+            # The program returned: it exits in this same event, right
+            # where its last effect left off.
+            frames.append(self.kernel.exit_generator(proc, result))
+            self._resume(None)
 
     def _interpret(self, proc, effect) -> None:
         """Every effect but ``Delay``, which ``_resume`` handles inline."""

@@ -64,15 +64,15 @@ class Yield(Effect):
 
 
 class ExecImage(Exception):
-    """Control transfer raised by ``exec``: replace the process driver.
+    """Control transfer raised by ``exec``: replace the process's program.
 
     The CPU interpreter catches this, discards the process's entire
-    generator stack (the old program image), and installs ``driver`` as
-    the new bottom frame.
+    generator stack (the old program image), and installs ``frame``, the
+    new program's generator, as the new bottom frame.
     """
 
-    def __init__(self, driver):
-        self.driver = driver
+    def __init__(self, frame):
+        self.frame = frame
         super().__init__("exec image replacement")
 
 

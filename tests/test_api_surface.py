@@ -33,12 +33,14 @@ IPC_CALLS = {
 
 ALL_CALLS = PAPER_CALLS | PROCESS_CALLS | VM_CALLS | FILE_CALLS | ID_CALLS | IPC_CALLS
 
-#: User-mode memory instructions return the kernel generator directly
-#: instead of wrapping it in their own generator frame — ``yield from``
-#: delegation and the returned value are identical, one host frame
-#: cheaper per effect.  The contract callers rely on (``yield from
-#: api.X(...)``) holds for both shapes.
-DELEGATING_CALLS = {"load", "store", "load_word", "store_word", "cas", "fetch_add"}
+#: The calls that are generator functions of their own.  Every other
+#: call (each syscall stub and each memory instruction) returns the
+#: kernel's generator directly instead of wrapping it in a generator
+#: frame — ``yield from`` delegation and the returned value are
+#: identical, one host frame cheaper per effect.  The contract callers
+#: rely on (``yield from api.X(...)``) holds for both shapes.
+GENERATOR_CALLS = {"compute", "yield_cpu", "errno"}
+DELEGATING_CALLS = ALL_CALLS - GENERATOR_CALLS
 
 
 def test_every_documented_call_exists_and_is_yield_from_able():
@@ -68,6 +70,25 @@ def test_delegating_calls_return_generators():
     gen = api.store(0, b"xy")
     assert inspect.isgenerator(gen)
     gen.close()
+
+
+def test_a_syscall_stub_enters_the_kernel_only_when_iterated():
+    """Calling a stub builds the trampoline generator and nothing else."""
+    import repro
+
+    def main(api, arg):
+        yield from api.getuid()
+        yield from api.compute(100_000)
+
+    sim = repro.System(ncpus=1)
+    proc = sim.spawn(main)
+    sim.run(until=50_000)
+    assert proc.alive() and sim.stats["syscalls"] == 1
+    before = (sim.stats["syscalls"], dict(proc.ks))
+    gen = proc.api.getpid()
+    assert inspect.isgenerator(gen)
+    gen.close()
+    assert (sim.stats["syscalls"], dict(proc.ks)) == before
 
 
 def test_every_public_method_is_documented_here():

@@ -2,6 +2,8 @@
 signal ordering, page-crossing guest I/O, dup2 propagation."""
 
 
+import pytest
+
 from repro import (
     O_CREAT,
     O_RDWR,
@@ -10,7 +12,9 @@ from repro import (
     SIGHUP,
     SIGUSR1,
     SIGUSR2,
+    System,
     )
+from repro.kernel.flags import ALL_SYNC, SDIRSYNC, SUMASKSYNC
 from repro.mem.frames import PAGE_SIZE
 from tests.conftest import run_program
 
@@ -87,6 +91,42 @@ def test_multiple_resources_synced_in_one_entry():
     assert out["gid"] == 12
     assert out["dir_ok"]
     assert out["fd_ok"]
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "unbatched"])
+def test_a_sync_entry_counts_once_everywhere(batched):
+    """An entry that finds two sync bits set is one sync entry, in
+    ``kernel.stats`` and in the proc and group kstat scopes alike, under
+    E11's unbatched ablation too (section 6.3)."""
+
+    def changer(api, arg):
+        yield from api.umask(0o077)
+        yield from api.chdir("/dev")
+        return 0
+
+    def counts(api):
+        kstat = api.kernel.kstat
+        proc = api.proc
+        return (
+            api.kernel.stats["sync_entries"],
+            kstat.get("proc", proc.pid, "sync_entries"),
+            kstat.get("group", proc.shaddr.sgid, "sync_entries"),
+        )
+
+    def main(api, out):
+        yield from api.sproc(changer, PR_SALL)
+        yield from api.wait()
+        out["bits"] = api.proc.p_flag & ALL_SYNC
+        before = counts(api)
+        yield from api.getpid()  # the one entry
+        after = counts(api)
+        out["delta"] = tuple(b - a for a, b in zip(before, after))
+        return 0
+
+    sim = System(ncpus=1, batched_flag_test=batched)
+    out, _ = run_program(main, sim=sim)
+    assert out["bits"] == SUMASKSYNC | SDIRSYNC
+    assert out["delta"] == (1, 1, 1)
 
 
 def test_pending_signals_delivered_lowest_first():

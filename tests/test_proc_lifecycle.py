@@ -1,5 +1,6 @@
 """Process lifecycle: fork, wait, exit codes, orphans, exec, sbrk."""
 
+import pytest
 
 from repro import (
     PR_GETSTACKSIZE,
@@ -30,19 +31,24 @@ def test_exit_code_reaches_wait():
     assert out["exited"]
 
 
-def test_return_value_becomes_exit_code():
+@pytest.mark.parametrize(
+    "result, code", [(17, 17), (None, 0), ("done", 0)], ids=["17", "None", "done"]
+)
+def test_return_value_becomes_exit_code(result, code):
     def child(api, arg):
         yield from api.compute(10)
-        return 17
+        return result
 
     def main(api, out):
         yield from api.fork(child)
         _, status = yield from api.wait()
+        out["exited"] = status_exited(status)
         out["code"] = status_code(status)
         return 0
 
     out, _ = run_program(main)
-    assert out["code"] == 17
+    assert out["exited"]
+    assert out["code"] == code
 
 
 def test_wait_with_no_children_is_echild():

@@ -330,3 +330,103 @@ def test_sigkill_interrupts_a_running_handler():
     out, _ = run_program(main, ncpus=2)
     assert out["sig"] == SIGKILL
     assert out["when"] < 3_000_000, "SIGKILL must cut the handler short"
+
+
+def test_syscall_exit_inside_a_handler_holds_a_new_signal():
+    """The return-to-user rule holds at a handler's own syscall exit too:
+    a signal posted while the handler runs waits until it returns."""
+    log = []
+
+    def victim(api, base):
+        def h1(api, sig):
+            log.append(("h1-start", api.proc.delivering))
+            yield from api.store_word(base + 4, 1)  # entered
+            yield from api.compute(100_000)  # SIGUSR2 is posted meanwhile
+            yield from api.getpid()  # its exit finds SIGUSR2 pending
+            log.append(("h1-end", api.proc.delivering))
+
+        def h2(api, sig):
+            log.append(("h2-start", api.proc.delivering))
+            yield from api.getpid()
+            log.append(("h2-end", api.proc.delivering))
+
+        yield from api.signal(SIGUSR1, h1)
+        yield from api.signal(SIGUSR2, h2)
+        yield from api.store_word(base, 1)  # both handlers armed
+        yield from api.compute(1_000_000)
+        return 0
+
+    def main(api, out):
+        base = yield from api.mmap(4096)
+        pid = yield from api.sproc(victim, 0xFFFF, base)
+        while (yield from api.load_word(base)) == 0:
+            yield from api.yield_cpu()
+        yield from api.kill(pid, SIGUSR1)
+        while (yield from api.load_word(base + 4)) == 0:
+            yield from api.compute(1_000)
+        yield from api.kill(pid, SIGUSR2)  # posted mid-handler
+        _, status = yield from api.wait()
+        out["code"] = status_code(status)
+        return 0
+
+    out, _ = run_program(main, ncpus=2)
+    assert [event for event, _ in log] == ["h1-start", "h1-end", "h2-start", "h2-end"]
+    assert max(depth for _, depth in log) == 1
+    assert out["code"] == 0
+
+
+def test_sigkill_to_a_handler_in_a_syscall_kills_at_its_exit():
+    after = []
+
+    def victim(api, base):
+        def handler(api, sig):
+            yield from api.store_word(base, 1)
+            yield from api.pause()  # SIGKILL interrupts the sleep
+            after.append(api.now)  # never reached
+
+        yield from api.signal(SIGUSR1, handler)
+        yield from api.compute(10_000_000)
+        return 0
+
+    def main(api, out):
+        base = yield from api.mmap(4096)
+        pid = yield from api.sproc(victim, 0xFFFF, base)
+        yield from api.compute(20_000)
+        yield from api.kill(pid, SIGUSR1)
+        while (yield from api.load_word(base)) == 0:
+            yield from api.yield_cpu()
+        yield from api.compute(5_000)  # let the handler sleep in pause
+        yield from api.kill(pid, SIGKILL)
+        _, status = yield from api.wait()
+        out["sig"] = status_signal(status)
+        return 0
+
+    out, _ = run_program(main, ncpus=2)
+    assert out["sig"] == SIGKILL
+    assert after == []
+
+
+def test_a_handler_return_value_never_becomes_the_exit_code():
+    def victim(api, base):
+        def handler(api, sig):
+            yield from api.store_word(base, 1)
+            return 99
+
+        yield from api.signal(SIGUSR1, handler)
+        while (yield from api.load_word(base)) == 0:
+            yield from api.compute(1_000)
+        return None
+
+    def main(api, out):
+        base = yield from api.mmap(4096)
+        pid = yield from api.sproc(victim, 0xFFFF, base)
+        yield from api.compute(5_000)
+        yield from api.kill(pid, SIGUSR1)
+        _, status = yield from api.wait()
+        out["exited"] = status_exited(status)
+        out["code"] = status_code(status)
+        return 0
+
+    out, _ = run_program(main, ncpus=2)
+    assert out["exited"]
+    assert out["code"] == 0
