@@ -47,6 +47,7 @@ from repro.kernel.proccalls import status_code, status_exited, status_signal
 from repro.kernel.signals import (
     SIG_DFL,
     SIG_IGN,
+    SIGBUS,
     SIGCHLD,
     SIGHUP,
     SIGINT,
@@ -123,6 +124,7 @@ __all__ = [
     "SEEK_CUR",
     "SEEK_END",
     "SEEK_SET",
+    "SIGBUS",
     "SIGCHLD",
     "SIGHUP",
     "SIGINT",

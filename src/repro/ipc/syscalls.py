@@ -9,8 +9,6 @@ from repro.ipc.socket import Socket, SocketNamespace
 from repro.ipc.sysv_msg import MsgRegistry
 from repro.ipc.sysv_sem import SemRegistry
 from repro.ipc.sysv_shm import ShmRegistry
-from repro.mem.pregion import PROT_RW, Pregion
-from repro.mem.region import RegionType
 from repro.share import vmshare
 from repro.sim.effects import kdelay
 
@@ -41,48 +39,13 @@ class IPCSyscalls:
     def sys_shmat(self, proc, shmid: int):
         """Attach; returns the chosen virtual address."""
         segment = self.shm.lookup(shmid)
-        sharing = vmshare.sharing_vm(proc)
-        if sharing:
-            yield from vmshare.update_acquire(proc)
-        try:
-            base = proc.vm.alloc_map_range(segment.nbytes)
-            pregion = Pregion(segment.region, base, PROT_RW)
-            if sharing:
-                proc.vm.attach_shared(pregion)
-            else:
-                proc.vm.attach_private(pregion)
-            segment.attaches += 1
-            yield kdelay(self.costs.region_attach)
-        finally:
-            if sharing:
-                yield from vmshare.update_release(proc)
+        base = yield from vmshare.attach_mapping(
+            self, proc, segment.nbytes, segment.region
+        )
         return base
 
     def sys_shmdt(self, proc, vaddr: int):
-        sharing = vmshare.sharing_vm(proc)
-        if sharing:
-            yield from vmshare.update_acquire(proc)
-        try:
-            pregion, _shared = proc.vm.find(vaddr)
-            if (
-                pregion is None
-                or pregion.vbase != vaddr
-                or pregion.rtype is not RegionType.SHM
-            ):
-                raise SysError(EINVAL, "not an attached segment")
-            if sharing:
-                yield from vmshare.shootdown_range(
-                    self, proc, pregion.vpn_low, pregion.vpn_high
-                )
-            else:
-                yield from self.tlb_invalidate_range(
-                    proc, pregion.vpn_low, pregion.vpn_high
-                )
-            proc.vm.detach(pregion)
-            yield kdelay(self.costs.region_attach)
-        finally:
-            if sharing:
-                yield from vmshare.update_release(proc)
+        yield from vmshare.detach_mapping(self, proc, vaddr)
         return 0
 
     def sys_shmctl_rmid(self, proc, shmid: int):

@@ -28,7 +28,6 @@ class ShmSegment:
         self.region = region.hold()  #: the registry's own reference
         self.nbytes = nbytes
         self.removed = False
-        self.attaches = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<ShmSegment id=%d key=%d %dB>" % (self.shmid, self.key, self.nbytes)

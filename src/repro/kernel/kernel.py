@@ -48,7 +48,7 @@ from repro.mem.addrspace import AddressSpace
 from repro.mem.pregion import Growth, PROT_RW, PROT_RX
 from repro.mem.region import RegionType
 from repro.share import resources
-from repro.sim.effects import kdelay
+from repro.sim.effects import kdelay, udelay
 from repro.sync.sharedlock import SharedReadLock
 from repro.sync.semaphore import Semaphore
 from repro.threads.syscalls import ThreadSyscalls
@@ -109,12 +109,14 @@ class Kernel(
         self._syscall_cycles = self.kstat.histogram("kernel", 0, "syscall_cycles")
         #: ``"syscall.<handler>"`` kstat keys, built once per handler name
         self._syscall_keys: Dict[str, str] = {}
-        # the trampoline's fixed delays (costs never change after boot)
+        # fixed delays, bound once (costs never change after boot): the
+        # trampoline's, and a one-word user load or store's
         costs = self.costs
         self._entry_delay = kdelay(costs.syscall_entry)
         self._exit_delay = kdelay(costs.syscall_exit)
         self._flag_batch_delay = kdelay(costs.flag_batch_test)
         self._flag_single_delay = kdelay(costs.flag_single_test)
+        self._word_delay = udelay(costs.mem_access + costs.mem_per_word)
         self.fs = FileSystem()
         self.sched = make_scheduler(scheduler, machine)
         self.sched.kernel = self

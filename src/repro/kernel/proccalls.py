@@ -88,22 +88,14 @@ class ProcSyscalls:
             # the shared page tables point to (COW marking).
             yield from vmshare.update_acquire(proc)
         child_vm = proc.vm.dup_cow()
-        npregions = len(child_vm.private)
-        resident = sum(
-            pregion.region.resident_pages() for pregion in child_vm.private
-        )
-        yield kdelay(
-            self.costs.pregion_dup * npregions
-            + self.costs.pt_copy_per_page * resident
-        )
+        yield kdelay(self._cow_image_cycles(child_vm))
         # Resident pages became read-only COW on the parent side too:
         # stale writable translations must go.
         if sharing:
             yield from vmshare.shootdown(self, proc)
             yield from vmshare.update_release(proc)
         else:
-            for cpu in self.machine.cpus:
-                cpu.tlb.flush_asid(proc.vm.asid)
+            self.machine.tlb_flush_asid(proc.vm.asid)
             yield kdelay(self.costs.tlb_flush_local)
         yield kdelay(self.costs.uarea_copy)
         try:
@@ -160,17 +152,10 @@ class ProcSyscalls:
                 if self.fail("sproc.stack"):
                     raise SysError(ENOMEM, "injected: cannot carve child stack")
                 child_vm, stack = sproc_mod.build_child_vm(self, proc, mask)
-                npregions = len(child_vm.private)
-                resident = sum(
-                    pregion.region.resident_pages() for pregion in child_vm.private
-                )
                 yield kdelay(
-                    self.costs.pregion_dup * npregions
-                    + self.costs.pt_copy_per_page * resident
-                    + self.costs.region_create
+                    self._cow_image_cycles(child_vm) + self.costs.region_create
                 )
-                for cpu in self.machine.cpus:
-                    cpu.tlb.flush_asid(proc.vm.asid)
+                self.machine.tlb_flush_asid(proc.vm.asid)
                 yield kdelay(self.costs.tlb_flush_local)
             yield kdelay(self.costs.uarea_copy)
             if self.fail("sproc.uarea"):
@@ -201,6 +186,15 @@ class ProcSyscalls:
         self.trace("sproc", proc.pid, "child=%d mask=%#x" % (child.pid, mask))
         self._start_child(child, entry, arg)
         return child.pid
+
+    def _cow_image_cycles(self, vm) -> int:
+        """What building a copy-on-write image costs: one pregion copy
+        per pregion and one page-table entry per resident page."""
+        resident = sum(pregion.region.resident_pages() for pregion in vm.private)
+        return (
+            self.costs.pregion_dup * len(vm.private)
+            + self.costs.pt_copy_per_page * resident
+        )
 
     def _unwind_sproc(
         self, proc, shaddr, mask, child_vm, stack, uarea, child=None
@@ -351,8 +345,7 @@ class ProcSyscalls:
         recycled; charged nowhere because it happens lazily off the
         measured paths.
         """
-        for cpu in self.machine.cpus:
-            cpu.tlb.flush_asid(asid)
+        self.machine.tlb_flush_asid(asid)
 
     def _leave_group(self, proc):
         """Generator: drop share group membership; free the block when last out."""
@@ -566,6 +559,8 @@ class ProcSyscalls:
             yield from vmshare.update_acquire(proc)
         try:
             if incr > 0:
+                if not pregion.can_grow_up(pages):
+                    raise SysError(ENOMEM, "past the data segment ceiling")
                 proc.vm.check_overlap(pregion.vhigh, pregion.vhigh + (pages << PAGE_SHIFT))
                 pregion.grow_up(pages)
                 yield kdelay(self.costs.region_attach)
@@ -590,57 +585,19 @@ class ProcSyscalls:
     def sys_mmap(self, proc, nbytes: int):
         """Map anonymous pages; returns the new base address.
 
-        Visible to the whole group immediately when the VM is shared —
-        "if one process adds a pregion ... all other share group members
-        will immediately see that new virtual region."
+        Visible to the whole group immediately when the VM is shared.
         """
         if nbytes <= 0:
             raise SysError(EINVAL)
         if self.fail("mmap.region"):
             raise SysError(ENOMEM, "injected: no address range available")
-        from repro.mem.pregion import PROT_RW
-
-        sharing = vmshare.sharing_vm(proc)
-        if sharing:
-            yield from vmshare.update_acquire(proc)
-        try:
-            base = proc.vm.alloc_map_range(nbytes)
-            proc.vm.map_segment(
-                base, nbytes, RegionType.SHM, PROT_RW, shared=sharing
-            )
-            yield kdelay(self.costs.region_create + self.costs.region_attach)
-        finally:
-            if sharing:
-                yield from vmshare.update_release(proc)
+        base = yield from vmshare.attach_mapping(self, proc, nbytes, None)
         self.stats["mmaps"] += 1
         return base
 
     def sys_munmap(self, proc, vaddr: int):
-        """Unmap a whole mapping created by mmap (partial unmaps: EINVAL).
-
-        The shootdown protocol: flush every CPU's TLB while holding the
-        update lock, *then* free the pages.
-        """
-        sharing = vmshare.sharing_vm(proc)
-        if sharing:
-            yield from vmshare.update_acquire(proc)
-        try:
-            pregion, _shared = proc.vm.find(vaddr)
-            if pregion is None or pregion.vbase != vaddr or pregion.rtype is not RegionType.SHM:
-                raise SysError(EINVAL, "not a mapping base")
-            if sharing:
-                yield from vmshare.shootdown_range(
-                    self, proc, pregion.vpn_low, pregion.vpn_high
-                )
-            else:
-                yield from self.tlb_invalidate_range(
-                    proc, pregion.vpn_low, pregion.vpn_high
-                )
-            proc.vm.detach(pregion)
-            yield kdelay(self.costs.region_attach)
-        finally:
-            if sharing:
-                yield from vmshare.update_release(proc)
+        """Unmap a whole mapping created by mmap (partial unmaps: EINVAL)."""
+        yield from vmshare.detach_mapping(self, proc, vaddr)
         self.stats["munmaps"] += 1
         return 0
 

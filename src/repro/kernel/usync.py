@@ -54,7 +54,9 @@ class UsyncSyscalls:
         Returns 1 if it slept and was woken, 0 if the word had already
         changed (no sleep).  EINTR on signal, as any interruptible sleep.
         """
-        frame = yield from self.vm_handle(proc, vaddr, write=False, user=False)
+        frame = self.vm_hit(proc, vaddr, False)
+        if frame is None:
+            frame = yield from self.vm_handle(proc, vaddr, write=False, user=False)
         offset = vaddr & 0xFFF
         value = int.from_bytes(frame.data[offset:offset + 4], "little")
         if value != expected:

@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.mem import layout
 from repro.mem.frames import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, Frame
-from repro.mem.pregion import Growth, Pregion, PROT_WRITE
+from repro.mem.pregion import Growth, Pregion, PROT_RW, PROT_WRITE
 from repro.mem.region import Region, RegionType
 from repro.mem.vmindex import PregionList
 
@@ -67,9 +67,10 @@ class SharedVM:
     """The VM image shared by a share group (the paper's ``s_region`` list).
 
     Holds the shared pregion list, the single address-space ID every
-    VM-sharing member runs under, and the stack-carving cursor used by
-    ``sproc`` to place each new member's stack.  Concurrency control (the
-    shared read lock) lives in the shared address block, not here.
+    VM-sharing member runs under, and the stack ceiling and carving
+    cursors the members' address spaces allocate from (each ``sproc``
+    child's stack, the map arena).  Concurrency control (the shared read
+    lock) lives in the shared address block, not here.
     """
 
     def __init__(self, machine, stack_max_bytes: int = layout.DEFAULT_STACK_MAX):
@@ -92,20 +93,6 @@ class SharedVM:
             if pregion.owner is self._pregions:
                 pregion.owner = None
         self._pregions = PregionList(value)
-
-    def alloc_stack_index(self) -> int:
-        index = self._next_stack_index
-        self._next_stack_index += 1
-        return index
-
-    def alloc_map_range(self, nbytes: int) -> int:
-        """Bump-allocate a page-aligned window in the mapping arena."""
-        nbytes = (nbytes + PAGE_MASK) & ~PAGE_MASK
-        base = self._next_map_base
-        if base + nbytes > layout.MAP_LIMIT:
-            raise MemoryError("mapping arena exhausted")
-        self._next_map_base = base + nbytes
-        return base
 
 
 class AddressSpace:
@@ -350,8 +337,9 @@ class AddressSpace:
         """Perform the page-table mutation a resolution calls for."""
         kind = resolution.kind
         if kind is Fault.GROW:
+            # the resolution now names the page the growth mapped
             resolution.pregion.grow_down_to(vaddr)
-            index = resolution.pregion.page_index(vaddr)
+            index = resolution.page_index = resolution.pregion.page_index(vaddr)
             return resolution.pregion.region.ensure_page(index)
         if kind is Fault.ZERO:
             return resolution.pregion.region.ensure_page(resolution.page_index)
@@ -392,35 +380,35 @@ class AddressSpace:
             return self.attach_shared(pregion)
         return self.attach_private(pregion)
 
+    @property
+    def _cursors(self):
+        """Who keeps the stack ceiling and the carving cursors: the
+        group's image while this space shares one, else this space."""
+        return self.shared if self.shared is not None else self
+
     def alloc_stack_index(self) -> int:
-        if self.shared is not None:
-            return self.shared.alloc_stack_index()
-        index = self._next_stack_index
-        self._next_stack_index += 1
+        cursors = self._cursors
+        index = cursors._next_stack_index
+        cursors._next_stack_index += 1
         return index
 
     def alloc_map_range(self, nbytes: int) -> int:
-        if self.shared is not None:
-            return self.shared.alloc_map_range(nbytes)
+        """Bump-allocate a page-aligned window in the mapping arena."""
+        cursors = self._cursors
         nbytes = (nbytes + PAGE_MASK) & ~PAGE_MASK
-        base = self._next_map_base
+        base = cursors._next_map_base
         if base + nbytes > layout.MAP_LIMIT:
             raise MemoryError("mapping arena exhausted")
-        self._next_map_base = base + nbytes
+        cursors._next_map_base = base + nbytes
         return base
 
     def carve_stack(self, shared: bool) -> Pregion:
         """Reserve and attach a new downward-growing stack."""
-        max_bytes = (
-            self.shared.stack_max_bytes if self.shared is not None
-            else self.stack_max_bytes
-        )
+        max_bytes = self._cursors.stack_max_bytes
         index = self.alloc_stack_index()
         top = layout.stack_slot(index, max_bytes)
         initial = layout.INITIAL_STACK_PAGES * PAGE_SIZE
         vbase = top - initial
-        from repro.mem.pregion import PROT_RW  # local to avoid cycle noise
-
         return self.map_segment(
             vbase,
             initial,
@@ -433,6 +421,17 @@ class AddressSpace:
 
     # ------------------------------------------------------------------
     # duplication and teardown
+
+    def empty_copy(self) -> "AddressSpace":
+        """A fresh standalone space, with no pregions yet, that continues
+        this space's stack ceiling and carving cursors (its group's, if
+        it shares one)."""
+        source = self._cursors
+        child = AddressSpace(self.machine)
+        child.stack_max_bytes = source.stack_max_bytes
+        child._next_stack_index = source._next_stack_index
+        child._next_map_base = source._next_map_base
+        return child
 
     def dup_cow(self) -> "AddressSpace":
         """Fork-style duplicate: every visible pregion becomes a private
@@ -447,26 +446,9 @@ class AddressSpace:
         must flush the parent's TLB afterwards because resident pages
         became read-only-COW on the parent side too.
         """
-        child = AddressSpace(self.machine)
-        child.stack_max_bytes = (
-            self.shared.stack_max_bytes if self.shared is not None
-            else self.stack_max_bytes
-        )
-        child._next_stack_index = (
-            self.shared._next_stack_index if self.shared is not None
-            else self._next_stack_index
-        )
-        child._next_map_base = (
-            self.shared._next_map_base if self.shared is not None
-            else self._next_map_base
-        )
-        for pregion in list(self._private) + self.unshadowed_shared():
-            clone_region = pregion.region.dup_cow()
-            clone = Pregion(
-                clone_region, pregion.vbase, pregion.prot,
-                pregion.growth, pregion.max_pages,
-            )
-            child.private.append(clone)
+        child = self.empty_copy()
+        for visible in list(self._private) + self.unshadowed_shared():
+            child.private.append(visible.dup_cow())
         return child
 
     def teardown_private(self) -> None:

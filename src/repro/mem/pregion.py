@@ -124,12 +124,16 @@ class Pregion:
             self.owner.invalidate()
         return added
 
+    def can_grow_up(self, npages: int) -> bool:
+        """May this upward-growing region add ``npages`` (sbrk)?"""
+        if self.growth is not Growth.UP:
+            return False
+        return not self.max_pages or self.region.npages + npages <= self.max_pages
+
     def grow_up(self, npages: int) -> None:
         """Grow an upward-growing region (sbrk on the data segment)."""
-        if self.growth is not Growth.UP:
-            raise SimulationError("%r does not grow up" % self)
-        if self.max_pages and self.region.npages + npages > self.max_pages:
-            raise MemoryError("region growth limit exceeded")
+        if not self.can_grow_up(npages):
+            raise SimulationError("cannot grow %r up by %d pages" % (self, npages))
         self.region.grow(npages)
 
     def shrink(self, npages: int) -> None:
@@ -139,6 +143,14 @@ class Pregion:
     def detach(self) -> None:
         """Drop this attachment's region reference."""
         self.region.release()
+
+    def dup_cow(self) -> "Pregion":
+        """A copy-on-write clone of this attachment, at the same place
+        with the same protection and growth (fork, unshare, PRIVDATA)."""
+        return Pregion(
+            self.region.dup_cow(), self.vbase, self.prot,
+            self.growth, self.max_pages,
+        )
 
 
 def vaddr_page(vaddr: int) -> int:

@@ -14,7 +14,6 @@ from repro.mem.addrspace import AddressSpace
 from repro.mem.pregion import PROT_RW
 from repro.mem.region import RegionType
 from repro.share import vmshare
-from repro.mem.pregion import Pregion
 from repro.share.mask import (
     PR_PRIVDATA,
     PR_SADDR,
@@ -54,8 +53,7 @@ def ensure_group(kernel, proc) -> SharedAddressBlock:
     vmshare.move_pregions_to_shared(proc)
     # The creator now runs under the group's ASID; its old standalone
     # translations are orphaned (the model of ASID recycling).
-    for cpu in kernel.machine.cpus:
-        cpu.tlb.flush_asid(old_asid)
+    kernel.machine.tlb_flush_asid(old_asid)
     shaddr.seed_from(proc.uarea)
     kernel.stats["groups_created"] += 1
     shaddr.sgid = kernel.stats["groups_created"]
@@ -106,15 +104,10 @@ def _privatize_data(vm) -> int:
     afterwards.  Returns the number of pregions privatized.
     """
     shadowed = 0
-    for pregion in vm.shared.pregions:
-        if pregion.rtype is not RegionType.DATA:
+    for data in vm.shared.pregions:
+        if data.rtype is not RegionType.DATA:
             continue
-        clone_region = pregion.region.dup_cow()
-        clone = Pregion(
-            clone_region, pregion.vbase, pregion.prot,
-            pregion.growth, pregion.max_pages,
-        )
-        vm.attach_private(clone, allow_shadow=True)
+        vm.attach_private(data.dup_cow(), allow_shadow=True)
         shadowed += 1
     return shadowed
 

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from repro.errors import EINVAL, ENOMEM, SysError
 from repro.fs.fdtable import FDTable
-from repro.mem.addrspace import AddressSpace
-from repro.mem.pregion import Pregion
 from repro.share.mask import (
     NONVM_SYNC_BITS,
     PR_SALL,
@@ -103,29 +101,20 @@ def copy_out_aspace(kernel, proc, staged):
     """
     if kernel.fail("unshare.aspace"):
         raise SysError(ENOMEM, "injected: private address space allocation")
-    shared = proc.vm.shared
-    vm = AddressSpace(kernel.machine)
-    # Continue carving where the group's cursors left off, the same way
-    # dup_cow seeds a fork child from a sharing parent.
-    vm.stack_max_bytes = shared.stack_max_bytes
-    vm._next_stack_index = shared._next_stack_index
-    vm._next_map_base = shared._next_map_base
+    # Carving continues where the group's cursors left off, as in a
+    # fork child of a sharing parent.
+    vm = proc.vm.empty_copy()
     staged["vm"] = vm
     costs = kernel.costs
     copied = 0
-    for pregion in proc.vm.unshadowed_shared():
+    for original in proc.vm.unshadowed_shared():
         if kernel.fail("unshare.pregion"):
             raise SysError(ENOMEM, "injected: pregion copy-out")
-        clone_region = pregion.region.dup_cow()
-        clone = Pregion(
-            clone_region, pregion.vbase, pregion.prot,
-            pregion.growth, pregion.max_pages,
-        )
-        vm.attach_private(clone)
+        vm.attach_private(original.dup_cow())
         copied += 1
         yield kdelay(
             costs.pregion_dup
-            + costs.pt_copy_per_page * pregion.region.resident_pages()
+            + costs.pt_copy_per_page * original.region.resident_pages()
         )
     kernel.kstat.add("kernel", 0, "unshare_pregions_copied", copied)
 

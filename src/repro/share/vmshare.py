@@ -10,11 +10,18 @@ TLB shootdown while holding the update lock, so a member running on
 another CPU immediately TLB-misses, traps, and blocks on the read lock
 until the pages are really gone.  That is the only expensive VM
 operation in the design, which experiment E5 demonstrates.
+
+The map arena's one attach path (``mmap``, ``shmat``) and one detach
+path (``munmap``, ``shmdt``) live here too, for private and shared
+address spaces alike.
 """
 
 from __future__ import annotations
 
+from repro.errors import EINVAL, ENOMEM, SysError
 from repro.inject import INJECT_DELAY_CYCLES
+from repro.mem.addrspace import make_region
+from repro.mem.pregion import PROT_RW, Pregion
 from repro.mem.region import RegionType
 from repro.sim.effects import kdelay
 
@@ -57,18 +64,9 @@ def shootdown(kernel, proc):
     Must be called with the update lock held.  The initiator pays the
     full cross-CPU cost — nobody else waits for anything except the lock.
     """
-    cost = kernel.machine.tlb_shootdown(proc.vm.asid)
-    kernel.stats["shootdowns"] += 1
-    kernel.pcount(proc, "shootdowns_sent")
-    kernel.trace("shootdown", proc.pid, "asid=%d" % proc.vm.asid)
-    kstat = kernel.kstat
-    if proc.cpu is not None:
-        kstat.add("cpu", proc.cpu.idx, "shootdown_ipis_sent",
-                  kernel.machine.ncpus - 1)
-    for cpu in kernel.machine.cpus:
-        if proc.cpu is None or cpu.idx != proc.cpu.idx:
-            kstat.add("cpu", cpu.idx, "shootdown_ipis_rcvd")
-    yield kdelay(cost)
+    asid = proc.vm.asid
+    cost = kernel.machine.tlb_shootdown(asid)
+    yield from _shootdown_sent(kernel, proc, cost, "asid=%d" % asid)
 
 
 def shootdown_range(kernel, proc, vpn_lo: int, vpn_hi: int):
@@ -83,22 +81,97 @@ def shootdown_range(kernel, proc, vpn_lo: int, vpn_hi: int):
     if kernel.machine.vm_index == "linear":
         yield from shootdown(kernel, proc)
         return
-    cost = kernel.machine.tlb_shootdown_range(proc.vm.asid, vpn_lo, vpn_hi)
+    asid = proc.vm.asid
+    cost = kernel.machine.tlb_shootdown_range(asid, vpn_lo, vpn_hi)
+    kernel.kstat.add("kernel", 0, "shootdown_pages", vpn_hi - vpn_lo)
+    yield from _shootdown_sent(
+        kernel, proc, cost, "asid=%d vpn=%#x..%#x" % (asid, vpn_lo, vpn_hi)
+    )
+
+
+def _shootdown_sent(kernel, proc, cost: int, detail: str):
+    """Generator: what every shootdown counts, then the initiator's charge."""
     kernel.stats["shootdowns"] += 1
     kernel.pcount(proc, "shootdowns_sent")
-    kernel.trace(
-        "shootdown", proc.pid,
-        "asid=%d vpn=%#x..%#x" % (proc.vm.asid, vpn_lo, vpn_hi),
-    )
+    kernel.trace("shootdown", proc.pid, detail)
     kstat = kernel.kstat
-    kstat.add("kernel", 0, "shootdown_pages", vpn_hi - vpn_lo)
-    if proc.cpu is not None:
-        kstat.add("cpu", proc.cpu.idx, "shootdown_ipis_sent",
+    here = proc.cpu
+    if here is not None:
+        kstat.add("cpu", here.idx, "shootdown_ipis_sent",
                   kernel.machine.ncpus - 1)
     for cpu in kernel.machine.cpus:
-        if proc.cpu is None or cpu.idx != proc.cpu.idx:
+        if cpu is not here:
             kstat.add("cpu", cpu.idx, "shootdown_ipis_rcvd")
     yield kdelay(cost)
+
+
+def attach_mapping(kernel, proc, nbytes: int, region):
+    """Generator: attach a region at a fresh window of the map arena;
+    returns the window's base (``mmap``, ``shmat``).
+
+    ``region`` is a SysV segment's region, or None for ``nbytes`` of
+    fresh anonymous pages (which also pays the region's creation).  On
+    a shared VM this is an update-lock operation and the pregion goes
+    on the shared list: "if one process adds a pregion ... all other
+    share group members will immediately see that new virtual region."
+    An arena too full for ``nbytes`` is ENOMEM, with the cursor and the
+    pregion lists unchanged.
+    """
+    sharing = sharing_vm(proc)
+    if sharing:
+        yield from update_acquire(proc)
+    try:
+        try:
+            base = proc.vm.alloc_map_range(nbytes)
+        except MemoryError:
+            raise SysError(ENOMEM, "mapping arena exhausted") from None
+        cost = kernel.costs.region_attach
+        if region is None:
+            region = make_region(proc.vm.frames, nbytes, RegionType.SHM)
+            cost += kernel.costs.region_create
+        pregion = Pregion(region, base, PROT_RW)
+        if sharing:
+            proc.vm.attach_shared(pregion)
+        else:
+            proc.vm.attach_private(pregion)
+        yield kdelay(cost)
+    finally:
+        if sharing:
+            yield from update_release(proc)
+    return base
+
+
+def detach_mapping(kernel, proc, vaddr: int):
+    """Generator: detach the whole map-arena pregion based at ``vaddr``
+    (``munmap``, ``shmdt``; anything else is EINVAL).
+
+    The shootdown protocol: invalidate the window on every CPU while
+    holding the update lock, *then* drop the pages.
+    """
+    sharing = sharing_vm(proc)
+    if sharing:
+        yield from update_acquire(proc)
+    try:
+        pregion, _shared = proc.vm.find(vaddr)
+        if (
+            pregion is None
+            or pregion.vbase != vaddr
+            or pregion.rtype is not RegionType.SHM
+        ):
+            raise SysError(EINVAL, "no mapping based at %#x" % vaddr)
+        if sharing:
+            yield from shootdown_range(
+                kernel, proc, pregion.vpn_low, pregion.vpn_high
+            )
+        else:
+            yield from kernel.tlb_invalidate_range(
+                proc, pregion.vpn_low, pregion.vpn_high
+            )
+        proc.vm.detach(pregion)
+        yield kdelay(kernel.costs.region_attach)
+    finally:
+        if sharing:
+            yield from update_release(proc)
 
 
 def move_pregions_to_shared(proc) -> int:

@@ -131,6 +131,13 @@ class Machine:
         self.shootdowns += 1
         return self.shootdown_cost()
 
+    def tlb_flush_asid(self, asid: int) -> None:
+        """Drop every translation of one space everywhere, without
+        shootdown accounting (fork's COW marking, a retired ASID); the
+        caller charges whatever flush cost applies."""
+        for cpu in self.cpus:
+            cpu.tlb.flush_asid(asid)
+
     def tlb_flush_page(self, asid: int, vpn: int) -> None:
         """Drop one translation everywhere (cheap, used on COW breaks)."""
         for cpu in self.cpus:

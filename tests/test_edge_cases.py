@@ -12,7 +12,7 @@ from repro import (
     status_code,
     status_signal,
 )
-from repro.errors import E2BIG, EBADF, EFAULT, EINTR, EMFILE
+from repro.errors import E2BIG, EBADF, EFAULT, EINTR, EMFILE, ENOMEM
 from repro.fs.fdtable import NOFILE
 from tests.conftest import run_program
 
@@ -103,6 +103,81 @@ def test_msgrcv_with_tiny_buffer_is_e2big():
     assert out["errno"] == E2BIG
 
 
+@pytest.mark.parametrize("call", ["mmap", "sbrk", "shmat"])
+def test_address_space_exhaustion_is_enomem(call):
+    """A request the map arena or the data ceiling cannot hold fails
+    with ENOMEM instead of crashing the simulator: the cursors and the
+    pregion lists stay as they were and the group's update lock is free."""
+    from repro import IPC_CREAT, IPC_PRIVATE
+    from repro.mem import layout
+    from repro.mem.frames import PAGE_SIZE
+    from repro.mem.region import RegionType
+
+    def member(api, out):
+        vm = api.proc.vm
+        if call == "sbrk":
+            # the growth would also run into this mapping
+            yield from api.mmap(PAGE_SIZE)
+        if call == "shmat":
+            # leave one page of arena: a two-page segment no longer fits
+            yield from api.mmap(layout.MAP_LIMIT - layout.MAP_BASE - PAGE_SIZE)
+            shmid = yield from api.shmget(IPC_PRIVATE, 2 * PAGE_SIZE, IPC_CREAT)
+        data, _shared = vm.find_by_type(RegionType.DATA)
+
+        def layout_now():
+            return (
+                vm.shared._next_map_base, data.vhigh,
+                list(vm.private), list(vm.shared.pregions),
+            )
+
+        before = layout_now()
+        if call == "mmap":
+            rc = yield from api.mmap(1 << 30)  # the arena is 512 MB
+        elif call == "sbrk":
+            rc = yield from api.sbrk(1 << 30)  # past the data ceiling
+        else:
+            rc = yield from api.shmat(shmid)
+        out["rc"] = rc
+        out["errno"] = yield from api.errno()
+        out["unchanged"] = layout_now() == before
+        out["update_locked"] = api.proc.shaddr.vm_lock.updating
+        return 0
+
+    def main(api, out):
+        yield from api.sproc(member, PR_SALL, out)
+        yield from api.wait()
+        return 0
+
+    out, _ = run_program(main)
+    assert (out["rc"], out["errno"]) == (-1, ENOMEM)
+    assert out["unchanged"]
+    assert not out["update_locked"]
+
+
+def test_group_maps_again_after_a_member_overflows_the_arena():
+    """After a PR_SALL member's oversized mmap fails, the group's next
+    mmap takes the untouched cursor, under a free update lock."""
+    from repro.mem import layout
+
+    def member(api, out):
+        out["rc"] = yield from api.mmap(1 << 30)
+        return 0
+
+    def main(api, out):
+        yield from api.sproc(member, PR_SALL, out)
+        yield from api.wait()
+        base = yield from api.mmap(4096)
+        yield from api.store_word(base, 7)
+        out["base"] = base
+        out["value"] = yield from api.load_word(base)
+        return 0
+
+    out, _ = run_program(main)
+    assert out["rc"] == -1
+    assert out["base"] == layout.MAP_BASE
+    assert out["value"] == 7
+
+
 # ----------------------------------------------------------------------
 # signal / syscall interactions
 
@@ -155,6 +230,95 @@ def test_segv_handler_can_repair_mapping_and_resume():
 
     out, _ = run_program(main)
     assert out["value"] == 99
+
+
+@pytest.mark.parametrize("op", ["cas", "fetch_add"])
+def test_misaligned_atomic_is_sigbus(op):
+    """A page-straddling atomic word posts SIGBUS (default: death) and
+    leaves both words, and the size of the page's frame, as they were."""
+    from repro import SIGBUS
+    from repro.mem.frames import PAGE_SIZE
+
+    def member(api, base):
+        if op == "cas":
+            yield from api.cas(base + PAGE_SIZE - 2, 0x1122, 0x3344_5566)
+        else:
+            yield from api.fetch_add(base + PAGE_SIZE - 2, 1)
+        return 0
+
+    def main(api, out):
+        base = yield from api.mmap(2 * PAGE_SIZE)
+        # the two bytes just below the page boundary read as 0x1122
+        yield from api.store_word(base + PAGE_SIZE - 4, 0x1122_0000)
+        yield from api.store_word(base + PAGE_SIZE, 0x7788_99AA)
+        yield from api.sproc(member, PR_SALL, base)
+        _, status = yield from api.wait()
+        out["sig"] = status_signal(status)
+        out["low"] = yield from api.load_word(base + PAGE_SIZE - 4)
+        out["high"] = yield from api.load_word(base + PAGE_SIZE)
+        pregion, _shared = api.proc.vm.find(base)
+        out["sizes"] = [len(frame.data) for frame in pregion.region.pages]
+        return 0
+
+    out, _ = run_program(main)
+    assert out["sig"] == SIGBUS
+    assert (out["low"], out["high"]) == (0x1122_0000, 0x7788_99AA)
+    assert out["sizes"] == [PAGE_SIZE, PAGE_SIZE]
+
+
+def test_each_fault_kind_is_counted_and_traced():
+    """One repaired SEGV, demand-zero, copy-on-write and stack-growth
+    fault each, as the proc kstat counters, the kernel stats and the
+    trace record them (the benchmark workloads take demand-zero only)."""
+    from repro import SIGSEGV
+    from repro.mem import layout
+    from repro.mem.frames import PAGE_SIZE
+    from repro.sim.trace import Tracer
+
+    target = layout.MAP_BASE  # the first mmap lands here
+    stack_base = layout.stack_slot(0) - layout.INITIAL_STACK_PAGES * PAGE_SIZE
+    below_stack = stack_base - 4
+
+    def child(api, arg):
+        yield from api.getpid()
+        return 0
+
+    def main(api, out):
+        def repair(api, sig):
+            yield from api.mmap(PAGE_SIZE)
+
+        yield from api.signal(SIGSEGV, repair)
+        yield from api.store_word(target, 1)  # SEGV, repaired: then ZERO
+        yield from api.fork(child)
+        yield from api.store_word(target, 2)  # COW
+        yield from api.wait()
+        yield from api.store_word(below_stack, 3)  # GROW
+        out["values"] = [
+            (yield from api.load_word(target)),
+            (yield from api.load_word(below_stack)),
+        ]
+        return 0
+
+    sim = System(ncpus=2)
+    tracer = Tracer.attach(sim.kernel)
+    out, _ = run_program(main, sim=sim)
+    assert out["values"] == [2, 3]
+    counts = {
+        name: sim.kstat.get("proc", 1, name)
+        for name in ("fault.zero", "fault.cow", "fault.grow", "fault.segv",
+                     "pages_touched")
+    }
+    assert counts == {
+        "fault.zero": 1, "fault.cow": 1, "fault.grow": 1, "fault.segv": 1,
+        "pages_touched": 3,
+    }
+    stats = sim.stats
+    assert (stats["faults"], stats["stack_grows"], stats["segv"]) == (3, 1, 1)
+    details = [event.detail for event in tracer.events("fault", pid=1)]
+    assert details == [
+        "segv @%#x" % target, "zero @%#x" % target,
+        "cow @%#x" % target, "grow @%#x" % below_stack,
+    ]
 
 
 def test_kill_all_members_of_group():
