@@ -99,8 +99,9 @@ def check_pregion_tlb(sim) -> List[str]:
     CPU its process runs on — the fault path caches it there alone and
     the CPU drops it when the process leaves — but this checker does
     not tie entries to CPUs, so an entry is valid if *any* live address
-    space with that ASID resolves the page to a resident frame with the
-    cached pfn.  A writable entry additionally
+    space with that ASID resolves the page to the very Frame the entry
+    caches (identity, not pfn: a freed frame's pfn may already back
+    another page).  A writable entry additionally
     requires the page to be writable now (not copy-on-write) in the
     space that matched.  Entries for retired ASIDs are skipped: ASIDs
     are never recycled, so they can only belong to exited processes.
@@ -121,8 +122,7 @@ def check_pregion_tlb(sim) -> List[str]:
                 if pregion is None:
                     continue
                 index = pregion.page_index(vaddr)
-                frame = pregion.region.pages[index]
-                if frame is None or frame.pfn != entry.pfn:
+                if pregion.region.pages[index] is not entry.frame:
                     continue
                 if entry.writable and not vm.writable_now(pregion, index):
                     continue

@@ -18,12 +18,20 @@ SIGBUS the same way.
 
 from __future__ import annotations
 
-from repro.errors import EFAULT, ENOMEM, SysError
+import struct
+
+from repro.errors import EFAULT, ENOMEM, SimulationError, SysError
 from repro.kernel.signals import SIGBUS, SIGKILL, SIGSEGV
 from repro.mem.addrspace import Fault
 from repro.mem.frames import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from repro.share import vmshare
 from repro.sim.effects import kdelay, udelay
+
+#: an aligned 32-bit little-endian word, read and written in place in a
+#: frame's bytes: no slice, no bytes object, one path on any host
+WORD = struct.Struct("<I")
+_unpack_word = WORD.unpack_from
+_pack_word = WORD.pack_into
 
 
 def _words(nbytes: int) -> int:
@@ -54,7 +62,9 @@ class FaultMixin:
 
         Every translation starts here and enters the :meth:`vm_handle`
         generator only on a miss, so a warm-TLB access pays no generator
-        setup at all.  The probe counts the TLB hit or miss.
+        setup at all.  The probe counts the TLB hit or miss.  The entry
+        carries its Frame; a hit on a freed one (a translation that
+        outlived its page without a shootdown) is a simulator bug.
         """
         # open-coded TLB.lookup (same statistics): this probe runs on
         # every user load/store, so the extra call layer shows up
@@ -65,7 +75,10 @@ class FaultMixin:
             return None
         tlb.hits += 1
         if not write or entry.writable:
-            return self.machine.frames.get(entry.pfn)
+            frame = entry.frame
+            if frame.refcount > 0:
+                return frame
+            raise SimulationError("access to free frame %d" % frame.pfn)
         return None
 
     def vm_handle(self, proc, vaddr: int, write: bool, user: bool,
@@ -143,9 +156,9 @@ class FaultMixin:
             # when the process leaves it (CPU._drop_private_tlb).
             writable = proc.vm.writable_now(res.pregion, res.page_index)
             if res.shared or proc.vm.shared is None:
-                cpu.tlb.insert(asid, vpn, frame.pfn, writable)
+                cpu.tlb.insert(asid, vpn, frame, writable)
             elif proc.cpu is cpu:
-                cpu.tlb.insert(asid, vpn, frame.pfn, writable)
+                cpu.tlb.insert(asid, vpn, frame, writable)
                 cpu.private_tlb.add((asid, vpn))
             return frame
         finally:
@@ -316,28 +329,25 @@ class FaultMixin:
         return nbytes
 
     def user_load_word(self, proc, vaddr: int):
-        """Generator: load an aligned 32-bit little-endian word.
+        """Generator: load a 32-bit little-endian word.
 
-        Single-page direct path in the :meth:`user_cas` idiom — same
-        charged cost and same TLB accounting as ``user_read(.., 4)``,
-        without the span loop, the bytearray staging or the extra
-        generator frame.  A page-straddling (misaligned) word falls
-        back to the general path.
+        An aligned word is read in place through :data:`WORD`, with the
+        same charged cost and TLB accounting as ``user_read(.., 4)`` but
+        without its staging or its generator frame.  A misaligned word,
+        in one page or straddling two, takes the byte path.
         """
-        offset = vaddr & PAGE_MASK
-        if offset > PAGE_SIZE - 4:
+        if vaddr & 3:
             raw = yield from self.user_read(proc, vaddr, 4)
             return int.from_bytes(raw, "little")
         yield self._word_delay
         frame = self.vm_hit(proc, vaddr, False)
         if frame is None:
             frame = yield from self.vm_handle(proc, vaddr, write=False, user=True)
-        return int.from_bytes(frame.data[offset:offset + 4], "little")
+        return _unpack_word(frame.data, vaddr & PAGE_MASK)[0]
 
     def user_store_word(self, proc, vaddr: int, value: int):
-        """Generator: store an aligned 32-bit little-endian word."""
-        offset = vaddr & PAGE_MASK
-        if offset > PAGE_SIZE - 4:
+        """Generator: store a 32-bit little-endian word (as above)."""
+        if vaddr & 3:
             yield from self.user_write(
                 proc, vaddr, (value & 0xFFFFFFFF).to_bytes(4, "little")
             )
@@ -346,7 +356,7 @@ class FaultMixin:
         frame = self.vm_hit(proc, vaddr, True)
         if frame is None:
             frame = yield from self.vm_handle(proc, vaddr, write=True, user=True)
-        frame.data[offset:offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+        _pack_word(frame.data, vaddr & PAGE_MASK, value & 0xFFFFFFFF)
 
     def user_cas(self, proc, vaddr: int, expected: int, new: int):
         """Generator: atomic compare-and-swap on an aligned 32-bit word.
@@ -355,30 +365,31 @@ class FaultMixin:
         no intervening yield, which is the simulation's model of an
         interlocked bus operation.
         """
-        yield udelay(self.costs.cas)
+        yield self._cas_delay
         if vaddr & 3:
             yield from self._bus_error(proc, vaddr)
         frame = self.vm_hit(proc, vaddr, True)
         if frame is None:
             frame = yield from self.vm_handle(proc, vaddr, write=True, user=True)
+        data = frame.data
         offset = vaddr & PAGE_MASK
-        old = int.from_bytes(frame.data[offset:offset + 4], "little")
+        old = _unpack_word(data, offset)[0]
         if old == expected:
-            frame.data[offset:offset + 4] = (new & 0xFFFFFFFF).to_bytes(4, "little")
+            _pack_word(data, offset, new & 0xFFFFFFFF)
         return old
 
     def user_fetch_add(self, proc, vaddr: int, delta: int):
         """Generator: atomic fetch-and-add; returns the *previous* value."""
-        yield udelay(self.costs.cas)
+        yield self._cas_delay
         if vaddr & 3:
             yield from self._bus_error(proc, vaddr)
         frame = self.vm_hit(proc, vaddr, True)
         if frame is None:
             frame = yield from self.vm_handle(proc, vaddr, write=True, user=True)
+        data = frame.data
         offset = vaddr & PAGE_MASK
-        old = int.from_bytes(frame.data[offset:offset + 4], "little")
-        new = (old + delta) & 0xFFFFFFFF
-        frame.data[offset:offset + 4] = new.to_bytes(4, "little")
+        old = _unpack_word(data, offset)[0]
+        _pack_word(data, offset, (old + delta) & 0xFFFFFFFF)
         return old
 
     def _bus_error(self, proc, vaddr: int):

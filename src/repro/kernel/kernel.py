@@ -110,13 +110,14 @@ class Kernel(
         #: ``"syscall.<handler>"`` kstat keys, built once per handler name
         self._syscall_keys: Dict[str, str] = {}
         # fixed delays, bound once (costs never change after boot): the
-        # trampoline's, and a one-word user load or store's
+        # trampoline's, a one-word user load or store's, and an atomic's
         costs = self.costs
         self._entry_delay = kdelay(costs.syscall_entry)
         self._exit_delay = kdelay(costs.syscall_exit)
         self._flag_batch_delay = kdelay(costs.flag_batch_test)
         self._flag_single_delay = kdelay(costs.flag_single_test)
         self._word_delay = udelay(costs.mem_access + costs.mem_per_word)
+        self._cas_delay = udelay(costs.cas)
         self.fs = FileSystem()
         self.sched = make_scheduler(scheduler, machine)
         self.sched.kernel = self

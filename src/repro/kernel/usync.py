@@ -12,14 +12,18 @@ ask the kernel to sleep until another process pokes the same word.
 between the user-mode check and the call is never lost);
 ``uwake(vaddr, count)`` wakes up to ``count`` sleepers.  Queues are
 keyed by ``(asid, vaddr)`` — sharing the address space is what makes two
-processes' waits meet, which is pleasingly share-group-shaped.
+processes' waits meet, which is pleasingly share-group-shaped.  As with
+futex, the word must be aligned (so it lies in one page), and a wake
+count must not be negative: either is EINVAL before anything is touched.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.errors import EINTR, SysError
+from repro.errors import EINTR, EINVAL, SysError
+from repro.kernel.fault import WORD
+from repro.mem.frames import PAGE_MASK
 from repro.sim.effects import kdelay
 from repro.sync.semaphore import Semaphore
 
@@ -52,13 +56,15 @@ class UsyncSyscalls:
         """Sleep while the user word equals ``expected``.
 
         Returns 1 if it slept and was woken, 0 if the word had already
-        changed (no sleep).  EINTR on signal, as any interruptible sleep.
+        changed (no sleep).  EINTR on signal, as any interruptible sleep;
+        EINVAL for a misaligned word.
         """
+        if vaddr & 3:
+            raise SysError(EINVAL, "uwait on misaligned word %#x" % vaddr)
         frame = self.vm_hit(proc, vaddr, False)
         if frame is None:
             frame = yield from self.vm_handle(proc, vaddr, write=False, user=False)
-        offset = vaddr & 0xFFF
-        value = int.from_bytes(frame.data[offset:offset + 4], "little")
+        value = WORD.unpack_from(frame.data, vaddr & PAGE_MASK)[0]
         if value != expected:
             yield kdelay(self.costs.flag_batch_test)
             return 0
@@ -77,7 +83,12 @@ class UsyncSyscalls:
 
     def sys_uwake(self, proc, vaddr: int, count: int = 1):
         """Wake up to ``count`` sleepers on the word; returns the number
-        of wakeups banked (``v()`` keeps one for a racing sleeper)."""
+        of wakeups banked (``v()`` keeps one for a racing sleeper).
+        EINVAL for a misaligned word or a negative count."""
+        if vaddr & 3:
+            raise SysError(EINVAL, "uwake on misaligned word %#x" % vaddr)
+        if count < 0:
+            raise SysError(EINVAL, "uwake with negative count %d" % count)
         yield kdelay(self.costs.wakeup)
         channel = self._usync.get((proc.vm.asid, vaddr))
         if channel is None:

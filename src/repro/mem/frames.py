@@ -8,7 +8,7 @@ by the other, while a copy-on-write child sees its own private copy.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import SimulationError
 
@@ -42,13 +42,18 @@ class Frame:
 
 
 class FrameAllocator:
-    """A free-list allocator over a fixed pool of physical frames."""
+    """A free-list allocator over a fixed pool of physical frames.
+
+    Nothing looks a frame up by number: region page slots and TLB
+    entries hold the Frame itself, so the allocator keeps only the free
+    pfns.  A freed frame keeps its pfn but drops to refcount 0, which is
+    how a stale reference to it is recognised.
+    """
 
     def __init__(self, nframes: int):
         if nframes <= 0:
             raise ValueError("need at least one physical frame")
         self.nframes = nframes
-        self._frames: List[Optional[Frame]] = [None] * nframes
         self._free: List[int] = list(range(nframes - 1, -1, -1))
         self.allocated = 0
         self.peak = 0
@@ -71,15 +76,8 @@ class FrameAllocator:
         pfn = self._free.pop()
         frame = Frame(pfn)
         frame.refcount = 1
-        self._frames[pfn] = frame
         self.allocated += 1
         self.peak = max(self.peak, self.allocated)
-        return frame
-
-    def get(self, pfn: int) -> Frame:
-        frame = self._frames[pfn]
-        if frame is None:
-            raise SimulationError("access to free frame %d" % pfn)
         return frame
 
     def hold(self, frame: Frame) -> Frame:
@@ -95,7 +93,6 @@ class FrameAllocator:
             raise SimulationError("double free of frame %d" % frame.pfn)
         frame.refcount -= 1
         if frame.refcount == 0:
-            self._frames[frame.pfn] = None
             self._free.append(frame.pfn)
             self.allocated -= 1
 

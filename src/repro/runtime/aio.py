@@ -133,8 +133,9 @@ class AioRing:
             api, request, AIO_READ | AIO_NOTIFY, fd, buf, nbytes, offset)
 
     def kick(self, api, requests):
-        """Generator: queue a batch of staged requests in one go."""
-        yield from self.queue.push_many(api, requests)
+        """Queue a batch of staged requests in one go: returns the
+        queue's ``push_many`` generator, to ``yield from``."""
+        return self.queue.push_many(api, requests)
 
     def submit_read(self, api, fd: int, buf: int, nbytes: int, offset: int):
         """Generator: queue a read into guest buffer ``buf``; returns a handle."""

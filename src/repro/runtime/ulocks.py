@@ -26,16 +26,14 @@ class USpinLock:
         self.spins_before_yield = spins_before_yield
         self.name = name if name is not None else "uspin@%#x" % vaddr
 
-    def _lockdep(self, api):
-        return api.kernel.machine.lockdep
-
     def acquire(self, api):
         """Generator: spin until the lock is ours."""
-        self._lockdep(api).attempt(self, api.proc, "uspin")
+        lockdep = api.kernel.machine.lockdep
+        lockdep.attempt(self, api.proc, "uspin")
         while True:
             observed = yield from api.cas(self.vaddr, 0, 1)
             if observed == 0:
-                self._lockdep(api).acquired(self, api.proc, "uspin")
+                lockdep.acquired(self, api.proc, "uspin")
                 return
             polls = 0
             while True:
@@ -51,16 +49,17 @@ class USpinLock:
         """Generator: one attempt; returns True on success."""
         observed = yield from api.cas(self.vaddr, 0, 1)
         if observed == 0:
-            lockdep = self._lockdep(api)
+            lockdep = api.kernel.machine.lockdep
             lockdep.attempt(self, api.proc, "uspin")
             lockdep.acquired(self, api.proc, "uspin")
             return True
         return False
 
     def release(self, api):
-        """Generator: free the lock (a single store)."""
-        self._lockdep(api).released(self, api.proc)
-        yield from api.store_word(self.vaddr, 0)
+        """Free the lock (a single store): returns the store's generator,
+        to ``yield from``."""
+        api.kernel.machine.lockdep.released(self, api.proc)
+        return api.store_word(self.vaddr, 0)
 
 
 class UBarrier:

@@ -165,8 +165,9 @@ class BlockingWorkQueue(WorkQueue):
         yield from self.lock.release(api)
 
     def push(self, api, item: int):
-        """Generator: append an item; sleeps while the queue is full."""
-        yield from self.push_many(api, [item])
+        """Append an item; sleeps while the queue is full.  Returns
+        :meth:`push_many`'s generator, to ``yield from``."""
+        return self.push_many(api, [item])
 
     def push_many(self, api, items):
         """Generator: append items under one lock hold (waking poppers

@@ -42,8 +42,11 @@ def read_acquire(proc):
 
 
 def read_release(proc):
+    """The steps that leave the group's read lock, to ``yield from``
+    (none off-group)."""
     if sharing_vm(proc):
-        yield from proc.shaddr.vm_lock.release_read(proc)
+        return proc.shaddr.vm_lock.release_read(proc)
+    return ()
 
 
 def update_acquire(proc):
@@ -54,8 +57,11 @@ def update_acquire(proc):
 
 
 def update_release(proc):
+    """The steps that end the group's update, to ``yield from`` (none
+    off-group)."""
     if sharing_vm(proc):
-        yield from proc.shaddr.vm_lock.release_update(proc)
+        return proc.shaddr.vm_lock.release_update(proc)
+    return ()
 
 
 def shootdown(kernel, proc):

@@ -169,7 +169,15 @@ class CPU:
         if type(effect) is Delay:
             cycles = effect.cycles
             if effect.user:
-                self._user_delay(proc, cycles)
+                quantum_left = proc.quantum_left
+                if cycles <= quantum_left:
+                    # _user_delay's one-chunk case, parked here: the
+                    # whole delay fits in what is left of the quantum
+                    proc.quantum_left = quantum_left - cycles
+                    self.busy_cycles += cycles
+                    self._resched(cycles, self._boundary_cb, None)
+                else:
+                    self._user_delay(proc, cycles)
             else:
                 self.busy_cycles += cycles
                 self._resched(cycles, self._resume_cb, None)
@@ -212,6 +220,9 @@ class CPU:
 
     def _user_delay(self, proc, cycles: int) -> None:
         """Burn preemptible user cycles, chunked at the quantum.
+
+        ``_resume`` parks a delay that fits in the quantum itself; this
+        is the path for one that does not, and for a delay's remainder.
 
         The unburned remainder travels *inside* the resume token, never
         in shared per-proc state: a signal handler pushed at the chunk

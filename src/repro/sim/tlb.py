@@ -26,13 +26,20 @@ from typing import Dict, Optional, Tuple
 
 
 class TLBEntry:
-    __slots__ = ("asid", "vpn", "pfn", "writable")
+    """One cached translation.  It holds the :class:`~repro.mem.frames.Frame`
+    itself, so a hit needs no pfn lookup; ``pfn`` is read off the frame."""
 
-    def __init__(self, asid: int, vpn: int, pfn: int, writable: bool):
+    __slots__ = ("asid", "vpn", "frame", "writable")
+
+    def __init__(self, asid: int, vpn: int, frame, writable: bool):
         self.asid = asid
         self.vpn = vpn
-        self.pfn = pfn
+        self.frame = frame
         self.writable = writable
+
+    @property
+    def pfn(self) -> int:
+        return self.frame.pfn
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "rw" if self.writable else "ro"
@@ -105,8 +112,9 @@ class TLB:
         """Look up without touching statistics (for assertions/tests)."""
         return self._entries.get((asid, vpn))
 
-    def insert(self, asid: int, vpn: int, pfn: int, writable: bool) -> TLBEntry:
-        """Install a translation, evicting the oldest entry if full."""
+    def insert(self, asid: int, vpn: int, frame, writable: bool) -> TLBEntry:
+        """Install a translation to ``frame``, evicting the oldest entry
+        if full."""
         key = (asid, vpn)
         if key in self._entries:
             del self._entries[key]
@@ -114,7 +122,7 @@ class TLB:
         elif len(self._entries) >= self.capacity:
             old_key, _old = self._entries.popitem(last=False)
             self._index_drop(old_key[0], old_key[1])
-        entry = TLBEntry(asid, vpn, pfn, writable)
+        entry = TLBEntry(asid, vpn, frame, writable)
         self._entries[key] = entry
         if self._by_asid is not None:
             self._by_asid.setdefault(asid, {})[vpn] = entry

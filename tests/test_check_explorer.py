@@ -21,6 +21,7 @@ from repro.check.invariants import (
 )
 from repro.check.scenarios import DEFAULT_SCENARIOS, SCENARIOS, Scenario
 from repro.mem.addrspace import make_region
+from repro.mem.frames import Frame
 from repro.mem.pregion import PROT_RW, Pregion
 from repro.mem.region import RegionType
 from repro.system import System
@@ -66,7 +67,7 @@ def test_stale_tlb_entry_detected():
         if proc.alive()
     )
     # a translation no live address space backs: a missed shootdown
-    sim.machine.cpus[0].tlb.insert(asid, 0x7FF99, 4242, writable=False)
+    sim.machine.cpus[0].tlb.insert(asid, 0x7FF99, Frame(4242), writable=False)
     findings = check_pregion_tlb(sim)
     assert findings and "stale entry" in findings[0]
 

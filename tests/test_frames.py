@@ -51,15 +51,6 @@ def test_double_free_is_caught():
         alloc.release(frame)
 
 
-def test_get_free_frame_is_caught():
-    alloc = FrameAllocator(2)
-    frame = alloc.alloc()
-    pfn = frame.pfn
-    alloc.release(frame)
-    with pytest.raises(SimulationError):
-        alloc.get(pfn)
-
-
 def test_peak_tracks_high_water_mark():
     alloc = FrameAllocator(8)
     frames = [alloc.alloc() for _ in range(5)]

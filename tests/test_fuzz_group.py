@@ -74,7 +74,7 @@ def _healthy(sim):
         assert proc.state is proc.ZOMBIE, proc
     for cpu in sim.machine.cpus:
         for entry in cpu.tlb.entries():
-            sim.machine.frames.get(entry.pfn)
+            assert entry.frame.refcount > 0, entry
     assert sim.machine.frames.allocated == 0
     assert sim.stats["groups_created"] == sim.stats["groups_freed"]
 

@@ -114,7 +114,7 @@ def _check_health(sim):
     # no TLB entry points at a freed frame
     for cpu in sim.machine.cpus:
         for entry in cpu.tlb.entries():
-            sim.machine.frames.get(entry.pfn)  # raises if freed
+            assert entry.frame.refcount > 0, entry
     # allocator counts match the regions still alive (zombies hold none)
     # — all user frames should be gone once init exited
     assert sim.machine.frames.allocated == 0, (

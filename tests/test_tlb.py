@@ -1,14 +1,17 @@
 """Unit tests for the software-managed TLB."""
 
+from repro.mem.frames import Frame
 from repro.sim.tlb import TLB
 
 
 def test_miss_then_hit():
     tlb = TLB(4)
     assert tlb.lookup(1, 0x100) is None
-    tlb.insert(1, 0x100, 7, writable=True)
+    frame = Frame(7)
+    tlb.insert(1, 0x100, frame, writable=True)
     entry = tlb.lookup(1, 0x100)
     assert entry is not None
+    assert entry.frame is frame
     assert entry.pfn == 7
     assert entry.writable
     assert tlb.hits == 1
@@ -34,8 +37,8 @@ def test_fifo_eviction_at_capacity():
 
 def test_reinsert_updates_in_place():
     tlb = TLB(2)
-    tlb.insert(1, 0x1, 10, True)
-    tlb.insert(1, 0x1, 20, False)
+    tlb.insert(1, 0x1, Frame(10), True)
+    tlb.insert(1, 0x1, Frame(20), False)
     assert len(tlb) == 1
     entry = tlb.probe(1, 0x1)
     assert entry.pfn == 20

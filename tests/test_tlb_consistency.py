@@ -7,7 +7,9 @@ is exactly the "dangling implicit pointer" failure the paper's section
 """
 
 
-from repro import PR_SALL
+import pytest
+
+from repro import PR_SALL, System
 from repro.errors import SimulationError
 from repro.mem.frames import PAGE_SIZE
 from tests.conftest import run_program
@@ -17,13 +19,10 @@ def assert_tlb_maps_live_frames(sim):
     """Every TLB entry must point at an allocated frame."""
     for cpu in sim.machine.cpus:
         for entry in cpu.tlb.entries():
-            try:
-                sim.machine.frames.get(entry.pfn)
-            except SimulationError:
-                raise AssertionError(
-                    "CPU%d holds a translation to freed frame %d (%r)"
-                    % (cpu.idx, entry.pfn, entry)
-                )
+            assert entry.frame.refcount > 0, (
+                "CPU%d holds a translation to freed frame %d (%r)"
+                % (cpu.idx, entry.pfn, entry)
+            )
 
 
 def assert_no_translation_for(sim, asid, vlow, vhigh):
@@ -158,3 +157,34 @@ def test_group_members_share_tlb_tag():
 
     out, _ = run_program(main, ncpus=2)
     assert len(set(out["asids"])) == 1
+
+
+def test_stale_translation_never_reads_another_pages_frame():
+    """A translation that outlives its page without a shootdown must
+    not silently reach whichever page reuses the frame number."""
+
+    def main(api, out):
+        base = yield from api.mmap(PAGE_SIZE)
+        yield from api.store_word(base, 7)  # fault in, cache in the TLB
+        out["base"] = base
+        yield from api.compute(1_000_000)
+        return 0
+
+    out = {}
+    sim = System(ncpus=1)
+    proc = sim.spawn(main, out)
+    sim.run(until=500_000)  # mid-compute, still on its CPU
+    base = out["base"]
+    entry = proc.cpu.tlb.probe(proc.vm.asid, base // PAGE_SIZE)
+    assert entry is not None
+    # host-side: free the page's frame behind the TLB's back, then let
+    # the allocator hand its pfn to a fresh frame
+    pregion, _shared = proc.vm.find(base)
+    index = pregion.page_index(base)
+    old = pregion.region.pages[index]
+    pregion.region.pages[index] = None
+    sim.machine.frames.release(old)
+    reused = sim.machine.frames.alloc()
+    assert reused.pfn == old.pfn
+    with pytest.raises(SimulationError, match="access to free frame"):
+        sim.kernel.vm_hit(proc, base, False)

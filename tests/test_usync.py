@@ -2,7 +2,7 @@
 
 
 from repro import PR_SALL, status_code
-from repro.errors import EINTR
+from repro.errors import EINTR, EINVAL
 from repro.runtime import HybridLock
 from tests.conftest import run_program
 
@@ -175,3 +175,54 @@ def test_waits_keyed_per_address():
 
     out, _ = run_program(main, ncpus=2)
     assert out["counts"] == (0, 1, 1)
+
+
+def _einval_wait(offset, payload, expected):
+    """uwait on ``base + offset`` after storing ``payload`` there."""
+
+    def main(api, out):
+        base = yield from api.mmap(2 * 4096)
+        yield from api.store(base + offset, payload)
+        out["rc"] = yield from api.uwait(base + offset, expected)
+        out["errno"] = yield from api.errno()
+        return 0
+
+    out, sim = run_program(main)
+    assert (out["rc"], out["errno"]) == (-1, EINVAL)
+    assert sim.stats["uwaits"] == 0
+
+
+def test_uwait_on_a_page_straddling_word_is_einval():
+    # the word at base + 4094 is 0x66554433; its first page holds 0x4433
+    _einval_wait(4094, b"\x33\x44\x55\x66", 0x4433)
+
+
+def test_uwait_on_a_misaligned_word_in_one_page_is_einval():
+    _einval_wait(2, (0x1234).to_bytes(4, "little"), 0x1234)
+
+
+def test_uwake_with_a_negative_count_is_einval():
+    def waiter(api, base):
+        rc = yield from api.uwait(base, 0)
+        return 0 if rc == 1 else 1
+
+    def main(api, out):
+        base = yield from api.mmap(4096)
+        yield from api.sproc(waiter, PR_SALL, base)
+        yield from api.compute(50_000)  # the waiter is asleep
+        kernel = api.kernel
+        channel = kernel._usync[(api.proc.vm.asid, base)]
+        out["rc"] = yield from api.uwake(base, -1)
+        out["errno"] = yield from api.errno()
+        out["after"] = (channel.waiters, kernel.stats["uwakes"])
+        yield from api.store_word(base, 1)
+        out["woken"] = yield from api.uwake(base, 1)
+        _, status = yield from api.wait()
+        out["code"] = status_code(status)
+        return 0
+
+    out, _ = run_program(main, ncpus=2)
+    assert (out["rc"], out["errno"]) == (-1, EINVAL)
+    assert out["after"] == (1, 0), "a refused wake must touch nothing"
+    assert out["woken"] == 1
+    assert out["code"] == 0
