@@ -356,12 +356,4 @@ def audit_leaks(sim, baseline=None) -> List[str]:
                 "semset id=%d: %d banked waiters, %d sleepers left"
                 % (semset.semid, semset.waiters, semset.change.nwaiters)
             )
-    for queue in sim.kernel.msg._by_id.values():
-        if (queue.send_waiters or queue.recv_waiters
-                or queue.send_wait.nwaiters or queue.recv_wait.nwaiters):
-            findings.append(
-                "msgq id=%d: snd=%d/%d rcv=%d/%d waiters left"
-                % (queue.msqid, queue.send_waiters, queue.send_wait.nwaiters,
-                   queue.recv_waiters, queue.recv_wait.nwaiters)
-            )
     return findings

@@ -4,8 +4,8 @@ The simulated kernel follows classic System V conventions: a failing
 system call returns ``-1`` to the user program and deposits an error
 number in the per-process ``errno`` slot.  Because the data segment of a
 share group is shared, ``errno`` cannot live in shared data; the paper
-(section 5.1) places it in the PRDA, and so do we
-(:mod:`repro.runtime.prda`).
+(section 5.1) places it in the PRDA, and so do we:
+:meth:`repro.kernel.syscalls.UserAPI.errno` loads it from there.
 
 Kernel handlers signal failure by raising :class:`SysError`; the syscall
 trampoline in :mod:`repro.kernel.kernel` converts the exception into the

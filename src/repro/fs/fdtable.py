@@ -42,12 +42,6 @@ class FDTable:
                 return fd
         raise SysError(EMFILE)
 
-    def install_at(self, fd: int, file: File) -> None:
-        self._check_range(fd)
-        if self.slots[fd] is not None:
-            self.slots[fd].release()
-        self.slots[fd] = file
-
     def get(self, fd: int) -> File:
         self._check_range(fd)
         file = self.slots[fd]
@@ -70,16 +64,25 @@ class FDTable:
             file.release()
             raise
 
-    def dup2(self, fd: int, newfd: int) -> int:
+    def dup2(self, fd: int, newfd: int, dispose=None) -> int:
+        """Point ``newfd`` at ``fd``'s file; returns ``newfd``.
+
+        ``newfd`` is range-checked before any reference is taken.  A
+        file it displaces goes to ``dispose`` (the kernel's release
+        routine), so a displaced last pipe end still runs its endpoint
+        bookkeeping.
+        """
         file = self.get(fd)
+        self._check_range(newfd)
         if newfd == fd:
             return fd
-        file.hold()
-        try:
-            self.install_at(newfd, file)
-        except SysError:
-            file.release()
-            raise
+        old = self.slots[newfd]
+        self.slots[newfd] = file.hold()
+        if old is not None:
+            if dispose is not None:
+                dispose(old)
+            else:
+                old.release()
         return newfd
 
     # ------------------------------------------------------------------

@@ -67,12 +67,6 @@ class Pipe:
         if self.writers == 0:
             self._wake_readers()  # readers must see EOF
 
-    def add_read_end(self) -> None:
-        self.readers += 1
-
-    def add_write_end(self) -> None:
-        self.writers += 1
-
     # ------------------------------------------------------------------
     # data movement (generators; kernel charges copy costs)
 

@@ -62,10 +62,8 @@ SITES: Dict[str, str] = {
     "unshare.uarea": "private u-area resource copy during PR_UNSHARE (ENOMEM)",
     "wait.sleep": "signal arrives before the wait() child sleep (EINTR)",
     "sem.sleep": "signal arrives before the semop sleep (EINTR)",
-    "msg.snd.sleep": "signal arrives before the msgsnd sleep (EINTR)",
-    "msg.rcv.sleep": "signal arrives before the msgrcv sleep (EINTR)",
     "usync.sleep": "signal arrives before the uwait sleep (EINTR)",
-    "ipc.get": "SysV registry table entry in shmget/semget/msgget (ENOSPC)",
+    "ipc.get": "SysV registry table entry in shmget/semget (ENOSPC)",
     "shmalloc.grow": "shared arena bump growth (MemoryError to the guest)",
     "vmlock.read.delay": "hold-off before taking the group's shared read lock",
     "vmlock.update.delay": "hold-off before taking the group's update lock",

@@ -1,7 +1,6 @@
-"""IPC substrates: SysV shared memory/semaphores/messages and sockets."""
+"""IPC substrates: SysV shared memory and semaphores, and sockets."""
 
 from repro.ipc.socket import SOCK_BUF, Socket, SocketNamespace
-from repro.ipc.sysv_msg import MSGMNB, MsgQueue, MsgRegistry
 from repro.ipc.sysv_sem import SemRegistry, SemSet
 from repro.ipc.sysv_shm import (
     IPC_CREAT,
@@ -15,9 +14,6 @@ __all__ = [
     "IPC_CREAT",
     "IPC_EXCL",
     "IPC_PRIVATE",
-    "MSGMNB",
-    "MsgQueue",
-    "MsgRegistry",
     "SOCK_BUF",
     "SemRegistry",
     "SemSet",

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.errors import E2BIG, EINTR, EINVAL, ENOSPC, ENOTSOCK, SysError
+from repro.errors import EINTR, ENOSPC, ENOTSOCK, SysError
 from repro.fs.file import File, O_RDWR
 from repro.fs.inode import Inode, InodeType
 from repro.ipc.socket import Socket, SocketNamespace
-from repro.ipc.sysv_msg import MsgRegistry
 from repro.ipc.sysv_sem import SemRegistry
 from repro.ipc.sysv_shm import ShmRegistry
 from repro.share import vmshare
@@ -18,12 +17,11 @@ def _words(nbytes: int) -> int:
 
 
 class IPCSyscalls:
-    """Kernel mixin: shmget/shmat, semop, message queues, sockets."""
+    """Kernel mixin: shmget/shmat, semop, sockets."""
 
     def init_ipc(self) -> None:
         self.shm = ShmRegistry(self.machine.frames)
         self.sem = SemRegistry(self.machine, self.sched)
-        self.msg = MsgRegistry(self.machine, self.sched)
         self.socket_names = SocketNamespace()
 
     # ------------------------------------------------------------------
@@ -83,55 +81,6 @@ class IPCSyscalls:
                 # Take our banked wakeup claim with us, or broadcast()
                 # over-credits the change semaphore forever after.
                 semset.waiters = max(semset.waiters - 1, 0)
-                raise SysError(EINTR)
-
-    # ------------------------------------------------------------------
-    # message queues
-
-    def sys_msgget(self, proc, key: int, flags: int = 0):
-        yield kdelay(self.costs.file_io_base)
-        if self.fail("ipc.get"):
-            raise SysError(ENOSPC, "injected: ipc table full")
-        queue = self.msg.get(key, flags)
-        return queue.msqid
-
-    def sys_msgsnd(self, proc, msqid: int, mtype: int, payload: bytes):
-        if mtype <= 0:
-            raise SysError(EINVAL, "message type must be positive")
-        queue = self.msg.lookup(msqid)
-        yield kdelay(self.costs.msg_op)
-        while not queue.has_room(len(payload)):
-            if self.fail("msg.snd.sleep"):
-                raise SysError(EINTR, "injected: signal before msgsnd sleep")
-            queue.send_waiters += 1
-            ok = yield from queue.send_wait.p(proc, interruptible=True)
-            if not ok:
-                queue.send_waiters = max(queue.send_waiters - 1, 0)
-                raise SysError(EINTR)
-        yield kdelay(self.costs.copyio_per_word * _words(len(payload)))
-        queue.enqueue(mtype, bytes(payload))
-        self.pcount(proc, "msgs_sent")
-        self.trace("ipc", proc.pid, "msgsnd id=%d n=%d" % (msqid, len(payload)))
-        return 0
-
-    def sys_msgrcv(self, proc, msqid: int, mtype: int = 0, max_bytes: int = 1 << 20):
-        """Returns ``(mtype, payload)``."""
-        queue = self.msg.lookup(msqid)
-        yield kdelay(self.costs.msg_op)
-        while True:
-            message = queue.find(mtype)
-            if message is not None:
-                if len(message[1]) > max_bytes:
-                    raise SysError(E2BIG)
-                queue.dequeue(message)
-                yield kdelay(self.costs.copyio_per_word * _words(len(message[1])))
-                return message
-            if self.fail("msg.rcv.sleep"):
-                raise SysError(EINTR, "injected: signal before msgrcv sleep")
-            queue.recv_waiters += 1
-            ok = yield from queue.recv_wait.p(proc, interruptible=True)
-            if not ok:
-                queue.recv_waiters = max(queue.recv_waiters - 1, 0)
                 raise SysError(EINTR)
 
     # ------------------------------------------------------------------

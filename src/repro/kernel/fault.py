@@ -66,8 +66,9 @@ class FaultMixin:
         carries its Frame; a hit on a freed one (a translation that
         outlived its page without a shootdown) is a simulator bug.
         """
-        # open-coded TLB.lookup (same statistics): this probe runs on
-        # every user load/store, so the extra call layer shows up
+        # the one live TLB probe, and the one place that counts hits and
+        # misses: it runs on every user load/store, so it reads the
+        # entry table directly rather than through a TLB method
         tlb = proc.cpu.tlb
         entry = tlb._entries.get((proc.vm.asid, vaddr >> PAGE_SHIFT))
         if entry is None:

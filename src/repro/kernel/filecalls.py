@@ -108,17 +108,11 @@ class FileSyscalls:
                 if flags & O_TRUNC:
                     inode.truncate()
             file = File(inode, flags)
-            if inode.itype is InodeType.FIFO and inode.fifo is not None:
-                if file.readable:
-                    inode.fifo.add_read_end()
-                if file.writable:
-                    inode.fifo.add_write_end()
             try:
                 fd = proc.uarea.fdtable.alloc(file)
             except SysError:
-                # Final-release bookkeeping undoes the FIFO endpoint
-                # counts bumped above; without it an EMFILE open leaks
-                # the endpoint and readers never see EOF.
+                # Drop the new file's only reference, and with it the
+                # inode hold; without it an EMFILE open leaks the inode.
                 self.dispose_file(file)
                 raise
             self.stats["opens"] += 1
@@ -171,15 +165,7 @@ class FileSyscalls:
         yield kdelay(self.costs.file_io_base)
 
         def apply():
-            table = proc.uarea.fdtable
-            file = table.get(fd)
-            if newfd != fd:
-                old = table.slots[newfd] if 0 <= newfd < len(table.slots) else None
-                if old is not None:
-                    table.slots[newfd] = None
-                    self.dispose_file(old)
-                table.install_at(newfd, file.hold())
-            return newfd
+            return proc.uarea.fdtable.dup2(fd, newfd, self.dispose_file)
             yield  # pragma: no cover
 
         result = yield from self._fd_update(proc, apply)

@@ -367,7 +367,7 @@ class ProcSyscalls:
             self.stats["groups_freed"] += 1
 
     # ------------------------------------------------------------------
-    # runtime unshare (ROADMAP #4: prctl PR_UNSHARE / PR_SETSHMASK)
+    # runtime unshare (a section 8 extension: prctl PR_UNSHARE / PR_SETSHMASK)
 
     def do_unshare(self, proc, value: int):
         """Generator: transactionally stop sharing the resources in

@@ -290,15 +290,6 @@ class UserAPI:
     def semop(self, semid: int, ops):
         return self._call(self.kernel.sys_semop(self.proc, semid, ops))
 
-    def msgget(self, key: int, flags: int = 0):
-        return self._call(self.kernel.sys_msgget(self.proc, key, flags))
-
-    def msgsnd(self, msqid: int, mtype: int, payload: bytes):
-        return self._call(self.kernel.sys_msgsnd(self.proc, msqid, mtype, payload))
-
-    def msgrcv(self, msqid: int, mtype: int = 0, max_bytes: int = 1 << 20):
-        return self._call(self.kernel.sys_msgrcv(self.proc, msqid, mtype, max_bytes))
-
     # ------------------------------------------------------------------
     # sockets
 

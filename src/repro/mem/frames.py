@@ -101,7 +101,3 @@ class FrameAllocator:
     @property
     def free_count(self) -> int:
         return len(self._free)
-
-    def check_leaks(self) -> int:
-        """Frames still allocated (useful in teardown assertions)."""
-        return self.allocated

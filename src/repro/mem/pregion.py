@@ -153,16 +153,6 @@ class Pregion:
         )
 
 
-def vaddr_page(vaddr: int) -> int:
-    """Virtual page number of an address."""
-    return vaddr >> PAGE_SHIFT
-
-
-def page_base(vaddr: int) -> int:
-    """Page-aligned base of an address."""
-    return vaddr & ~PAGE_MASK
-
-
 __all__ = [
     "Growth",
     "PAGE_SIZE",
@@ -172,6 +162,4 @@ __all__ = [
     "PROT_RX",
     "PROT_WRITE",
     "Pregion",
-    "page_base",
-    "vaddr_page",
 ]

@@ -143,17 +143,6 @@ class Region:
                 self.cow[index] = True
         return clone
 
-    def dup_copy(self) -> "Region":
-        """Eager full copy (used by ablations and exec of initialized data)."""
-        self._check_live()
-        clone = Region(self.allocator, len(self.pages), self.rtype)
-        for index, frame in enumerate(self.pages):
-            if frame is not None:
-                fresh = self.allocator.alloc()
-                fresh.data[:] = frame.data
-                clone.pages[index] = fresh
-        return clone
-
     # ------------------------------------------------------------------
     # growth and shrinkage
 

@@ -20,7 +20,7 @@ dependency graph, and four classes of misuse raise a structured
 
 Edges are keyed by lock *class*, not instance: the class is the lock's
 name with any per-object suffix stripped (``wait:12`` → ``wait``,
-``urw@0x40021000`` → ``urw``, trailing digits dropped), so one group's
+``uspin@0x40021000`` → ``uspin``, trailing digits dropped), so one group's
 ``shaddr.vm.acclck`` teaches the checker about every group's.  Same-class
 edges (A → A) are recorded but never reported — nesting two instances of
 one class is the shared-pregion walk's legitimate pattern, and flagging

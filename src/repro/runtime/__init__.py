@@ -7,19 +7,11 @@ simulated uniprocessor and multiprocessor.
 """
 
 from repro.runtime.aio import AIO_READ, AIO_WRITE, AioRing, aio_worker
-from repro.runtime.prda import (
-    PRDA_ERRNO,
-    PRDA_SCRATCH,
-    PRDA_USER,
-    PRDA_USER_SIZE,
-    clear_errno,
-    errno,
-)
+from repro.runtime.prda import PRDA_ERRNO, PRDA_SCRATCH, PRDA_USER, PRDA_USER_SIZE
 from repro.runtime.hybridlock import HybridLock
 from repro.runtime.shmalloc import Arena, SIZE_CLASSES
-from repro.runtime.ulocks import UBarrier, UCounter, USpinLock
-from repro.runtime.urwlock import URWLock, USema
-from repro.runtime.workqueue import WorkQueue, run_pool
+from repro.runtime.ulocks import UBarrier, USpinLock
+from repro.runtime.workqueue import WorkQueue
 
 __all__ = [
     "AIO_READ",
@@ -33,13 +25,7 @@ __all__ = [
     "PRDA_USER_SIZE",
     "SIZE_CLASSES",
     "UBarrier",
-    "URWLock",
-    "USema",
-    "UCounter",
     "USpinLock",
     "WorkQueue",
     "aio_worker",
-    "clear_errno",
-    "errno",
-    "run_pool",
 ]

@@ -146,19 +146,6 @@ class AioRing:
         handle = yield from self._submit(api, AIO_WRITE, fd, buf, nbytes, offset)
         return handle
 
-    def submit_read_blocking(self, api, fd: int, buf: int, nbytes: int, offset: int):
-        """Generator: like :meth:`submit_read`, but marks the request so
-        the worker ``uwake``\\ s the status word — pair with
-        :meth:`wait_block`."""
-        handle = yield from self._submit(
-            api, AIO_READ | AIO_NOTIFY, fd, buf, nbytes, offset)
-        return handle
-
-    def submit_write_blocking(self, api, fd: int, buf: int, nbytes: int, offset: int):
-        handle = yield from self._submit(
-            api, AIO_WRITE | AIO_NOTIFY, fd, buf, nbytes, offset)
-        return handle
-
     def wait(self, api, handle: int):
         """Generator: spin (politely) until the request completes.
 
@@ -178,7 +165,7 @@ class AioRing:
         return result
 
     def wait_block(self, api, handle: int, free: bool = True):
-        """Generator: sleep until a ``*_blocking`` submission completes.
+        """Generator: sleep until a notify-mode submission completes.
 
         The submitter parks in ``uwait`` on the request's status word;
         the worker stores the completion flag and then wakes the word

@@ -24,14 +24,3 @@ PRDA_SCRATCH = PRDA_BASE + 4
 PRDA_USER = PRDA_BASE + 64
 #: bytes available to the application
 PRDA_USER_SIZE = PRDA_SIZE - 64
-
-
-def errno(api):
-    """Generator: read this process's errno from its PRDA."""
-    value = yield from api.load_word(PRDA_ERRNO)
-    return value
-
-
-def clear_errno(api):
-    """Generator: reset errno to zero."""
-    yield from api.store_word(PRDA_ERRNO, 0)

@@ -3,8 +3,8 @@
 The paper (section 3): "The best performance is obtained using some form
 of busy-waiting for synchronization ... With hardware support for
 busy-waiting, synchronization speeds can approach memory access speeds."
-These primitives are exactly that — test-and-test-and-set spinlocks,
-barriers and counters built on the simulated CAS/fetch-add instructions,
+These primitives are exactly that — a test-and-test-and-set spinlock
+and a barrier built on the simulated CAS/fetch-add instructions,
 operating on words in a share group's common address space.  No kernel
 entry happens on any fast path.
 """
@@ -91,22 +91,3 @@ class UBarrier:
             if polls >= 64:
                 yield from api.yield_cpu()
                 polls = 0
-
-
-class UCounter:
-    """An atomic counter on one shared word."""
-
-    def __init__(self, vaddr: int):
-        self.vaddr = vaddr
-
-    def add(self, api, delta: int = 1):
-        """Generator: atomically add; returns the previous value."""
-        old = yield from api.fetch_add(self.vaddr, delta)
-        return old
-
-    def value(self, api):
-        value = yield from api.load_word(self.vaddr)
-        return value
-
-    def set(self, api, value: int):
-        yield from api.store_word(self.vaddr, value)

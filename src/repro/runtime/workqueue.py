@@ -231,17 +231,3 @@ class BlockingWorkQueue(WorkQueue):
         yield from self.lock.release(api)
         yield from api.uwake(self._ne_seq(), 1 << 30)
         yield from api.uwake(self._nf_seq(), 1 << 30)
-
-
-def run_pool(api, nworkers: int, worker_entry, queue: "WorkQueue", shmask: int):
-    """Generator: preallocate a pool of sproc'd workers on ``queue``.
-
-    Returns the list of pids.  ``worker_entry(api, queue_base)`` is the
-    child program; it should attach with :meth:`WorkQueue.attach` and
-    loop on :meth:`WorkQueue.pop` until it returns None.
-    """
-    pids = []
-    for _ in range(nworkers):
-        pid = yield from api.sproc(worker_entry, shmask, queue.base)
-        pids.append(pid)
-    return pids

@@ -15,7 +15,6 @@ from repro.share.mask import (
     PR_SULIMIT,
     PR_SUMASK,
     inherit_mask,
-    mask_names,
 )
 from repro.share.prctl import (
     PR_GETGANG,
@@ -52,5 +51,4 @@ __all__ = [
     "PR_UNSHARE",
     "SharedAddressBlock",
     "inherit_mask",
-    "mask_names",
 ]

@@ -58,19 +58,3 @@ KNOWN_BITS = PR_SADDR | PR_SULIMIT | PR_SUMASK | PR_SDIR | PR_SFDS | PR_SID
 def inherit_mask(parent_mask: int, requested: int) -> int:
     """Strict inheritance: the child shares at most what the parent does."""
     return parent_mask & requested
-
-
-def mask_names(mask: int) -> str:
-    """Readable rendering of a share mask for diagnostics."""
-    names = []
-    for bit, name in (
-        (PR_SADDR, "addr"),
-        (PR_SULIMIT, "ulimit"),
-        (PR_SUMASK, "umask"),
-        (PR_SDIR, "dir"),
-        (PR_SFDS, "fds"),
-        (PR_SID, "id"),
-    ):
-        if mask & bit:
-            names.append(name)
-    return "|".join(names) if names else "none"

@@ -2,8 +2,8 @@
 
 ``prctl(PR_UNSHARE, mask)`` — and the symmetric tighten-only
 ``PR_SETSHMASK`` — is the reverse of ``sproc()``: the calling member
-stops sharing the named resources and receives private copies (ROADMAP
-item #4; Linux's ``unshare(2)`` is the direct descendant of this
+stops sharing the named resources and receives private copies (a section 8
+extension; Linux's ``unshare(2)`` is the direct descendant of this
 interface).  Every copy-out step can fail, injected or real, so the work
 is *staged*: fresh private structures are built first while the shared
 ones stay untouched, then installed in one host-atomic commit.  On any

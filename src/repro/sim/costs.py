@@ -73,7 +73,6 @@ class CostModel:
     disk_latency: int = 20_000  #: simulated device latency for REG file data
     pipe_op: int = 120  #: pipe bookkeeping per transfer
     socket_op: int = 350  #: socket layer bookkeeping per transfer (mbufs etc.)
-    msg_op: int = 180  #: SysV message queue bookkeeping per transfer
 
     def replace(self, **overrides: int) -> "CostModel":
         """Return a copy with the given costs overridden."""

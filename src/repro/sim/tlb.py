@@ -99,17 +99,12 @@ class TLB:
     # ------------------------------------------------------------------
     # lookup / refill
 
-    def lookup(self, asid: int, vpn: int) -> Optional[TLBEntry]:
-        """Probe the TLB.  Updates hit/miss statistics."""
-        entry = self._entries.get((asid, vpn))
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
     def probe(self, asid: int, vpn: int) -> Optional[TLBEntry]:
-        """Look up without touching statistics (for assertions/tests)."""
+        """Look up without touching statistics (for assertions/tests).
+
+        The live probe is the kernel's ``vm_hit``: it reads the entry
+        table directly and counts :attr:`hits` and :attr:`misses`.
+        """
         return self._entries.get((asid, vpn))
 
     def insert(self, asid: int, vpn: int, frame, writable: bool) -> TLBEntry:

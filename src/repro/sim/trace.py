@@ -86,14 +86,6 @@ class Tracer:
             self.dropped += 1
         self._ring.append(TraceEvent(self.engine.now, kind, pid, detail, ph, cpu))
 
-    def begin(self, kind: str, pid: int, detail: str = "", cpu: Optional[int] = None) -> None:
-        """Open a typed span (pair with :meth:`end`)."""
-        self.record(kind, pid, detail, ph="B", cpu=cpu)
-
-    def end(self, kind: str, pid: int, detail: str = "", cpu: Optional[int] = None) -> None:
-        """Close the innermost open span of this kind on this track."""
-        self.record(kind, pid, detail, ph="E", cpu=cpu)
-
     # ------------------------------------------------------------------
 
     def events(self, kind: Optional[str] = None, pid: Optional[int] = None):

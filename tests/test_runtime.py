@@ -2,7 +2,7 @@
 
 
 from repro import O_CREAT, O_RDWR, PR_SALL, status_code
-from repro.runtime import AioRing, Arena, UBarrier, UCounter, USpinLock, WorkQueue
+from repro.runtime import AioRing, Arena, UBarrier, USpinLock, WorkQueue
 from tests.conftest import run_program
 
 
@@ -102,21 +102,6 @@ def test_barrier_reusable_across_generations():
 
     out, _ = run_program(main, ncpus=4)
     assert out["ok"]
-
-
-def test_ucounter():
-    def main(api, out):
-        base = yield from api.mmap(4096)
-        counter = UCounter(base)
-        yield from counter.set(api, 10)
-        old = yield from counter.add(api, 5)
-        out["old"] = old
-        out["now"] = yield from counter.value(api)
-        return 0
-
-    out, _ = run_program(main)
-    assert out["old"] == 10
-    assert out["now"] == 15
 
 
 # ----------------------------------------------------------------------
