@@ -10,9 +10,15 @@ a peer when its queue is empty, so no CPU idles while work waits.
 Dispatch and preemption decisions read only the queue heads (O(ncpus)),
 never every runnable process — the global run-queue scan this design
 replaced is kept as :class:`GlobalScheduler` for the E15 ablation.
-Both subclass :class:`SchedulerBase`, which holds wakeup, the dispatch
-loop, gang mode and preemption requests; they differ only in the queue,
-``_select`` and ``_place``.
+Both subclass :class:`SchedulerBase`, which holds wakeup, the CPU
+hand-back paths, gang co-dispatch and preemption requests; each class
+supplies its queue and its one dispatch loop, ``_dispatch``, which
+makes a whole decision (read the queue, choose, place) in one frame.
+
+A context switch costs one scheduler call from the CPU: ``preempt`` for
+a yield or a quantum preemption (requeue, then dispatch), ``cpu_idle``
+for a block, ``wakeup`` for a wakeup.  Process states are read through
+module bindings, never through ``ProcState``'s metaclass lookup.
 
 Preemption is requested by setting ``need_resched`` on the running
 process; the CPU honors it at its next user-mode boundary (kernel code
@@ -32,27 +38,32 @@ E12 measures what this buys spinlock-heavy workloads.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.kernel.proc import Proc, ProcState
+from repro.kernel.proc import Proc
 
 #: a waking process stays on its last CPU's queue as long as that queue
 #: is at most this much deeper than the shallowest queue
 AFFINITY_SLACK = 1
 
+# process states as module globals: reading a ``ProcState`` member goes
+# through the enum metaclass's ``__getattr__`` every time
+RUNNABLE = Proc.RUNNABLE
+RUNNING = Proc.RUNNING
+ZOMBIE = Proc.ZOMBIE
+
 
 class SchedulerBase:
     """What both schedulers share: everything but the run queue.
 
-    Wakeup, requeue and idle handling, the dispatch loop with gang
-    reservation, eviction and preemption requests, and the counters are
-    written once here.  A subclass supplies the queue itself:
-    ``_enqueue``, ``_select`` (count the pick, return the best waiting
-    process or None), ``_place`` (take it off the queue and onto an
-    idle CPU), ``should_preempt``, ``reprioritize``, ``has_runnable``
-    and ``queue_depths``.
+    Wakeup, the CPU hand-back paths (``preempt``, ``cpu_idle``), gang
+    co-dispatch (need check, hold, eviction, companions), preemption
+    requests and the counters are written once here.  A subclass
+    supplies the queue itself: ``_enqueue``, ``_dispatch`` (fill idle
+    CPUs until no eligible work remains), ``should_preempt``,
+    ``reprioritize``, ``has_runnable`` and ``queue_depths``.
     """
 
     def __init__(self, machine):
@@ -73,89 +84,48 @@ class SchedulerBase:
             cpu.dispatcher = self
 
     # ------------------------------------------------------------------
-    # queue maintenance
+    # entry points: a wakeup, a yield or preemption, a block
 
     def wakeup(self, proc: Proc) -> None:
         """Make ``proc`` runnable and get it a CPU if one is idle."""
-        if proc.state in (ProcState.RUNNING, ProcState.RUNNABLE):
+        state = proc.state
+        if state is RUNNING or state is RUNNABLE:
             return
-        if proc.state is ProcState.ZOMBIE:
+        if state is ZOMBIE:
             raise SimulationError("wakeup of zombie %r" % proc)
-        proc.state = ProcState.RUNNABLE
+        proc.state = RUNNABLE
         self._enqueue(proc)
         self.wakeups += 1
         self._kernel_ks["wakeups"] += 1
         kernel = self.kernel
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("wakeup", proc.pid)
-        self._dispatch_idle()
-        if proc.state is ProcState.RUNNABLE:
+        self._dispatch()
+        if proc.state is RUNNABLE:
             self._request_preemption(proc)
 
-    def requeue(self, proc: Proc) -> None:
-        """A preempted or yielding process goes back to a queue tail."""
-        proc.state = ProcState.RUNNABLE
+    def preempt(self, cpu, proc: Proc) -> None:
+        """``proc`` left ``cpu`` still runnable (a yield or a preemption):
+        back to a queue tail, and the freed CPU to the dispatch loop."""
+        proc.state = RUNNABLE
         self._enqueue(proc)
-
-    def _enqueue(self, proc: Proc) -> None:
-        raise NotImplementedError
+        # a CPU that was running a process is never on the idle list
+        self._idle.append(cpu)
+        self._dispatch()
 
     def cpu_idle(self, cpu) -> None:
-        """``cpu`` has nothing to run; find it work or park it."""
+        """``cpu``'s process blocked; find the CPU work or park it."""
         if cpu.current is not None:
             raise SimulationError("cpu_idle on busy CPU%d" % cpu.idx)
         if cpu not in self._idle:
             self._idle.append(cpu)
-        self._dispatch_idle()
+        self._dispatch()
 
-    # ------------------------------------------------------------------
-    # dispatch
-
-    def _dispatch_idle(self) -> None:
-        """Fill idle CPUs until no eligible work remains."""
-        while self._idle:
-            if not self._dispatch_one():
-                return
-
-    def _dispatch_one(self) -> bool:
-        """One dispatch decision; False when nothing may be placed.
-
-        A gang member chosen by ``_select`` reserves idle CPUs: if not
-        enough processors are free to co-schedule the whole gang we
-        dispatch nothing (leaving CPUs idle to accumulate) and ask
-        running non-members to yield.  Deliberately
-        non-work-conserving — that is the price of the section 8
-        guarantee that the group runs in parallel or not at all.  The
-        companions are computed after the chosen member is placed, when
-        it no longer counts as runnable; E12's placement order depends
-        on that.
-        """
-        chosen = self._select()
-        if chosen is None:
-            return False
-        if chosen.shaddr is not None and chosen.shaddr.gang:
-            if self._gang_need(chosen) > len(self._idle):
-                self.gang_holds += 1
-                self._evict_for_gang(chosen)
-                return False
-            self.gang_dispatches += 1
-            self._place(chosen)
-            for member in self._gang_companions(chosen):
-                self._place(member)
-            return True
-        self._place(self._prefer_local(chosen))
-        return True
-
-    def _select(self) -> Optional[Proc]:
+    def _enqueue(self, proc: Proc) -> None:
         raise NotImplementedError
 
-    def _place(self, proc: Proc) -> None:
+    def _dispatch(self) -> None:
         raise NotImplementedError
-
-    def _prefer_local(self, best: Proc) -> Proc:
-        """The process to place for a non-gang ``best``: ``best`` itself
-        unless the subclass keeps queues an idle CPU can prefer."""
-        return best
 
     # ------------------------------------------------------------------
     # gang mode (extension)
@@ -163,33 +133,43 @@ class SchedulerBase:
     def _gang_runnable(self, proc: Proc) -> List[Proc]:
         return [
             member for member in proc.shaddr.members()
-            if member.state is ProcState.RUNNABLE
+            if member.state is RUNNABLE
         ]
-
-    def _gang_need(self, proc: Proc) -> int:
-        """CPUs required to co-dispatch the gang (capped at the machine)."""
-        return min(len(self._gang_runnable(proc)), self.machine.ncpus)
 
     def _gang_blocked(self, proc: Proc) -> bool:
         """May this gang member not be dispatched yet?"""
         if proc.shaddr is None or not proc.shaddr.gang:
             return False
-        return self._gang_need(proc) > len(self._idle)
+        need = min(len(self._gang_runnable(proc)), self.machine.ncpus)
+        return need > len(self._idle)
 
-    def _gang_companions(self, proc: Proc) -> List[Proc]:
-        """Other members to place on idle CPUs alongside ``proc``."""
-        take = self._gang_need(proc) - 1
-        return [
-            member for member in self._gang_runnable(proc) if member is not proc
-        ][:take]
+    def _gang_take(self, chosen: Proc) -> Optional[List[Proc]]:
+        """One dispatch decision for the gang member ``chosen``: the
+        members to place, ``chosen`` first, or None when the gang holds.
 
-    def _evict_for_gang(self, proc: Proc) -> None:
-        """Ask CPUs running non-members to free up for a waiting gang."""
-        members = set(proc.shaddr.members())
-        for cpu in self.machine.cpus:
-            running = cpu.current
-            if running is not None and running not in members:
-                running.need_resched = True
+        A gang reserves idle CPUs: if not enough processors are free to
+        co-schedule every runnable member we dispatch nothing (leaving
+        CPUs idle to accumulate) and ask running non-members to yield.
+        Deliberately non-work-conserving — that is the price of the
+        section 8 guarantee that the group runs in parallel or not at
+        all.  The companions are taken before anyone is placed, while
+        ``chosen`` still counts as runnable, so the whole gang goes out
+        in this one decision: no later decision can hand a reserved CPU
+        to a non-member queued ahead of the last member.
+        """
+        runnable = self._gang_runnable(chosen)
+        need = min(len(runnable), self.machine.ncpus)
+        if need > len(self._idle):
+            self.gang_holds += 1
+            members = set(chosen.shaddr.members())
+            for cpu in self.machine.cpus:
+                running = cpu.current
+                if running is not None and running not in members:
+                    running.need_resched = True
+            return None
+        self.gang_dispatches += 1
+        companions = [member for member in runnable if member is not chosen]
+        return [chosen] + companions[:need - 1]
 
     # ------------------------------------------------------------------
     # preemption
@@ -273,122 +253,141 @@ class Scheduler(SchedulerBase):
                 home = self._idle[0].idx
             elif home is None or depth[home] > shallowest + AFFINITY_SLACK:
                 home = depth.index(shallowest)
-        self._push(proc, home)
+        entries = self._entries
+        pid = proc.pid
+        if pid in entries:
+            raise SimulationError("pid %d enqueued twice" % pid)
+        self._seq = seq = self._seq + 1
+        entry = [proc.pri, seq, proc, True, home]
+        entries[pid] = entry
+        heappush(self._heaps[home], entry)
         depth[home] += 1
         self._cpu_ks[home]["runq_depth"] = depth[home]
 
-    def _push(self, proc: Proc, home: int) -> None:
-        """Put ``proc`` on CPU ``home``'s heap under a fresh seq."""
-        if proc.pid in self._entries:
-            raise SimulationError("pid %d enqueued twice" % proc.pid)
+    def reprioritize(self, proc: Proc) -> None:
+        """``proc.pri`` changed; re-key its queue entry if it is waiting.
+
+        The old entry dies where it lies and a fresh one, under a new
+        seq, joins the same CPU's heap.
+        """
+        old = self._entries.get(proc.pid)
+        if old is None:
+            return
+        old[3] = False
+        home = old[4]
         self._seq += 1
         entry = [proc.pri, self._seq, proc, True, home]
         self._entries[proc.pid] = entry
-        heapq.heappush(self._heaps[home], entry)
+        heap = self._heaps[home]
+        heappush(heap, entry)
+        while not heap[0][3]:
+            heappop(heap)
 
-    def _unlink(self, proc: Proc) -> int:
-        """Take ``proc``'s entry off its heap; return that heap's CPU."""
+    # ------------------------------------------------------------------
+    # dispatch
+
+    def _dispatch(self) -> None:
+        """Fill idle CPUs until no eligible work remains.
+
+        Each decision reads every queue head for the globally best
+        process by (priority, enqueue order) — O(ncpus), however many
+        processes are runnable.  Under seeded perturbation, FIFO order
+        *within* the best priority class is not load-bearing: the RNG
+        picks any best-priority head (a legal steal tie-break), which
+        is how the schedule explorer varies who gets stolen first.
+
+        Priorities are strict, but within the best priority class an
+        idle CPU takes the head of its own queue before the globally
+        oldest one — that slight FIFO bend is what makes affinity pay:
+        a requeued process is usually redispatched on the CPU whose
+        cache and TLB it just warmed instead of round-robining across
+        the machine.  Gang heads are never taken that way: a gang is
+        dispatched only as the global best, through ``_gang_take``, so
+        the reservation rule stays intact.
+        """
+        idle = self._idle
+        heaps = self._heaps
+        while idle:
+            self.picks += 1
+            self.scan_steps += len(heaps)
+            best = None
+            for heap in heaps:
+                if heap and (best is None or heap[0] < best):
+                    best = heap[0]
+            if best is None:
+                return
+            proc = best[2]
+            pri = proc.pri
+            if self._perturb_select:
+                heads = [heap[0][2] for heap in heaps if heap and heap[0][0] == pri]
+                if len(heads) > 1:
+                    proc = self._rng.choice(heads)
+            shaddr = proc.shaddr
+            if shaddr is not None and shaddr.gang:
+                group = self._gang_take(proc)
+                if group is None:
+                    return
+                for member in group:
+                    self._place(member)
+                continue
+            examined = 0
+            for cpu in idle:
+                examined += 1
+                heap = heaps[cpu.idx]
+                if heap and heap[0][0] == pri:
+                    local = heap[0][2]
+                    if local.shaddr is None or not local.shaddr.gang:
+                        proc = local
+                        break
+            self.scan_steps += examined
+            self._place(proc)
+
+    def _place(self, proc: Proc) -> None:
+        """Take ``proc`` off its queue and start it on the best idle CPU.
+
+        The best is its queue's owner, then ``last_cpu``, then whichever
+        went idle first.  Under seeded perturbation any idle CPU is a
+        legal placement (an affinity tie-break).
+        """
         entry = self._entries.pop(proc.pid)
         entry[3] = False
         home = entry[4]
         heap = self._heaps[home]
         while heap and not heap[0][3]:
-            heapq.heappop(heap)
-        return home
-
-    def reprioritize(self, proc: Proc) -> None:
-        """``proc.pri`` changed; re-key its queue entry if it is waiting."""
-        if proc.pid in self._entries:
-            self._push(proc, self._unlink(proc))
-
-    # ------------------------------------------------------------------
-    # dispatch
-
-    def _prefer_local(self, best: Proc) -> Proc:
-        """A same-priority head on an idle CPU's own queue, if any.
-
-        Priorities are strict, but *within* the best priority class an
-        idle CPU takes the head of its own queue before the globally
-        oldest one — that slight FIFO bend is what makes affinity pay:
-        a requeued process is usually redispatched on the CPU whose
-        cache and TLB it just warmed instead of round-robining across
-        the machine.  Gang heads are never chosen here — gangs dispatch
-        only through the global-best path so the reservation rule stays
-        intact.
-        """
-        heaps = self._heaps
-        for cpu in self._idle:
-            heap = heaps[cpu.idx]
-            self.scan_steps += 1
-            if heap and heap[0][0] == best.pri:
-                proc = heap[0][2]
-                if proc.shaddr is None or not proc.shaddr.gang:
-                    return proc
-        return best
-
-    def _select(self) -> Optional[Proc]:
-        """Globally-best queued process, by (priority, enqueue order).
-
-        Found by reading the head of every queue — O(ncpus),
-        independent of how many processes are runnable.  Under seeded
-        perturbation, FIFO order *within* the best priority class is
-        not load-bearing: the RNG picks any best-priority head (a legal
-        steal tie-break), which is how the schedule explorer varies who
-        gets stolen first.
-        """
-        self.picks += 1
-        heaps = self._heaps
-        self.scan_steps += len(heaps)
-        best = None
-        for heap in heaps:
-            if heap and (best is None or heap[0] < best):
-                best = heap[0]
-        if best is None:
-            return None
-        proc = best[2]
-        if self._perturb_select:
-            heads = [heap[0][2] for heap in heaps if heap and heap[0][0] == proc.pri]
-            if len(heads) > 1:
-                return self._rng.choice(heads)
-        return proc
-
-    def _place(self, proc: Proc) -> None:
-        home = self._unlink(proc)
+            heappop(heap)
         depth = self._depth[home] - 1
         self._depth[home] = depth
         self._cpu_ks[home]["runq_depth"] = depth
-        cpu = self._choose_cpu(proc, home)
-        self._idle.remove(cpu)
-        proc.state = ProcState.RUNNING
-        if proc.last_cpu is not None:
-            if cpu.idx == proc.last_cpu:
+        idle = self._idle
+        last = proc.last_cpu
+        if self._perturb_place and len(idle) > 1:
+            cpu = self._rng.choice(idle)
+        else:
+            cpu = None
+            for candidate in idle:
+                idx = candidate.idx
+                if idx == home:
+                    cpu = candidate
+                    break
+                if idx == last:
+                    cpu = candidate
+            if cpu is None:
+                cpu = idle[0]
+        idle.remove(cpu)
+        proc.state = RUNNING
+        idx = cpu.idx
+        if last is not None:
+            if idx == last:
                 self.affinity_hits += 1
                 self._kernel_ks["sched_affinity_hits"] += 1
             else:
                 self.migrations += 1
                 self._kernel_ks["sched_migrations"] += 1
-        if cpu.idx != home:
+        if idx != home:
             self.steals += 1
             self._kernel_ks["sched_steals"] += 1
-            self._cpu_ks[cpu.idx]["runq_steals"] += 1
+            self._cpu_ks[idx]["runq_steals"] += 1
         cpu.assign(proc)
-
-    def _choose_cpu(self, proc: Proc, home: int):
-        """Best idle CPU for ``proc``: its queue's owner ``home``, then
-        last_cpu, then whichever went idle first.  Under seeded
-        perturbation any idle CPU is a legal placement (an affinity
-        tie-break)."""
-        idle = self._idle
-        if self._perturb_place and len(idle) > 1:
-            return self._rng.choice(idle)
-        for cpu in idle:
-            if cpu.idx == home:
-                return cpu
-        if proc.last_cpu is not None and proc.last_cpu != home:
-            for cpu in idle:
-                if cpu.idx == proc.last_cpu:
-                    return cpu
-        return idle[0]
 
     # ------------------------------------------------------------------
     # preemption
@@ -426,10 +425,10 @@ class Scheduler(SchedulerBase):
 class GlobalScheduler(SchedulerBase):
     """The pre-E15 scheduler: one global run queue feeding idle CPUs.
 
-    Kept as the ablation baseline for experiment E15: ``_select`` scans
-    every runnable process per dispatch and ``should_preempt`` re-scans
-    the whole queue at every quantum expiry, the O(n) hot path the
-    per-CPU scheduler removes.  Placement ignores ``last_cpu``, so
+    Kept as the ablation baseline for experiment E15: ``_dispatch``
+    scans every runnable process per decision and ``should_preempt``
+    re-scans the whole queue at every quantum expiry, the O(n) hot path
+    the per-CPU scheduler removes.  Placement ignores ``last_cpu``, so
     ``affinity_hits``, ``migrations`` and ``steals`` stay 0.  Select it
     with ``System(scheduler="global")``.
     """
@@ -445,23 +444,33 @@ class GlobalScheduler(SchedulerBase):
         self._queue.append(proc)
 
     def reprioritize(self, proc: Proc) -> None:
-        """No-op: ``_select`` reads priorities live off the global queue."""
+        """No-op: ``_dispatch`` reads priorities live off the global queue."""
 
-    def _select(self) -> Optional[Proc]:
-        """Best queued process: the first of the best priority (O(n))."""
-        self.picks += 1
-        self.scan_steps += len(self._queue)
-        best: Optional[Proc] = None
-        for proc in self._queue:
-            if best is None or proc.pri < best.pri:
-                best = proc
-        return best
-
-    def _place(self, proc: Proc) -> None:
-        cpu = self._idle.pop(0)
-        self._queue.remove(proc)
-        proc.state = ProcState.RUNNING
-        cpu.assign(proc)
+    def _dispatch(self) -> None:
+        """Fill idle CPUs until no eligible work remains.  Each decision
+        takes the first queued process of the best priority (O(n)) and
+        places it on whichever CPU went idle first."""
+        idle = self._idle
+        queue = self._queue
+        while idle:
+            self.picks += 1
+            self.scan_steps += len(queue)
+            best: Optional[Proc] = None
+            for proc in queue:
+                if best is None or proc.pri < best.pri:
+                    best = proc
+            if best is None:
+                return
+            group = [best]
+            if best.shaddr is not None and best.shaddr.gang:
+                group = self._gang_take(best)
+                if group is None:
+                    return
+            for proc in group:
+                cpu = idle.pop(0)
+                queue.remove(proc)
+                proc.state = RUNNING
+                cpu.assign(proc)
 
     def should_preempt(self, cpu, proc: Proc) -> bool:
         """Quantum expired on ``proc``: is someone of equal/better priority waiting?"""

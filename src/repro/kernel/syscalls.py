@@ -33,6 +33,10 @@ from repro.kernel.kernel import ERRNO_OFFSET, Kernel
 from repro.mem import layout
 from repro.sim.effects import Yield, udelay
 
+#: what ``yield_cpu`` yields: the effect carries no state, so every call
+#: shares one instance
+_YIELD = Yield()
+
 
 class UserAPI:
     """Syscall stubs and user-mode instructions for one process."""
@@ -60,7 +64,7 @@ class UserAPI:
 
     def yield_cpu(self):
         """Voluntarily give up the processor."""
-        yield Yield()
+        yield _YIELD
 
     def load(self, vaddr: int, nbytes: int):
         return self.kernel.user_read(self.proc, vaddr, nbytes)

@@ -13,13 +13,18 @@ preemption requests; kernel-mode execution is never preempted, which is
 the classic System V invariant the paper leans on (section 6).
 
 The steady-state hops between ``_resume`` and ``_boundary``, and the
-dispatch hop from ``assign`` to the first boundary, use the engine's
+dispatch hop from ``assign`` straight to the first boundary (carrying
+the process's resume value as its token), use the engine's
 inline-continuation slot (``engine.resched_inline``) with the callables
 prebound in ``__init__``: when the hop is the strictly next event on the
 timeline the engine fires it directly — no Event, no queue traffic, no
 closures (see ``docs/INTERNALS.md`` §14 and §17).  Paths that need a
 cancellable handle or follow anything other than these straight-line
 hops stay on ``engine.schedule_call``.
+
+Leaving the CPU is one scheduler call: ``preempt`` for a yield or a
+preemption (requeue the process, offer the CPU), ``cpu_idle`` for a
+block.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class CPU:
     __slots__ = (
         "idx", "machine", "engine", "costs", "tlb", "private_tlb",
         "current", "kernel", "dispatcher", "_last_asid", "_label",
-        "_resume_cb", "_boundary_cb", "_dispatch_cb", "_resched",
+        "_resume_cb", "_boundary_cb", "_resched",
         "_ks", "_runq_wait",
         "busy_cycles", "switches", "dispatches", "preemptions",
     )
@@ -65,7 +70,6 @@ class CPU:
         # lifetime of the CPU.
         self._resume_cb = self._resume
         self._boundary_cb = self._boundary
-        self._dispatch_cb = self._dispatch_boundary
         # the trampoline-eliding hop for steady-state resumes; under the
         # naive-loop ablation it degrades to schedule_call inside the
         # engine, so call sites never need to know the mode
@@ -92,7 +96,11 @@ class CPU:
         Charges the dispatch cost plus a context-switch cost that depends
         on whether the incoming process uses the same address space as
         the previous one (share-group members share an ASID, so switching
-        between them is cheap and keeps the TLB warm).
+        between them is cheap and keeps the TLB warm).  The first
+        boundary continues where the process left off: its resume value
+        rides in the hop's token.  Nothing can write ``resume_value``
+        in between — only a semaphore does, for a sleeper it is about to
+        wake, and this process is running.
         """
         if self.current is not None:
             raise SimulationError("CPU%d assign while busy" % self.idx)
@@ -121,29 +129,21 @@ class CPU:
         kernel = self.kernel
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("dispatch", proc.pid, self._label, ph="B", cpu=self.idx)
-        self._resched(cost, self._dispatch_cb, None)
-
-    def _dispatch_boundary(self, _token) -> None:
-        """First boundary after dispatch: continue where the proc left off."""
-        proc = self.current
         value = proc.resume_value
         proc.resume_value = None
-        self._boundary(value)
+        self._resched(cost, self._boundary_cb, value)
 
     # ------------------------------------------------------------------
     # interpreter
 
-    def _resume(self, value=None, exc: Optional[BaseException] = None) -> None:
+    def _resume(self, value) -> None:
         """Advance the current process's top frame by one effect."""
         proc = self.current
         if proc is None:
             raise SimulationError("CPU%d resume with no current proc" % self.idx)
         frame = proc.frames[-1]
         try:
-            if exc is not None:
-                effect = frame.throw(exc)
-            else:
-                effect = frame.send(value)
+            effect = frame.send(value)
         except StopIteration as stop:
             self._frame_done(proc, stop.value)
             return
@@ -159,8 +159,6 @@ class CPU:
             # An uncaught exception in guest or kernel code is a bug in
             # the workload (or in us); wrap it with enough context to
             # find the culprit, keeping the original traceback chained.
-            # ``err``, not ``exc``: the parameter names the *injected*
-            # throwable and must not be shadowed by what the frame raised.
             raise SimulationError(
                 "pid %d (%s) crashed on CPU%d at cycle %d: %r"
                 % (proc.pid, proc.name, self.idx, self.engine.now, err)
@@ -206,7 +204,7 @@ class CPU:
             return
         if type(effect) is Yield:
             if self.dispatcher is not None and self.dispatcher.has_runnable():
-                self._preempt(proc, resume_value=None)
+                self._preempt(proc, None)
             else:
                 # yield_cpu with an empty run queue: stay on the CPU
                 cost = self.costs.spin_poll
@@ -283,7 +281,8 @@ class CPU:
     # leaving the CPU
 
     def _preempt(self, proc, resume_value) -> None:
-        """Put ``proc`` back on the run queue and go idle."""
+        """Put ``proc`` back on the run queue and offer this CPU to the
+        dispatch loop, in one scheduler call."""
         proc.resume_value = resume_value
         proc.need_resched = False
         self.current = None
@@ -294,8 +293,7 @@ class CPU:
         kernel = self.kernel
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("dispatch", proc.pid, self._label, ph="E", cpu=self.idx)
-        self.dispatcher.requeue(proc)
-        self.dispatcher.cpu_idle(self)
+        self.dispatcher.preempt(self, proc)
 
     def _deschedule(self, proc) -> None:
         """The process blocked; free the CPU."""

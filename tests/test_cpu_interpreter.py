@@ -199,44 +199,6 @@ def test_guest_exception_is_wrapped_with_context():
     assert isinstance(excinfo.value.__cause__, ValueError)
 
 
-def test_injected_exception_keeps_full_chain():
-    """Throw-injected exceptions survive in the wrapped error's chain.
-
-    ``CPU._resume`` takes the *injected* throwable as a parameter; the
-    except clause that wraps guest crashes must not shadow it (it once
-    did, as ``except Exception as exc:``).  The guest here catches the
-    injection and raises its own error: the wrapper must chain to the
-    guest's error, whose __context__ is the injected original.
-    """
-    from repro.errors import SimulationError
-
-    marker = {}
-
-    def guest(api, arg):
-        try:
-            marker["in_try"] = True
-            yield from api.compute(50)
-        except RuntimeError:
-            raise ValueError("guest reaction")
-
-    sim = System(ncpus=1)
-    sim.spawn(guest, name="inj")
-    cpu = sim.machine.cpus[0]
-    # step until the guest is suspended inside its try block
-    for _ in range(200):
-        if marker.get("in_try") and cpu.current is not None:
-            break
-        assert sim.engine.step(), "workload drained before injection point"
-
-    injected = RuntimeError("injected fault")
-    with pytest.raises(SimulationError) as excinfo:
-        cpu._resume(None, injected)
-    wrapper = excinfo.value
-    assert "inj" in str(wrapper)
-    assert isinstance(wrapper.__cause__, ValueError)
-    assert wrapper.__cause__.__context__ is injected
-
-
 def test_delay_caches_share_one_bound():
     """Both interning caches stop growing at the shared _DELAY_CACHE_MAX."""
     from repro.sim import effects

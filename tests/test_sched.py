@@ -303,8 +303,14 @@ def test_idle_cpu_steals_queued_work():
     assert out["long_started"] < 300_000
 
 
+class _StubVM:
+    """The one thing a dispatch reads off a stub's address space."""
+
+    asid = 0
+
+
 def _make_stub_proc(pid, pri=20):
-    proc = Proc(pid, None, None, name="stub%d" % pid)
+    proc = Proc(pid, None, _StubVM(), name="stub%d" % pid)
     proc.pri = pri
     return proc
 
@@ -321,13 +327,24 @@ class _FakeGangBlock:
         return list(self._members)
 
 
-def _occupy_only_cpu(sim, proc):
-    cpu = sim.machine.cpus[0]
+def _occupy(sim, cpu, proc):
     sim.kernel.sched._idle.remove(cpu)
     cpu.current = proc
     proc.cpu = cpu
     proc.state = ProcState.RUNNING
+
+
+def _occupy_only_cpu(sim, proc):
+    cpu = sim.machine.cpus[0]
+    _occupy(sim, cpu, proc)
     return cpu
+
+
+def _free(sim, cpu):
+    """``cpu``'s stub process blocks: the CPU goes back to the scheduler."""
+    cpu.current.cpu = None
+    cpu.current = None
+    sim.kernel.sched.cpu_idle(cpu)
 
 
 @pytest.mark.parametrize("kind", ["percpu", "global"])
@@ -361,10 +378,7 @@ def test_gang_hold_counted_once_per_blocked_dispatch(kind):
     sched = sim.kernel.sched
     runners = [_make_stub_proc(100), _make_stub_proc(103)]
     for cpu, running in zip(sim.machine.cpus, runners):
-        sched._idle.remove(cpu)
-        cpu.current = running
-        running.cpu = cpu
-        running.state = ProcState.RUNNING
+        _occupy(sim, cpu, running)
 
     m1, m2 = _make_stub_proc(101), _make_stub_proc(102)
     block = _FakeGangBlock([m1, m2])
@@ -379,9 +393,7 @@ def test_gang_hold_counted_once_per_blocked_dispatch(kind):
     # one CPU frees up; the gang needs two, so the dispatch attempt
     # records exactly one hold and asks the non-member to make room
     cpu1 = sim.machine.cpus[1]
-    cpu1.current = None
-    runners[1].cpu = None
-    sched.cpu_idle(cpu1)
+    _free(sim, cpu1)
     assert sched.gang_holds == 1
     assert runners[0].need_resched
     # the reserved CPU stays idle rather than running anything else
@@ -390,20 +402,47 @@ def test_gang_hold_counted_once_per_blocked_dispatch(kind):
     assert sched.gang_holds == 2
 
 
-def test_reprioritize_rekeys_a_queued_proc():
-    sim = System(ncpus=1)
+@pytest.mark.parametrize("kind", ["percpu", "global"])
+def test_gang_codispatch_takes_every_member_at_once(kind):
+    """Regression: the companions were counted after the chosen member
+    was placed, when it no longer counted as runnable, so one fewer was
+    taken.  Here the third reserved CPU then went to a non-member
+    queued ahead of the last member, and the gang ran split."""
+    sim = System(ncpus=4, scheduler=kind)
     sched = sim.kernel.sched
-    running = _make_stub_proc(100)
-    _occupy_only_cpu(sim, running)
+    cpus = sim.machine.cpus
+    for idx, cpu in enumerate(cpus):
+        _occupy(sim, cpu, _make_stub_proc(100 + idx))
+    m1, m2, m3, y = (_make_stub_proc(pid) for pid in (201, 202, 203, 204))
+    block = _FakeGangBlock([m1, m2, m3])
+    m1.shaddr = m2.shaddr = m3.shaddr = block
+    y.last_cpu = m3.last_cpu = 2  # one per-CPU queue, y ahead of m3
+    for proc in (m1, m2, y, m3):
+        proc.state = ProcState.SLEEPING
+        sched.wakeup(proc)
+    for cpu in cpus[:3]:
+        _free(sim, cpu)  # the first two idle CPUs are held for the gang
+    assert [m.state for m in (m1, m2, m3)] == [ProcState.RUNNING] * 3
+    assert y.state is ProcState.RUNNABLE
+    assert sched.gang_dispatches == 1
 
-    a, b = _make_stub_proc(101), _make_stub_proc(102)
-    a.state = b.state = ProcState.SLEEPING
-    sched.wakeup(a)
-    sched.wakeup(b)
-    assert sched._select() is a  # FIFO within equal priority
-    b.pri = 5
-    sched.reprioritize(b)
-    assert sched._select() is b  # new key took effect in the heap
+
+def test_reprioritize_rekeys_a_queued_proc():
+    """Seen through a dispatch: FIFO within equal priority, and a
+    re-keyed entry wins once its priority improves."""
+    for boost in (False, True):
+        sim = System(ncpus=1)
+        sched = sim.kernel.sched
+        cpu = _occupy_only_cpu(sim, _make_stub_proc(100))
+        a, b = _make_stub_proc(101), _make_stub_proc(102)
+        a.state = b.state = ProcState.SLEEPING
+        sched.wakeup(a)
+        sched.wakeup(b)
+        if boost:
+            b.pri = 5
+            sched.reprioritize(b)
+        _free(sim, cpu)
+        assert cpu.current is (b if boost else a)
 
 
 def test_setgrouppri_reorders_queued_members():
@@ -546,16 +585,30 @@ _PIN_COUNTERS = (
 
 #: seed -> digest of the mix above on 4 CPUs, every perturbation feature
 _PINNED_SCHEDULES = {
-    None: "4cb0ef558785a0b7",
-    1: "8011f5c5c080dca7",
-    2: "211aa96815da4c2f",
-    3: "ec1a21883c8f3779",
-    4: "bacf55675b941a45",
-    5: "afb61653f2d393df",
-    6: "275b91d328fb82f5",
-    7: "fc78d261e7bbb5e7",
-    8: "cdd356c8d5fb6d2a",
+    None: "1fdfd29c74d5140f",
+    1: "a8f9fc35386f0c84",
+    2: "3b0f3db53ce11bed",
+    3: "ff01bf29b851a3a1",
+    4: "fb7b7c5d349a9211",
+    5: "d618cb44cfc423eb",
+    6: "253daa774229835c",
+    7: "91dc2d82ffbb687a",
+    8: "05b44ed95f1db096",
 }
+
+
+def _pin_digest(sim):
+    """Run the mix above to the end; one digest of everything simulated."""
+    sim.spawn(_pin_main)
+    sim.run()
+    sched = sim.kernel.sched
+    counts = {name: getattr(sched, name) for name in _PIN_COUNTERS}
+    blob = json.dumps(
+        [sim.now, sim.engine.events_processed, sim.kstat.snapshot(),
+         sim.stats, counts],
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16], counts
 
 
 def test_perturbed_percpu_schedule_is_pinned():
@@ -563,16 +616,20 @@ def test_perturbed_percpu_schedule_is_pinned():
     stealing and a niced member: one fixed digest per seed."""
     digests = {}
     for seed in _PINNED_SCHEDULES:
-        sim = System(ncpus=4, perturb_seed=seed)
-        sim.spawn(_pin_main)
-        sim.run()
-        sched = sim.kernel.sched
-        counts = {name: getattr(sched, name) for name in _PIN_COUNTERS}
+        digests[seed], counts = _pin_digest(System(ncpus=4, perturb_seed=seed))
         assert counts["gang_dispatches"] > 0 and counts["steals"] > 0
-        blob = json.dumps(
-            [sim.now, sim.engine.events_processed, sim.kstat.snapshot(),
-             sim.stats, counts],
-            sort_keys=True,
-        )
-        digests[seed] = hashlib.sha256(blob.encode()).hexdigest()[:16]
     assert digests == _PINNED_SCHEDULES
+
+
+#: the same mix on 4 CPUs under the global scheduler.  The seeded RNG is
+#: never drawn on it, so seeds None and 1-8 all give this digest and the
+#: unperturbed run stands for them
+_PINNED_GLOBAL_SCHEDULE = "01f06222dbfe31a0"
+
+
+def test_global_schedule_is_pinned():
+    """The E15 ablation's dispatch loop, gang co-dispatch included,
+    keeps its schedule across commits too."""
+    digest, counts = _pin_digest(System(ncpus=4, scheduler="global"))
+    assert counts["steals"] == 0 and counts["gang_dispatches"] > 0
+    assert digest == _PINNED_GLOBAL_SCHEDULE
