@@ -4,15 +4,10 @@ Modes (first positional argument, default ``explore``):
 
 * **explore**: every scenario in ``--scenarios`` runs once unperturbed
   and once per seed in ``0..N-1``; exit 1 on any error, invariant
-  finding, lockdep violation or final-state divergence.
+  finding, leak, lockdep violation or final-state divergence.
 
       python -m repro.check --seeds 8
       python -m repro.check --seeds 200 --report report.json
-
-  With ``--seed`` it reproduces one run of one scenario — exactly the
-  command a failure report prints:
-
-      python -m repro.check --scenario racy-counter --seed 3 --features place
 
 * **inject**: the fault-injection sweep — record which failpoints each
   scenario reaches, then arm them one at a time and audit for leaks.
@@ -20,10 +15,15 @@ Modes (first positional argument, default ``explore``):
       python -m repro.check inject
       python -m repro.check inject --deep --report inject-report.json
 
-  With ``--site``/``--policy`` it runs one injection — again exactly
-  what a failure report prints:
+With ``--seed`` (explore) or ``--site``/``--policy`` (inject) the CLI
+runs one scenario once — exactly the command a failure report prints:
 
+      python -m repro.check --scenario racy-counter --seed 3 --features place
       python -m repro.check inject --scenario fd-churn --site fd.alloc --policy nth:3
+
+Exit codes: 0 pass, 1 fail, 2 usage (an unknown scenario, site,
+feature or policy).  ``--report PATH`` writes the run's or the search's
+JSON in every mode.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, List, Optional, Union
 
-from repro.check.explore import explore, run_once
-from repro.check.inject import SWEEP_SCENARIOS, run_injected, sweep
+from repro.check.explore import Report, RunResult, explore, run_once, sweep
 from repro.check.scenarios import DEFAULT_SCENARIOS, SCENARIOS
-from repro.inject import SITES
+from repro.inject import SITES, FailPlan
 from repro.sim.engine import PERTURB_FEATURES
 
 
@@ -56,8 +55,7 @@ def _parse_args(argv) -> argparse.Namespace:
     parser.add_argument(
         "--scenarios", default=None, metavar="A,B",
         help="comma-separated scenario names (default: %s for explore, "
-        "%s for inject)"
-        % (",".join(DEFAULT_SCENARIOS), ",".join(SWEEP_SCENARIOS)),
+        "all for inject)" % ",".join(DEFAULT_SCENARIOS),
     )
     parser.add_argument(
         "--scenario", default=None, metavar="NAME",
@@ -86,11 +84,7 @@ def _parse_args(argv) -> argparse.Namespace:
     )
     parser.add_argument(
         "--deep", action="store_true",
-        help="inject mode: also arm midpoint hit indices (nightly matrix)",
-    )
-    parser.add_argument(
-        "--no-shrink", action="store_true",
-        help="skip minimizing failures (features / hit indices)",
+        help="inject mode: also arm the quartile hit indices",
     )
     parser.add_argument(
         "--report", default=None, metavar="PATH",
@@ -103,82 +97,17 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _resolve(names, universe=SCENARIOS, what="scenario") -> Optional[str]:
+def _names(value: Optional[str]) -> List[str]:
+    return [name for name in (value or "").split(",") if name]
+
+
+def _unknown(names: Iterable[str], universe, what: str) -> Optional[str]:
     """Returns an error message when a name is unknown."""
     unknown = [name for name in names if name not in universe]
     if unknown:
         return "unknown %s(s): %s (have: %s)" % (
             what, ", ".join(unknown), ", ".join(sorted(universe)))
     return None
-
-
-def _reproduce(args) -> int:
-    name = args.scenario or (args.scenarios or ",".join(DEFAULT_SCENARIOS)).split(",")[0]
-    error = _resolve([name])
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    features = (
-        frozenset(args.features.split(",")) if args.features else PERTURB_FEATURES
-    )
-    result = run_once(SCENARIOS[name], seed=args.seed, features=features)
-    print(
-        "%s seed=%d features=%s"
-        % (name, args.seed, ",".join(sorted(features)))
-    )
-    if result.error is not None:
-        print("error (%s):" % result.error_kind)
-        for line in result.error.splitlines():
-            print("  " + line)
-    else:
-        print("completed in %d cycles" % result.cycles)
-        print(json.dumps(result.fingerprint, indent=2, sort_keys=True))
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-    return 0 if result.ok else 1
-
-
-def _inject_one(args) -> int:
-    name = args.scenario or (args.scenarios or ",".join(SWEEP_SCENARIOS)).split(",")[0]
-    error = _resolve([name]) or _resolve([args.site], SITES, "site")
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    result = run_injected(SCENARIOS[name], args.site, args.policy)
-    print(
-        "%s site=%s policy=%s -> %s (fired %d, %d cycles)"
-        % (name, args.site, args.policy, result.status, result.fired,
-           result.cycles)
-    )
-    for line in result.detail.splitlines():
-        print("  | " + line)
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-    return 0 if result.ok else 1
-
-
-def _inject_sweep(args) -> int:
-    names = [name for name in (args.scenarios or "").split(",") if name] or None
-    error = _resolve(names or [])
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    sites = [site for site in (args.sites or "").split(",") if site] or None
-    error = _resolve(sites or [], SITES, "site")
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    report = sweep(
-        names, site_names=sites, deep=args.deep,
-        shrink_failures=not args.no_shrink,
-    )
-    print(report.render())
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    return 0 if report.ok else 1
 
 
 def main(argv=None) -> int:
@@ -193,29 +122,42 @@ def main(argv=None) -> int:
             for site in sorted(SITES):
                 print("%-22s %s" % (site, SITES[site]))
         return 0
-    if args.mode == "inject":
-        if args.site is not None:
-            return _inject_one(args)
-        return _inject_sweep(args)
-    if args.seed is not None:
-        return _reproduce(args)
-    names = [
-        name
-        for name in (args.scenarios or ",".join(DEFAULT_SCENARIOS)).split(",")
-        if name
-    ]
-    error = _resolve(names)
+
+    inject = args.mode == "inject"
+    single = args.site is not None if inject else args.seed is not None
+    names = _names(args.scenarios)
+    if single:
+        names = [args.scenario or (names or list(DEFAULT_SCENARIOS))[0]]
+    sites = ([args.site] if single else _names(args.sites)) if inject else []
+    features = _names(args.features) or sorted(PERTURB_FEATURES)
+    error = (
+        _unknown(names, SCENARIOS, "scenario")
+        or _unknown(sites, SITES, "site")
+        or _unknown(features, PERTURB_FEATURES, "feature")
+    )
+    if error is None and single and inject:
+        try:
+            FailPlan(args.site, args.policy)
+        except ValueError as exc:
+            error = str(exc)
     if error:
         print(error, file=sys.stderr)
         return 2
-    report = explore(
-        names, nseeds=args.seeds, shrink_failures=not args.no_shrink
-    )
-    print(report.render())
+
+    outcome: Union[RunResult, Report]
+    if single and inject:
+        outcome = run_once(SCENARIOS[names[0]], site=args.site, policy=args.policy)
+    elif single:
+        outcome = run_once(SCENARIOS[names[0]], seed=args.seed, features=features)
+    elif inject:
+        outcome = sweep(names, site_names=sites, deep=args.deep)
+    else:
+        outcome = explore(names, nseeds=args.seeds)
+    print(outcome.render())
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    return 0 if report.ok else 1
+            json.dump(outcome.to_dict(), fh, indent=2, sort_keys=True)
+    return 0 if outcome.ok else 1
 
 
 if __name__ == "__main__":

@@ -294,55 +294,35 @@ def run_invariants(sim) -> List[str]:
 # ----------------------------------------------------------------------
 # resource leak audit (fault-injection support)
 
-def snapshot_resources(sim) -> Dict[str, int]:
-    """Measure the resources a clean run must return to their baseline.
+def check_leaks(sim) -> List[str]:
+    """What a finished run still holds: frames, share groups, live
+    processes and banked waiters.
 
-    SysV shm segments keep their frames until ``shmctl_rmid``, so they
-    are counted separately and subtracted from the frame balance.
+    Meant to be called after every process has exited — anything still
+    held is a leak in some error path.  SysV shm segments keep their
+    frames until ``shmctl_rmid``, so those frames are not leaks.
     """
-    shm_frames = 0
-    for segment in sim.kernel.shm._by_id.values():
-        if not getattr(segment, "removed", False):
-            shm_frames += segment.region.resident_pages()
-    return {
-        "frames": sim.machine.frames.allocated,
-        "shm_frames": shm_frames,
-        "group_balance": (
-            sim.kernel.stats["groups_created"] - sim.kernel.stats["groups_freed"]
-        ),
-        "live_procs": sim.kernel.live_procs,
-    }
-
-
-def audit_leaks(sim, baseline=None) -> List[str]:
-    """Post-run leak audit: invariants plus resource-balance checks.
-
-    ``baseline`` is a :func:`snapshot_resources` taken before the
-    workload ran (defaults to an empty system).  Meant to be called
-    after every process has exited — anything still held is a leak in
-    some error path.
-    """
-    if baseline is None:
-        baseline = {"frames": 0, "shm_frames": 0, "group_balance": 0,
-                    "live_procs": 0}
-    findings = run_invariants(sim)
-    now = snapshot_resources(sim)
-    frame_delta = (now["frames"] - now["shm_frames"]) - (
-        baseline["frames"] - baseline["shm_frames"]
+    findings: List[str] = []
+    frames = sim.machine.frames.allocated
+    shm_frames = sum(
+        segment.region.resident_pages()
+        for segment in sim.kernel.shm._by_id.values()
+        if not getattr(segment, "removed", False)
     )
-    if frame_delta != 0:
+    if frames != shm_frames:
         findings.append(
             "frames: %+d physical frames leaked (now %d, shm holds %d)"
-            % (frame_delta, now["frames"], now["shm_frames"])
+            % (frames - shm_frames, frames, shm_frames)
         )
-    if now["group_balance"] != baseline["group_balance"]:
+    stats = sim.kernel.stats
+    if stats["groups_created"] != stats["groups_freed"]:
         findings.append(
             "share-groups: %d created but only %d freed"
-            % (sim.kernel.stats["groups_created"], sim.kernel.stats["groups_freed"])
+            % (stats["groups_created"], stats["groups_freed"])
         )
-    if now["live_procs"] != baseline["live_procs"]:
+    if sim.kernel.live_procs:
         findings.append(
-            "procs: %d still counted live after the run" % now["live_procs"]
+            "procs: %d still counted live after the run" % sim.kernel.live_procs
         )
     for (asid, vaddr), channel in sorted(sim.kernel._usync.items()):
         if channel.waiters != 0 or channel.sema.nwaiters != 0:
@@ -357,3 +337,8 @@ def audit_leaks(sim, baseline=None) -> List[str]:
                 % (semset.semid, semset.waiters, semset.change.nwaiters)
             )
     return findings
+
+
+def audit_leaks(sim) -> List[str]:
+    """Post-run audit: the invariant pack plus :func:`check_leaks`."""
+    return run_invariants(sim) + check_leaks(sim)

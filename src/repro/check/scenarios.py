@@ -1,4 +1,4 @@
-"""Workloads the schedule explorer drives.
+"""Workloads the schedule explorer and the fault-injection sweep drive.
 
 Each scenario is a small guest program chosen to stress one of the
 paper's sharing protocols hard enough that a reordered schedule would
@@ -10,7 +10,8 @@ invariant pack, frame accounting) never changes.
 ``racy-counter`` is the deliberate exception: a textbook lost-update
 race whose final count depends on the interleaving.  It is excluded
 from :data:`DEFAULT_SCENARIOS` and exists so tests can prove the
-explorer actually detects divergence.
+explorer actually detects divergence.  The sweep drives every scenario,
+this one included: it compares no fingerprints, it audits leaks.
 """
 
 from __future__ import annotations
@@ -43,15 +44,15 @@ class Scenario:
         self.ncpus = ncpus
         self.description = description
 
-    def run(
+    def boot(
         self,
         seed: Optional[int] = None,
         features: Optional[Iterable[str]] = None,
-        lockdep: bool = True,
         inject: Optional[Dict[str, str]] = None,
         record: bool = False,
     ) -> Tuple[dict, System]:
-        """Boot a fresh system, run to completion, return ``(out, sim)``.
+        """Build a fresh system with lockdep on and spawn the workload;
+        returns ``(out, sim)`` for the caller to run.
 
         ``inject`` arms failpoints (site -> policy); ``record`` counts
         failpoint hits without firing any (the sweep's discovery pass).
@@ -59,7 +60,7 @@ class Scenario:
         out: dict = {}
         sim = System(
             ncpus=self.ncpus,
-            lockdep=lockdep,
+            lockdep=True,
             perturb_seed=seed,
             perturb_features=features,
             inject=inject,
@@ -67,6 +68,17 @@ class Scenario:
         if record:
             sim.machine.inject.start_recording()
         sim.spawn(self.main, out, name=self.name)
+        return out, sim
+
+    def run(
+        self,
+        seed: Optional[int] = None,
+        features: Optional[Iterable[str]] = None,
+        inject: Optional[Dict[str, str]] = None,
+        record: bool = False,
+    ) -> Tuple[dict, System]:
+        """Boot and run to completion; raises what the run raises."""
+        out, sim = self.boot(seed, features, inject, record)
         sim.run()
         return out, sim
 

@@ -7,20 +7,11 @@ handle.  Because the simulation is deterministic, ``site + policy``
 fully reproduces any injected failure: the Nth hit of a site is the
 same hit in every run.
 
-Policies (the ``nth:3`` strings the CLI and tests pass around):
-
-======================= ===============================================
-``nth:N``               fire on exactly the Nth hit (1-based), once
-``every:K``             fire on every Kth hit
-``prob:P[:SEED]``       fire each hit with probability P, from a
-                        *private* seeded RNG (default seed 0)
-======================= ===============================================
-
-``prob`` deliberately does **not** draw from the engine's perturbation
-RNG: injection must never change the schedule of runs it does not fail,
-and the engine RNG does not exist in unperturbed runs.  A private
-``random.Random(seed)`` keeps probabilistic plans reproducible from the
-policy string alone.
+A policy is ``nth:N`` (the string the CLI and tests pass around): fire
+on exactly the Nth hit of the site (1-based), once.  The sweep arms one
+site at a time at chosen hit indices, so no other policy is needed, and
+a policy draws on no random source: it cannot move the schedule of the
+hits it does not fail.
 
 The registry's disarmed fast path is one attribute test, mirroring
 ``NULL_LOCKDEP``: with no plan armed and recording off, ``fire()``
@@ -31,8 +22,7 @@ build without failpoints at all.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Optional
+from typing import Dict
 
 #: cycles charged when a ``*.delay`` site fires (lock hold-off injection)
 INJECT_DELAY_CYCLES = 400
@@ -73,9 +63,9 @@ SITES: Dict[str, str] = {
 
 
 class FailPlan:
-    """One armed site: a parsed policy deciding which hits fire."""
+    """One armed site: an ``nth:N`` policy firing on the Nth hit, once."""
 
-    __slots__ = ("site", "policy", "kind", "n", "_rng", "_spent")
+    __slots__ = ("site", "policy", "n", "_spent")
 
     def __init__(self, site: str, policy: str):
         if site not in SITES:
@@ -85,48 +75,18 @@ class FailPlan:
             )
         self.site = site
         self.policy = policy
-        self._rng: Optional[random.Random] = None
         self._spent = False
-        parts = policy.split(":")
-        self.kind = parts[0]
-        try:
-            if self.kind == "nth":
-                (count,) = parts[1:]
-                self.n = int(count)
-                if self.n < 1:
-                    raise ValueError
-            elif self.kind == "every":
-                (count,) = parts[1:]
-                self.n = int(count)
-                if self.n < 1:
-                    raise ValueError
-            elif self.kind == "prob":
-                if len(parts) == 2:
-                    prob, seed = parts[1], 0
-                else:
-                    prob, seed = parts[1], int(parts[2])
-                self.n = float(prob)
-                if not 0.0 <= self.n <= 1.0:
-                    raise ValueError
-                self._rng = random.Random(seed)
-            else:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise ValueError(
-                "bad failpoint policy %r (want nth:N, every:K or prob:P[:SEED])"
-                % policy
-            ) from None
+        kind, _, count = policy.partition(":")
+        if kind != "nth" or not count.isdecimal() or int(count) < 1:
+            raise ValueError("bad failpoint policy %r (want nth:N)" % policy)
+        self.n = int(count)
 
     def decide(self, hit_no: int) -> bool:
         """Should the ``hit_no``-th hit (1-based) of this site fire?"""
-        if self.kind == "nth":
-            if self._spent or hit_no != self.n:
-                return False
-            self._spent = True
-            return True
-        if self.kind == "every":
-            return hit_no % self.n == 0
-        return self._rng.random() < self.n  # type: ignore[union-attr]
+        if self._spent or hit_no != self.n:
+            return False
+        self._spent = True
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<FailPlan %s %s>" % (self.site, self.policy)

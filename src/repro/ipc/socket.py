@@ -123,6 +123,7 @@ class Socket:
             self.write_waiters += 1
             ok = yield from self.write_wait.p(proc, interruptible=True)
             if not ok:
+                self.write_waiters = max(self.write_waiters - 1, 0)
                 raise SysError(EINTR)
         return sent
 
@@ -140,6 +141,7 @@ class Socket:
             self.read_waiters += 1
             ok = yield from self.read_wait.p(proc, interruptible=True)
             if not ok:
+                self.read_waiters = max(self.read_waiters - 1, 0)
                 raise SysError(EINTR)
 
     # ------------------------------------------------------------------
@@ -160,6 +162,7 @@ class Socket:
             self.read_waiters += 1
             ok = yield from self.read_wait.p(proc, interruptible=True)
             if not ok:
+                self.read_waiters = max(self.read_waiters - 1, 0)
                 raise SysError(EINTR)
 
     # ------------------------------------------------------------------

@@ -163,12 +163,13 @@ def test_failure_reproduces_from_reported_seed():
     running it again diverges from baseline the same way, twice."""
     report = explore(["racy-counter"], nseeds=6)
     failure = report.failures[0]
-    assert failure.minimal_features, "shrink kept at least one feature"
-    assert failure.minimal_features <= failure.features
+    minimal = failure.minimal.features
+    assert minimal, "shrink kept at least one feature"
+    assert minimal <= failure.result.features
     scenario = SCENARIOS["racy-counter"]
     baseline = run_once(scenario, seed=None)
-    first = run_once(scenario, seed=failure.seed, features=failure.minimal_features)
-    second = run_once(scenario, seed=failure.seed, features=failure.minimal_features)
+    first = run_once(scenario, seed=failure.result.seed, features=minimal)
+    second = run_once(scenario, seed=failure.result.seed, features=minimal)
     assert first.fingerprint == second.fingerprint, "seeded runs are deterministic"
     assert first.fingerprint != baseline.fingerprint, "the divergence is real"
     assert failure.repro_command().startswith("python -m repro.check")

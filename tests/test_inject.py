@@ -1,11 +1,13 @@
 """The failpoint registry, the sweep driver, and injected error paths."""
 
+import json
+
 import pytest
 
 from repro import PR_SALL
-from repro.check.inject import run_injected, sweep
+from repro.check.explore import run_once, sweep
 from repro.check.invariants import audit_leaks
-from repro.check.scenarios import SCENARIOS
+from repro.check.scenarios import SCENARIOS, Scenario
 from repro.errors import EAGAIN, EMFILE, ENOMEM
 from repro.fs.file import O_CREAT, O_RDWR
 from repro.inject import SITES, FailPlan, FailPointRegistry
@@ -23,27 +25,13 @@ def test_policy_nth_fires_exactly_once():
     assert not plan.decide(3)  # spent: never again
 
 
-def test_policy_every():
-    plan = FailPlan("fd.alloc", "every:2")
-    assert [plan.decide(n) for n in range(1, 6)] == [
-        False, True, False, True, False
-    ]
-
-
-def test_policy_prob_is_reproducible():
-    def one_sequence():
-        plan = FailPlan("fd.alloc", "prob:0.5:7")
-        return [plan.decide(n) for n in range(1, 20)]
-
-    decisions = [one_sequence(), one_sequence()]
-    assert decisions[0] == decisions[1]
-    assert any(decisions[0]) and not all(decisions[0])
-
-
 def test_bad_site_and_bad_policy_rejected():
     with pytest.raises(ValueError):
         FailPlan("no.such.site", "nth:1")
-    for bad in ("nth", "nth:0", "nth:x", "always", "prob:1.5", "every:-1"):
+    for bad in (
+        "nth", "nth:0", "nth:x", "always", "prob:1.5", "every:-1",
+        "every:2", "prob:0.5",
+    ):
         with pytest.raises(ValueError):
             FailPlan("fd.alloc", bad)
 
@@ -165,15 +153,18 @@ def test_fork_uarea_injection_releases_cow_frames():
 # the sweep driver
 
 def test_run_injected_classifies_clean_runs():
-    result = run_injected(SCENARIOS["fault-storm"], "sproc.proc", "nth:1")
+    result = run_once(SCENARIOS["fault-storm"], site="sproc.proc", policy="nth:1")
     assert result.ok and result.fired == 1
 
 
 def test_run_injected_tolerates_kill_site_stall():
     # SIGKILL at a syscall boundary may stall the guest protocol; the
     # verdict is ok as long as kernel invariants hold on the stuck state.
-    result = run_injected(SCENARIOS["fault-storm"], "syscall.entry", "nth:5")
-    assert result.ok
+    # The third syscall of fd-churn is the parent's second sproc: the
+    # kill leaves the reader it already started waiting on the pipe.
+    result = run_once(SCENARIOS["fd-churn"], site="syscall.entry", policy="nth:3")
+    assert result.ok and result.fired == 1
+    assert "stalled after kill" in result.note
 
 
 def test_sweep_smoke():
@@ -185,6 +176,49 @@ def test_sweep_smoke():
     data = report.to_dict()
     assert data["ok"] and data["runs"] > 1
     assert "PASS" in report.render()
+
+
+def _stall_on_error_main(api, out):
+    """Opens four files; when an open after the first fails, it reads a
+    pipe nobody writes, so only that error path stalls."""
+    for index in range(4):
+        fd = yield from api.open("/stall-%d" % index, O_RDWR | O_CREAT)
+        if fd == -1 and index > 0:
+            rfd, _wfd = yield from api.pipe()
+            yield from api.read(rfd, 8)
+    return 0
+
+
+def test_sweep_failure_shrinks_to_a_repro_command(monkeypatch, tmp_path):
+    from repro.check.__main__ import main
+
+    monkeypatch.setitem(SCENARIOS, "stall-on-error", Scenario(
+        "stall-on-error", _stall_on_error_main, 1,
+        "stalls when an open after the first fails",
+    ))
+    report = sweep(["stall-on-error"], site_names=["fd.alloc"])
+    assert report.runs == 3  # the recording pass, then hits 1 and 4
+    assert not report.ok and report.site_coverage == {"fd.alloc": ["stall-on-error"]}
+    (failure,) = report.failures
+    assert failure.result.policy == "nth:4"
+    assert failure.kind == "DeadlockError"
+    assert failure.minimal.policy == "nth:2"  # hit 1 passes, hit 2 stalls
+    command = (
+        "python -m repro.check inject --scenario stall-on-error "
+        "--site fd.alloc --policy nth:2"
+    )
+    assert failure.repro_command() == command
+    assert "repro: " + command in report.render()
+    data = report.to_dict()
+    assert data["failures"][0]["repro"] == command
+    assert data["failures"][0]["error_kind"] == "DeadlockError"
+
+    path = tmp_path / "run.json"
+    assert main(command.split()[3:] + ["--report", str(path)]) == 1
+    verdict = json.loads(path.read_text())
+    assert verdict["ok"] is False and verdict["error_kind"] == "DeadlockError"
+    assert "blocked processes" in verdict["error"]
+    assert verdict["policy"] == "nth:2" and verdict["fired"] == 1
 
 
 def test_cli_inject_single_run():

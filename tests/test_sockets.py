@@ -1,8 +1,8 @@
 """Local sockets: connect/accept, data transfer, descriptor passing."""
 
 
-from repro import O_CREAT, O_RDWR, SEEK_SET
-from repro.errors import ECONNREFUSED, ENOTCONN, ENOTSOCK, EPIPE
+from repro import O_CREAT, O_RDWR, SEEK_SET, SIGUSR1, System
+from repro.errors import ECONNREFUSED, EINTR, ENOTCONN, ENOTSOCK, EPIPE
 from tests.conftest import run_program
 
 
@@ -228,3 +228,80 @@ def test_accept_blocks_until_connection():
     out, _ = run_program(main, ncpus=2)
     assert out["waited"] >= 40_000
     assert out["data"] == b"hi"
+
+
+# ----------------------------------------------------------------------
+# a sleep that a signal interrupts takes its banked wakeup claim back
+
+
+def _noop_handler(api, sig):
+    return
+    yield  # pragma: no cover - marks this as a generator
+
+
+def _socket_of(sim, pid, fd):
+    return sim.proc(pid).uarea.fdtable.slots[fd].socket
+
+
+def test_recv_interrupted_by_signal_unbanks_its_waiter():
+    holder = {}
+
+    def reader(api, arg):
+        out, fd = arg
+        yield from api.signal(SIGUSR1, _noop_handler)
+        rc = yield from api.recv(fd, 8)
+        out["err"] = (yield from api.errno()) if rc == -1 else None
+        out["waiters_after_eintr"] = out["sock"].read_waiters
+        out["data"] = yield from api.recv(fd, 8)
+        out["value_after_transfer"] = out["sock"].read_wait._value
+        return 0
+
+    def main(api, out):
+        a, b = yield from api.socketpair()
+        out["sock"] = _socket_of(holder["sim"], (yield from api.getpid()), b)
+        pid = yield from api.fork(reader, (out, b))
+        yield from api.compute(30_000)
+        yield from api.kill(pid, SIGUSR1)
+        yield from api.compute(30_000)
+        yield from api.send(a, b"payload!")
+        yield from api.wait()
+        return 0
+
+    holder["sim"] = sim = System(ncpus=2)
+    out, _ = run_program(main, sim=sim)
+    assert out["err"] == EINTR
+    assert out["waiters_after_eintr"] == 0
+    assert out["data"] == b"payload!"
+    assert out["value_after_transfer"] == 0
+
+
+def test_send_interrupted_by_signal_unbanks_its_waiter():
+    from repro.ipc.socket import SOCK_BUF
+
+    holder = {}
+
+    def writer(api, arg):
+        out, fd = arg
+        yield from api.signal(SIGUSR1, _noop_handler)
+        rc = yield from api.send(fd, b"w" * (SOCK_BUF + 808))  # blocks once full
+        out["err"] = (yield from api.errno()) if rc == -1 else None
+        out["waiters_after_eintr"] = out["sock"].write_waiters
+        return 0
+
+    def main(api, out):
+        a, b = yield from api.socketpair()
+        out["sock"] = _socket_of(holder["sim"], (yield from api.getpid()), a)
+        pid = yield from api.fork(writer, (out, a))
+        yield from api.compute(30_000)
+        yield from api.kill(pid, SIGUSR1)
+        yield from api.wait()
+        out["got"] = len((yield from api.recv(b, SOCK_BUF)))
+        out["value_after_transfer"] = out["sock"].write_wait._value
+        return 0
+
+    holder["sim"] = sim = System(ncpus=2)
+    out, _ = run_program(main, sim=sim)
+    assert out["err"] == EINTR
+    assert out["waiters_after_eintr"] == 0
+    assert out["got"] == SOCK_BUF
+    assert out["value_after_transfer"] == 0

@@ -401,11 +401,11 @@ def test_unshare_churn_cycle_identical_across_observability():
 
 
 def test_unshare_churn_reaches_every_unshare_site():
-    from repro.check.inject import record_hits
     from repro.check.scenarios import SCENARIOS
 
-    hits, findings = record_hits(SCENARIOS["unshare-churn"])
-    assert findings == []
+    _out, sim = SCENARIOS["unshare-churn"].run(record=True)
+    assert audit_leaks(sim) == []
+    hits = sim.machine.inject.hits
     for site in (
         "unshare.uarea", "unshare.fds", "unshare.aspace", "unshare.pregion"
     ):
