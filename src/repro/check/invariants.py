@@ -296,7 +296,9 @@ def run_invariants(sim) -> List[str]:
 
 def check_leaks(sim) -> List[str]:
     """What a finished run still holds: frames, share groups, live
-    processes and banked waiters.
+    processes, and wait queues (pipes, sockets, SysV semaphore sets,
+    usync channels) with a banked claim, a sleeper or a wakeup nobody
+    took.
 
     Meant to be called after every process has exited — anything still
     held is a leak in some error path.  SysV shm segments keep their
@@ -324,17 +326,13 @@ def check_leaks(sim) -> List[str]:
         findings.append(
             "procs: %d still counted live after the run" % sim.kernel.live_procs
         )
-    for (asid, vaddr), channel in sorted(sim.kernel._usync.items()):
-        if channel.waiters != 0 or channel.sema.nwaiters != 0:
+    for queue in sim.machine.waitqueues:
+        sema = queue.sema
+        if queue.waiters or sema.nwaiters or sema.value:
             findings.append(
-                "usync @%#x asid=%d: %d banked waiters, %d sleepers left"
-                % (vaddr, asid, channel.waiters, channel.sema.nwaiters)
-            )
-    for semset in sim.kernel.sem._by_id.values():
-        if semset.waiters != 0 or semset.change.nwaiters != 0:
-            findings.append(
-                "semset id=%d: %d banked waiters, %d sleepers left"
-                % (semset.semid, semset.waiters, semset.change.nwaiters)
+                "wait queue %s: %d banked claims, %d sleepers, "
+                "%d unclaimed wakeups left"
+                % (sema.name, queue.waiters, sema.nwaiters, sema.value)
             )
     return findings
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+from repro.errors import EINTR
 from repro.fs.file import O_CREAT, O_RDWR
+from repro.ipc.sysv_shm import IPC_CREAT, IPC_PRIVATE
+from repro.kernel.signals import SIGUSR1
 from repro.mem.frames import PAGE_SIZE
 from repro.mem.layout import DATA_BASE
 from repro.share.mask import (
@@ -395,6 +398,85 @@ def _privdata_fork_main(api, out):
 
 
 # ----------------------------------------------------------------------
+# eintr-relay: members sleep in every wait-queue call (pipe read, socket
+# recv, semop, uwait); the peer posts each a handled signal and at once
+# pays its wakeup, so the interrupted sleeper must hand the paid unit
+# back (the kernel-mediated sleeps section 3 weighs against spinning)
+
+_ER_ROUNDS = 6
+
+
+def _er_handler(api, sig):
+    return
+    yield  # pragma: no cover - marks this as a generator
+
+
+def _er_wake(api, word, round_no):
+    yield from api.store_word(word, round_no + 1)
+    yield from api.uwake(word, 1)
+
+
+#: kind -> (set-up returning the member's and the peer's handle, or
+#: one handle for both; the member's blocking call; the peer's payment)
+_ER_CALLS = {
+    "pipe": (lambda api: api.pipe(),
+             lambda api, fd, got: api.read(fd, 1),
+             lambda api, fd, _round: api.write(fd, b"r")),
+    "socket": (lambda api: api.socketpair(),
+               lambda api, fd, got: api.recv(fd, 1),
+               lambda api, fd, _round: api.send(fd, b"r")),
+    "semop": (lambda api: api.semget(IPC_PRIVATE, 1, IPC_CREAT),
+              lambda api, semid, got: api.semop(semid, [(0, -1)]),
+              lambda api, semid, _round: api.semop(semid, [(0, 1)])),
+    "uwait": (lambda api: api.mmap(PAGE_SIZE),
+              lambda api, word, got: api.uwait(word, got),
+              _er_wake),
+}
+
+
+def _er_member(api, arg):
+    """Take ``_ER_ROUNDS`` units through one blocking call, retrying
+    each call a signal cut short."""
+    out, kind, handle = arg
+    got = 0
+    while got < _ER_ROUNDS:
+        rc = yield from _ER_CALLS[kind][1](api, handle, got)
+        if rc == -1:
+            if (yield from api.errno()) != EINTR:
+                break  # failure-only: this call cannot succeed
+        elif rc == b"":
+            break  # failure-only: EOF, the peer is gone
+        elif kind == "uwait":
+            got = yield from api.load_word(handle)
+        else:
+            got += 1
+    out[kind] = got
+    return 0
+
+
+def _eintr_relay_main(api, out):
+    yield from api.signal(SIGUSR1, _er_handler)  # the members inherit it
+    members = {}  # kind -> (the member's pid, the peer's handle)
+    for kind, calls in _ER_CALLS.items():
+        handles = yield from calls[0](api)
+        if handles == -1:
+            continue  # failure-only: no such object to wait on
+        if not isinstance(handles, tuple):
+            handles = (handles, handles)
+        pid = yield from api.sproc(_er_member, PR_SALL, (out, kind, handles[0]))
+        if pid != -1:
+            members[kind] = (pid, handles[1])
+    for round_no in range(_ER_ROUNDS):
+        yield from api.yield_cpu()  # the members go back to sleep
+        for kind, (pid, handle) in members.items():
+            yield from api.kill(pid, SIGUSR1)
+            yield from _ER_CALLS[kind][2](api, handle, round_no)
+    for _ in range(len(members)):
+        yield from api.wait()
+    return 0
+
+
+# ----------------------------------------------------------------------
 # racy-counter: a deliberate lost-update race (test fixture)
 
 _RC_PROCS = 4
@@ -454,6 +536,11 @@ SCENARIOS: Dict[str, Scenario] = {
             "their parent's private data",
         ),
         Scenario(
+            "eintr-relay", _eintr_relay_main, 2,
+            "sleepers in pipe read, socket recv, semop and uwait take a "
+            "handled signal just before the peer pays their wakeup",
+        ),
+        Scenario(
             "racy-counter", _racy_counter_main, 2,
             "deliberate lost-update race; final count is schedule-dependent",
         ),
@@ -463,5 +550,6 @@ SCENARIOS: Dict[str, Scenario] = {
 #: the scenarios ``python -m repro.check`` explores by default —
 #: everything whose final state must be schedule independent
 DEFAULT_SCENARIOS = (
-    "fault-storm", "fd-churn", "mmap-churn", "unshare-churn", "privdata-fork"
+    "fault-storm", "fd-churn", "mmap-churn", "unshare-churn", "privdata-fork",
+    "eintr-relay",
 )

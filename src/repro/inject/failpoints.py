@@ -36,8 +36,9 @@ SITES: Dict[str, str] = {
     "fd.alloc": "descriptor slot allocation (EMFILE)",
     "open.file": "open-file table entry in sys_open (ENFILE)",
     "pipe.alloc": "pipe inode/buffer allocation in sys_pipe (ENFILE)",
-    "pipe.read.sleep": "signal arrives before the pipe read sleep (EINTR)",
-    "pipe.write.sleep": "signal arrives before the pipe write sleep (EINTR)",
+    "pipe.read.sleep": "signal arrives before the pipe or socket read sleep (EINTR)",
+    "pipe.write.sleep": "signal arrives before the pipe or socket write sleep "
+    "(EINTR, or the partial count)",
     "fork.proc": "process table slot in fork (EAGAIN)",
     "fork.uarea": "u-area allocation in fork (ENOMEM)",
     "sproc.shaddr": "shared address block setup in sproc (EAGAIN)",

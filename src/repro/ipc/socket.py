@@ -7,6 +7,11 @@ management and the like, folded into ``socket_op``).  Descriptor passing
 network server performing security checks and handing an open descriptor
 to a waiting child — so experiment E10 can compare it directly against
 the share group's automatic descriptor sharing.
+
+A connection is two pipes (:class:`~repro.fs.pipe.Pipe`) of
+:data:`SOCK_BUF` bytes, one each way; the kernel moves data through
+them exactly as it does for ``pipe()``.  A socket itself keeps only its
+name, its listen backlog and the queue of descriptors passed to it.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from repro.errors import (
     EINTR,
     EINVAL,
     ENOTCONN,
-    EPIPE,
     SysError,
 )
-from repro.sync.semaphore import Semaphore
+from repro.fs.pipe import Pipe
+from repro.sync.semaphore import WaitQueue
 
 #: per-direction buffer capacity
 SOCK_BUF = 8192
@@ -36,43 +41,26 @@ class Socket:
         self.machine = machine
         self.waker = waker
         self.peer: Optional["Socket"] = None
+        #: the pipe this endpoint writes (its peer's ``rx``) and reads
+        self.tx: Optional[Pipe] = None
+        self.rx: Optional[Pipe] = None
         self.bound_name: Optional[str] = None
         self.listening = False
         self.backlog: Deque["Socket"] = deque()
         self.backlog_max = 0
+        self.accept_wait = WaitQueue(machine, waker, "sock.accept")
         self.closed = False
-
-        # receive side state (peer pushes into these)
-        self.rbuf = bytearray()
         self.rfds: Deque = deque()  #: passed descriptors awaiting recvfd
-        self.read_wait = Semaphore(machine, waker, 0, "sock.read")
-        self.write_wait = Semaphore(machine, waker, 0, "sock.write")
-        self.accept_wait = Semaphore(machine, waker, 0, "sock.accept")
-        # Banked waiter counts (paid out with v()) close the window
-        # between a blocker's buffer check and its sleep; see fs/pipe.py.
-        self.read_waiters = 0
-        self.write_waiters = 0
-        self.bytes_moved = 0
-
-    def _wake_readers(self) -> None:
-        for _ in range(self.read_waiters):
-            self.read_wait.v()
-        self.read_waiters = 0
-
-    def _wake_writers(self) -> None:
-        for _ in range(self.write_waiters):
-            self.write_wait.v()
-        self.write_waiters = 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "closed" if self.closed else (
-            "listening" if self.listening else
-            ("connected" if self.peer is not None else "fresh")
-        )
-        return "<Socket %s>" % state
 
     # ------------------------------------------------------------------
     # connection setup
+
+    def pair(self, other: "Socket") -> None:
+        """Connect two fresh endpoints with one pipe each way."""
+        self.tx = other.rx = Pipe(self.machine, self.waker, SOCK_BUF, "sock")
+        self.rx = other.tx = Pipe(self.machine, self.waker, SOCK_BUF, "sock")
+        self.peer = other
+        other.peer = self
 
     def connect_to(self, server: "Socket") -> "Socket":
         """Create the server-side endpoint and queue it for accept."""
@@ -81,10 +69,9 @@ class Socket:
         if len(server.backlog) >= server.backlog_max:
             raise SysError(ECONNREFUSED, "backlog full")
         other = Socket(self.machine, self.waker)
-        self.peer = other
-        other.peer = self
+        self.pair(other)
         server.backlog.append(other)
-        server.accept_wait.v()
+        server.accept_wait.wake(1)
         return other
 
     def accept_one(self, proc):
@@ -94,92 +81,41 @@ class Socket:
                 return self.backlog.popleft()
             if self.closed:
                 raise SysError(EINVAL, "listener closed")
-            ok = yield from self.accept_wait.p(proc, interruptible=True)
-            if not ok:
-                raise SysError(EINTR)
-
-    # ------------------------------------------------------------------
-    # data transfer (generators; kernel layer charges costs)
-
-    def send(self, proc, payload: bytes, kernel):
-        peer = self.peer
-        if peer is None:
-            raise SysError(ENOTCONN)
-        sent = 0
-        while sent < len(payload):
-            if peer.closed:
-                from repro.kernel.signals import SIGPIPE
-
-                kernel.psignal(proc, SIGPIPE)
-                raise SysError(EPIPE)
-            space = SOCK_BUF - len(peer.rbuf)
-            if space > 0:
-                chunk = payload[sent:sent + space]
-                peer.rbuf.extend(chunk)
-                sent += len(chunk)
-                peer.bytes_moved += len(chunk)
-                peer._wake_readers()
-                continue
-            self.write_waiters += 1
-            ok = yield from self.write_wait.p(proc, interruptible=True)
-            if not ok:
-                self.write_waiters = max(self.write_waiters - 1, 0)
-                raise SysError(EINTR)
-        return sent
-
-    def recv(self, proc, nbytes: int):
-        while True:
-            if self.rbuf:
-                take = min(nbytes, len(self.rbuf))
-                chunk = bytes(self.rbuf[:take])
-                del self.rbuf[:take]
-                if self.peer is not None:
-                    self.peer._wake_writers()
-                return chunk
-            if self.peer is None or self.peer.closed:
-                return b""  # EOF
-            self.read_waiters += 1
-            ok = yield from self.read_wait.p(proc, interruptible=True)
-            if not ok:
-                self.read_waiters = max(self.read_waiters - 1, 0)
+            if not (yield from self.accept_wait.sleep(proc)):
                 raise SysError(EINTR)
 
     # ------------------------------------------------------------------
     # descriptor passing
 
     def push_fd(self, file) -> None:
-        """Queue a held File for the peer's recvfd."""
+        """Queue a held File for this endpoint's recvfd."""
         self.rfds.append(file)
-        self._wake_readers()
+        self.rx.readable.wake()
 
     def pop_fd(self, proc):
         """Generator: block until a passed descriptor arrives."""
         while True:
             if self.rfds:
                 return self.rfds.popleft()
-            if self.peer is None or self.peer.closed:
+            if self.rx is None or self.rx.writers == 0:
                 raise SysError(ENOTCONN, "peer gone, no descriptor")
-            self.read_waiters += 1
-            ok = yield from self.read_wait.p(proc, interruptible=True)
-            if not ok:
-                self.read_waiters = max(self.read_waiters - 1, 0)
+            if not (yield from self.rx.readable.sleep(proc)):
                 raise SysError(EINTR)
 
     # ------------------------------------------------------------------
     # teardown
 
-    def on_last_close(self) -> None:
+    def on_last_close(self, dispose) -> None:
+        """The last descriptor went; ``dispose`` drops one held File
+        (the kernel's ``dispose_file``)."""
         self.closed = True
-        # drop any still-queued passed descriptors
-        while self.rfds:
-            self.rfds.popleft().release()
-        if self.peer is not None:
-            self.peer._wake_readers()
-            self.peer._wake_writers()
+        while self.rfds:  # passed descriptors nobody received
+            dispose(self.rfds.popleft())
+        if self.tx is not None:
+            self.tx.close_write_end()  # the peer's readers see EOF
+            self.rx.close_read_end()  # the peer's writers see EPIPE
         for queued in self.backlog:
-            queued.closed = True
-            if queued.peer is not None:
-                queued.peer._wake_readers()
+            queued.on_last_close(dispose)
         self.backlog.clear()
 
 

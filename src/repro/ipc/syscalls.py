@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.errors import EINTR, ENOSPC, ENOTSOCK, SysError
+from typing import Optional
+
+from repro.errors import EINTR, ENOSPC, ENOTCONN, ENOTSOCK, SysError
 from repro.fs.file import File, O_RDWR
 from repro.fs.inode import Inode, InodeType
 from repro.ipc.socket import Socket, SocketNamespace
@@ -69,27 +71,22 @@ class IPCSyscalls:
         while True:
             if semset.can_apply(ops):
                 semset.apply(ops)
-                semset.broadcast()
+                semset.change.wake()  # every sleeper retries its array
                 self.pcount(proc, "semops")
                 self.trace("ipc", proc.pid, "semop id=%d" % semid)
                 return 0
             if self.fail("sem.sleep"):
                 raise SysError(EINTR, "injected: signal before semop sleep")
-            semset.waiters += 1
-            ok = yield from semset.change.p(proc, interruptible=True)
-            if not ok:
-                # Take our banked wakeup claim with us, or broadcast()
-                # over-credits the change semaphore forever after.
-                semset.waiters = max(semset.waiters - 1, 0)
+            if not (yield from semset.change.sleep(proc)):
                 raise SysError(EINTR)
 
     # ------------------------------------------------------------------
     # sockets
 
-    def _socket_file(self) -> File:
-        inode = Inode(InodeType.CHR, mode=0o666)
-        file = File(inode, O_RDWR)
-        file.socket = Socket(self.machine, self.sched)
+    def _socket_file(self, socket: Optional[Socket] = None) -> File:
+        """An open file for ``socket``, or for a fresh one."""
+        file = File(Inode(InodeType.CHR, mode=0o666), O_RDWR)
+        file.socket = socket or Socket(self.machine, self.sched)
         return file
 
     def _get_socket(self, proc, fd: int) -> Socket:
@@ -115,8 +112,7 @@ class IPCSyscalls:
         def apply():
             file_a = self._socket_file()
             file_b = self._socket_file()
-            file_a.socket.peer = file_b.socket
-            file_b.socket.peer = file_a.socket
+            file_a.socket.pair(file_b.socket)
             table = proc.uarea.fdtable
             fd_a = table.alloc(file_a)
             try:
@@ -158,26 +154,35 @@ class IPCSyscalls:
         endpoint = yield from listener.accept_one(proc)
 
         def apply():
-            inode = Inode(InodeType.CHR, mode=0o666)
-            file = File(inode, O_RDWR)
-            file.socket = endpoint
-            return proc.uarea.fdtable.alloc(file)
+            file = self._socket_file(endpoint)
+            try:
+                return proc.uarea.fdtable.alloc(file)
+            except SysError:
+                self.dispose_file(file)  # the peer sees the connection close
+                raise
             yield  # pragma: no cover
 
         newfd = yield from self._fd_update(proc, apply)
         return newfd
 
     def sys_send(self, proc, fd: int, payload: bytes):
+        """Also the path of ``write`` on a socket."""
         socket = self._get_socket(proc, fd)
         yield kdelay(self.costs.socket_op)
         yield kdelay(self.costs.copyio_per_word * _words(len(payload)))
-        count = yield from socket.send(proc, payload, self)
+        if socket.tx is None:
+            raise SysError(ENOTCONN)
+        count = yield from self.pipe_write(proc, socket.tx, payload)
         return count
 
     def sys_recv(self, proc, fd: int, nbytes: int):
+        """Also the path of ``read`` on a socket; an unconnected socket
+        reads EOF."""
         socket = self._get_socket(proc, fd)
         yield kdelay(self.costs.socket_op)
-        data = yield from socket.recv(proc, nbytes)
+        data = b""
+        if socket.rx is not None:
+            data = yield from socket.rx.read(proc, nbytes)
         yield kdelay(self.costs.copyio_per_word * _words(len(data)))
         return data
 

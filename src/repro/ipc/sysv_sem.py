@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import EEXIST, EINVAL, ENOENT, SysError
-from repro.sync.semaphore import Semaphore
+from repro.sync.semaphore import WaitQueue
 
 from repro.ipc.sysv_shm import IPC_CREAT, IPC_EXCL, IPC_PRIVATE
 
@@ -28,9 +28,7 @@ class SemSet:
         self.key = key
         self.values: List[int] = [0] * nsems
         #: sleepers retry after any change (classic sem_undo-free model)
-        self.change = Semaphore(machine, waker, 0, "semset%d" % semid)
-        self.waiters = 0
-        self.ops_applied = 0
+        self.change = WaitQueue(machine, waker, "semset%d" % semid)
 
     def can_apply(self, ops: Sequence[Tuple[int, int]]) -> bool:
         for index, delta in ops:
@@ -43,13 +41,6 @@ class SemSet:
     def apply(self, ops: Sequence[Tuple[int, int]]) -> None:
         for index, delta in ops:
             self.values[index] += delta
-        self.ops_applied += 1
-
-    def broadcast(self) -> None:
-        """Wake every sleeper to retry its operation array."""
-        for _ in range(self.waiters):
-            self.change.v()
-        self.waiters = 0
 
 
 class SemRegistry:

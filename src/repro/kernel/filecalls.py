@@ -17,6 +17,7 @@ from repro.errors import (
     ENFILE,
     ENOENT,
     EPERM,
+    EPIPE,
     SysError,
 )
 from repro.fs.file import (
@@ -137,7 +138,7 @@ class FileSyscalls:
                 if file.writable:
                     inode.fifo.close_write_end()
             if socket is not None:
-                socket.on_last_close()
+                socket.on_last_close(self.dispose_file)
 
     def sys_close(self, proc, fd: int):
         yield kdelay(self.costs.file_io_base)
@@ -214,11 +215,11 @@ class FileSyscalls:
             raise SysError(EINVAL)
         file = proc.uarea.fdtable.get(fd)
         file.require_readable()
+        if file.socket is not None:
+            data = yield from self.sys_recv(proc, fd, nbytes)
+            return data
         yield kdelay(self.costs.file_io_base)
         inode = file.inode
-        if file.socket is not None:
-            data = yield from file.socket.recv(proc, nbytes, self)
-            return data
         if inode.itype is InodeType.FIFO:
             yield kdelay(self.costs.pipe_op)
             data = yield from inode.fifo.read(proc, nbytes)
@@ -240,21 +241,15 @@ class FileSyscalls:
         """Write host bytes; returns the count written."""
         file = proc.uarea.fdtable.get(fd)
         file.require_writable()
+        if file.socket is not None:
+            count = yield from self.sys_send(proc, fd, payload)
+            return count
         yield kdelay(self.costs.file_io_base)
         inode = file.inode
-        if file.socket is not None:
-            count = yield from file.socket.send(proc, payload, self)
-            return count
         if inode.itype is InodeType.FIFO:
             yield kdelay(self.costs.pipe_op)
             yield kdelay(self.costs.copyio_per_word * _words(len(payload)))
-            try:
-                count = yield from inode.fifo.write(proc, payload)
-            except BrokenPipe:
-                self.psignal(proc, SIGPIPE)
-                from repro.errors import EPIPE
-
-                raise SysError(EPIPE)
+            count = yield from self.pipe_write(proc, inode.fifo, payload)
             return count
         if inode.itype is InodeType.CHR:
             return inode.device.write(payload)
@@ -269,6 +264,16 @@ class FileSyscalls:
         self.stats["bytes_written"] += count
         self.pcount(proc, "bytes_written", count)
         self.trace("io", proc.pid, "write fd=%d n=%d" % (fd, count))
+        return count
+
+    def pipe_write(self, proc, pipe: Pipe, payload: bytes):
+        """Write to a pipe or a socket's; a pipe with no reader left
+        posts SIGPIPE and fails ``EPIPE``."""
+        try:
+            count = yield from pipe.write(proc, payload)
+        except BrokenPipe:
+            self.psignal(proc, SIGPIPE)
+            raise SysError(EPIPE)
         return count
 
     def sys_read_v(self, proc, fd: int, vaddr: int, nbytes: int):

@@ -25,30 +25,20 @@ from repro.errors import EINTR, EINVAL, SysError
 from repro.kernel.fault import WORD
 from repro.mem.frames import PAGE_MASK
 from repro.sim.effects import kdelay
-from repro.sync.semaphore import Semaphore
-
-
-class _WaitChannel:
-    __slots__ = ("sema", "waiters")
-
-    def __init__(self, machine, waker, name):
-        self.sema = Semaphore(machine, waker, 0, name)
-        self.waiters = 0
+from repro.sync.semaphore import WaitQueue
 
 
 class UsyncSyscalls:
     """Kernel mixin: the uwait/uwake pair."""
 
     def init_usync(self) -> None:
-        self._usync: Dict[Tuple[int, int], _WaitChannel] = {}
+        self._usync: Dict[Tuple[int, int], WaitQueue] = {}
 
-    def _usync_channel(self, asid: int, vaddr: int) -> _WaitChannel:
+    def _usync_channel(self, asid: int, vaddr: int) -> WaitQueue:
         key = (asid, vaddr)
         channel = self._usync.get(key)
         if channel is None:
-            channel = _WaitChannel(
-                self.machine, self.sched, "uwait@%#x" % vaddr
-            )
+            channel = WaitQueue(self.machine, self.sched, "uwait@%#x" % vaddr)
             self._usync[key] = channel
         return channel
 
@@ -71,13 +61,10 @@ class UsyncSyscalls:
         channel = self._usync_channel(proc.vm.asid, vaddr)
         if self.fail("usync.sleep"):
             raise SysError(EINTR, "injected: signal before uwait sleep")
-        channel.waiters += 1
         self.stats["uwaits"] += 1
         self.pcount(proc, "uwaits")
         self.trace("uwait", proc.pid, "@%#x" % vaddr)
-        ok = yield from channel.sema.p(proc, interruptible=True)
-        if not ok:
-            channel.waiters = max(channel.waiters - 1, 0)
+        if not (yield from channel.sleep(proc)):
             raise SysError(EINTR)
         return 1
 
@@ -93,10 +80,7 @@ class UsyncSyscalls:
         channel = self._usync.get((proc.vm.asid, vaddr))
         if channel is None:
             return 0
-        woken = min(count, channel.waiters) if channel.waiters else 0
-        for _ in range(woken):
-            channel.sema.v()
-        channel.waiters -= woken
+        woken = channel.wake(count)
         self.stats["uwakes"] += woken
         if woken:
             self.pcount(proc, "uwakes", woken)

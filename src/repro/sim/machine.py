@@ -72,6 +72,8 @@ class Machine:
         self.inject = FailPointRegistry(self.kstat)
         self.frames.inject = self.inject
         self.cpus: List[CPU] = [CPU(i, self, tlb_capacity) for i in range(ncpus)]
+        #: every WaitQueue built on this machine, for the leak audit
+        self.waitqueues: List = []
         self._next_asid = 0
         self.shootdowns = 0
 

@@ -7,12 +7,15 @@ primitive is testable without a full kernel).
 Interruptible sleeps implement the classic UNIX rule: a signal aimed at a
 process sleeping interruptibly removes it from the wait queue and its
 ``p()`` returns ``False``, which kernel callers translate into ``EINTR``.
+
+:class:`WaitQueue` builds the condition sleep on one: the single home
+of the "bank before you sleep" protocol every blocking IPC call uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Deque, Optional
 
 from repro.sim.effects import Block, kdelay
 
@@ -147,3 +150,49 @@ class Semaphore:
     @property
     def nwaiters(self) -> int:
         return len(self._waiters)
+
+
+class WaitQueue:
+    """Sleep until a condition may have changed (pipes, sockets, SysV
+    semaphore sets, usync channels).
+
+    A sleeper banks a claim in the same atomic step as its condition
+    check, and a waker pays out one ``v()`` per banked claim; ``v()``
+    keeps the unit when the sleeper has not reached the semaphore yet,
+    so a wakeup issued in between is never lost.  Every queue is listed
+    on ``machine.waitqueues`` for the leak audit.
+    """
+
+    __slots__ = ("sema", "waiters")
+
+    def __init__(self, machine, waker, name: str):
+        self.sema = Semaphore(machine, waker, 0, name)
+        #: banked claims not yet paid out
+        self.waiters = 0
+        machine.waitqueues.append(self)
+
+    def sleep(self, proc):
+        """Generator: bank a claim and sleep interruptibly.
+
+        Returns ``True`` when woken, ``False`` when a signal interrupted
+        the sleep (callers translate that into ``EINTR``).  An
+        interrupted sleeper takes its claim back: un-banked if it is
+        still banked, else the unit a waker already paid for it.
+        """
+        self.waiters += 1
+        if (yield from self.sema.p(proc, interruptible=True)):
+            return True
+        if self.waiters:
+            self.waiters -= 1
+        else:
+            self.sema.cp()
+        return False
+
+    def wake(self, n: Optional[int] = None) -> int:
+        """Pay out ``n`` banked claims (all of them when None, at most
+        as many as are banked); returns the number paid."""
+        count = self.waiters if n is None else min(n, self.waiters)
+        self.waiters -= count
+        for _ in range(count):
+            self.sema.v()
+        return count

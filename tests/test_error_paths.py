@@ -1,10 +1,13 @@
 """Kernel error paths under injected faults: partial-failure unwinds,
 EINTR consistency for every blocking call, and SIGKILL vs wait-counts."""
 
-from repro import IPC_CREAT, PR_SALL, SIGKILL, SIGUSR1, System
-from repro.check.invariants import audit_leaks, run_invariants
+import pytest
+
+from repro import IPC_CREAT, IPC_PRIVATE, PR_SALL, SIGKILL, SIGUSR1, System
+from repro.check.invariants import audit_leaks, check_leaks, run_invariants
 from repro.errors import EINTR, ENOMEM
 from repro.fs.file import O_CREAT, O_RDWR, SEEK_SET
+from repro.fs.pipe import PIPE_BUF
 from repro.mem.frames import PAGE_SIZE
 from tests.conftest import run_program
 
@@ -83,9 +86,131 @@ def test_pipe_read_eintr_then_retry():
     run_program(main, out=out, sim=sim)
     assert out["first_err"] == EINTR
     assert out["data_len"] == 8
-    assert out["fifo"]._read_waiters == 0
-    assert out["fifo"]._write_waiters == 0
+    assert out["fifo"].readable.waiters == 0
+    assert out["fifo"].writable.waiters == 0
     assert audit_leaks(sim) == []
+
+
+@pytest.mark.parametrize("cause", ["signal", "failpoint"])
+def test_interrupted_pipe_write_returns_its_partial_count(cause):
+    """A blocked write cut short after moving bytes returns the count it
+    moved (POSIX); only a write that moved nothing fails EINTR."""
+
+    def writer(api, arg):
+        out, wfd = arg
+        yield from api.signal(SIGUSR1, _noop_handler)
+        out["rc"] = yield from api.write(wfd, b"w" * (PIPE_BUF + 808))
+        return 0
+
+    def main(api, out):
+        rfd, wfd = yield from api.pipe()
+        out["fifo"] = api.proc.uarea.fdtable.slots[rfd].inode.fifo
+        pid = yield from api.fork(writer, (out, wfd))
+        yield from api.compute(30_000)
+        if cause == "signal":
+            yield from api.kill(pid, SIGUSR1)
+        yield from api.wait()
+        out["got"] = len((yield from api.read(rfd, 2 * PIPE_BUF)))
+        return 0
+
+    inject = {"pipe.write.sleep": "nth:1"} if cause == "failpoint" else None
+    out, sim = run_program(main, inject=inject)
+    assert out["rc"] == PIPE_BUF
+    assert out["got"] == PIPE_BUF
+    assert out["fifo"].writable.waiters == 0
+    assert audit_leaks(sim) == []
+
+
+# ----------------------------------------------------------------------
+# a wakeup paid to a sleeper that a signal already took off the
+# semaphore goes back with it: the waker runs before the interrupted
+# sleeper does, so the claim is no longer banked but paid
+
+
+def _block_in(kind, api, handle):
+    if kind == "pipe":
+        return (yield from api.read(handle, 8))
+    if kind == "socket":
+        return (yield from api.recv(handle, 8))
+    if kind == "semop":
+        return (yield from api.semop(handle, [(0, -1)]))
+    return (yield from api.uwait(handle, 0))
+
+
+def _pay(kind, api, handle):
+    if kind == "pipe":
+        yield from api.write(handle, b"12345678")
+    elif kind == "socket":
+        yield from api.send(handle, b"12345678")
+    elif kind == "semop":
+        yield from api.semop(handle, [(0, 1)])
+    else:
+        yield from api.store_word(handle, 1)
+        yield from api.uwake(handle, 1)
+
+
+@pytest.mark.parametrize("kind", ["pipe", "socket", "semop", "uwait"])
+def test_interrupted_sleeper_reclaims_a_wakeup_paid_after_the_signal(kind):
+    def victim(api, arg):
+        out, handle = arg
+        rc = yield from _block_in(kind, api, handle)
+        out["first_err"] = (yield from api.errno()) if rc == -1 else None
+        while rc == -1:
+            rc = yield from _block_in(kind, api, handle)
+        return 0
+
+    def main(api, out):
+        yield from api.signal(SIGUSR1, _noop_handler)  # the victim inherits it
+        if kind == "pipe":
+            wait_on, pay_to = yield from api.pipe()
+        elif kind == "socket":
+            pay_to, wait_on = yield from api.socketpair()
+        elif kind == "semop":
+            wait_on = pay_to = yield from api.semget(IPC_PRIVATE, 1, IPC_CREAT)
+        else:
+            wait_on = pay_to = yield from api.mmap(PAGE_SIZE)
+        pid = yield from api.sproc(victim, PR_SALL, (out, wait_on))
+        yield from api.yield_cpu()  # the victim runs until it sleeps
+        yield from api.kill(pid, SIGUSR1)
+        yield from _pay(kind, api, pay_to)  # before the victim runs again
+        yield from api.wait()
+        return 0
+
+    out, sim = run_program(main, ncpus=1)
+    assert out["first_err"] == EINTR
+    unclaimed = [
+        (queue.sema.name, queue.sema.value)
+        for queue in sim.machine.waitqueues
+        if queue.sema.value
+    ]
+    assert unclaimed == []
+    assert audit_leaks(sim) == []
+
+
+# ----------------------------------------------------------------------
+# the leak audit walks every wait queue
+
+
+@pytest.mark.parametrize("leave", ["banked", "unclaimed"])
+def test_leak_audit_reports_a_wait_queue_left_behind(leave):
+    def main(api, out):
+        rfd, wfd = yield from api.pipe()
+        out["fifo"] = api.proc.uarea.fdtable.slots[rfd].inode.fifo
+        yield from api.write(wfd, b"x")
+        out["data"] = yield from api.read(rfd, 8)
+        return 0
+
+    out, sim = run_program(main)
+    assert check_leaks(sim) == []
+    queue = out["fifo"].readable
+    if leave == "banked":
+        queue.waiters += 1
+    else:
+        queue.sema.v()
+    findings = check_leaks(sim)
+    assert len(findings) == 1
+    assert findings[0].startswith("wait queue pipe.read: ")
+    assert ("1 banked claims" if leave == "banked" else "1 unclaimed") in findings[0]
 
 
 def test_semop_eintr_decrements_waiters():
@@ -112,8 +237,8 @@ def test_semop_eintr_decrements_waiters():
     out, sim = run_program(main)
     assert out["status"] == 0  # victim saw EINTR, then succeeded
     semset = sim.kernel.sem._by_id[out["semid"]]
-    assert semset.waiters == 0
-    assert semset.change.nwaiters == 0
+    assert semset.change.waiters == 0
+    assert semset.change.sema.nwaiters == 0
     assert audit_leaks(sim) == []
 
 
@@ -165,8 +290,8 @@ def test_sigkill_while_blocked_in_semop_leaves_counts_clean():
 
     out, sim = run_program(main)
     semset = sim.kernel.sem._by_id[out["semid"]]
-    assert semset.waiters == 0, "the killed sleeper's banked waiter leaked"
-    assert semset.change.nwaiters == 0
+    assert semset.change.waiters == 0, "the killed sleeper's banked waiter leaked"
+    assert semset.change.sema.nwaiters == 0
     assert 0 in out["statuses"], "the surviving member must still succeed"
     assert audit_leaks(sim) == []
 

@@ -2,7 +2,8 @@
 
 
 from repro import O_CREAT, O_RDWR, SEEK_SET, SIGUSR1, System
-from repro.errors import ECONNREFUSED, EINTR, ENOTCONN, ENOTSOCK, EPIPE
+from repro.check.invariants import audit_leaks
+from repro.errors import ECONNREFUSED, EINTR, EMFILE, ENOTCONN, ENOTSOCK, EPIPE
 from tests.conftest import run_program
 
 
@@ -18,6 +19,32 @@ def test_socketpair_bidirectional():
     out, _ = run_program(main)
     assert out["b_got"] == b"ping"
     assert out["a_got"] == b"pong"
+
+
+def test_read_and_write_on_a_socket_run_recv_and_send():
+    """``read``/``write`` on a socket take the ``recv``/``send`` kernel
+    path: the same data moves for the same cycles."""
+
+    def program(file_calls):
+        def main(api, out):
+            put = api.write if file_calls else api.send
+            get = api.read if file_calls else api.recv
+            a, b = yield from api.socketpair()
+            out["a sent"] = yield from put(a, b"ping")
+            out["b got"] = yield from get(b, 16)
+            out["b sent"] = yield from put(b, b"pong!")
+            out["a got"] = yield from get(a, 16)
+            return 0
+
+        return main
+
+    via_files, files_sim = run_program(program(True))
+    via_sockets, sockets_sim = run_program(program(False))
+    assert via_files == {
+        "a sent": 4, "b got": b"ping", "b sent": 5, "a got": b"pong!",
+    }
+    assert via_files == via_sockets
+    assert files_sim.now == sockets_sim.now
 
 
 def test_connect_accept_flow():
@@ -187,6 +214,49 @@ def test_descriptor_passing_transfers_open_file():
     assert out["data"] == b"delivered"
 
 
+def test_descriptor_queued_at_last_close_is_disposed():
+    """A passed pipe write end nobody received closes with the socket,
+    so the pipe's reader sees EOF instead of sleeping forever."""
+
+    def main(api, out):
+        a, b = yield from api.socketpair()
+        rfd, wfd = yield from api.pipe()
+        yield from api.sendfd(a, wfd)
+        yield from api.close(wfd)  # b's queue now holds the only copy
+        yield from api.close(b)
+        out["read"] = yield from api.read(rfd, 8)
+        return 0
+
+    out, sim = run_program(main, ncpus=1)
+    assert out["read"] == b""
+    assert audit_leaks(sim) == []
+
+
+def test_accept_whose_descriptor_allocation_fails_closes_the_connection():
+    def client(api, out):
+        yield from api.compute(20_000)
+        s = yield from api.socket()  # fd.alloc hit 2
+        yield from api.connect(s, "srv")
+        out["recv"] = yield from api.recv(s, 8)
+        return 0
+
+    def main(api, out):
+        s = yield from api.socket()  # fd.alloc hit 1
+        yield from api.bind(s, "srv")
+        yield from api.listen(s)
+        yield from api.fork(client, out)
+        out["accept"] = yield from api.accept(s)  # hit 3 fails
+        out["errno"] = yield from api.errno()
+        yield from api.close(s)
+        yield from api.wait()
+        return 0
+
+    out, sim = run_program(main, inject={"fd.alloc": "nth:3"})
+    assert (out["accept"], out["errno"]) == (-1, EMFILE)
+    assert out["recv"] == b"", "the client sees the dropped connection close"
+    assert audit_leaks(sim) == []
+
+
 def test_backlog_limit_refuses_excess_connections():
     def main(api, out):
         s = yield from api.socket()
@@ -251,9 +321,9 @@ def test_recv_interrupted_by_signal_unbanks_its_waiter():
         yield from api.signal(SIGUSR1, _noop_handler)
         rc = yield from api.recv(fd, 8)
         out["err"] = (yield from api.errno()) if rc == -1 else None
-        out["waiters_after_eintr"] = out["sock"].read_waiters
+        out["waiters_after_eintr"] = out["sock"].rx.readable.waiters
         out["data"] = yield from api.recv(fd, 8)
-        out["value_after_transfer"] = out["sock"].read_wait._value
+        out["value_after_transfer"] = out["sock"].rx.readable.sema.value
         return 0
 
     def main(api, out):
@@ -283,9 +353,9 @@ def test_send_interrupted_by_signal_unbanks_its_waiter():
     def writer(api, arg):
         out, fd = arg
         yield from api.signal(SIGUSR1, _noop_handler)
-        rc = yield from api.send(fd, b"w" * (SOCK_BUF + 808))  # blocks once full
-        out["err"] = (yield from api.errno()) if rc == -1 else None
-        out["waiters_after_eintr"] = out["sock"].write_waiters
+        # blocks once full; the signal then ends it with the partial count
+        out["rc"] = yield from api.send(fd, b"w" * (SOCK_BUF + 808))
+        out["waiters_after_signal"] = out["sock"].tx.writable.waiters
         return 0
 
     def main(api, out):
@@ -296,12 +366,12 @@ def test_send_interrupted_by_signal_unbanks_its_waiter():
         yield from api.kill(pid, SIGUSR1)
         yield from api.wait()
         out["got"] = len((yield from api.recv(b, SOCK_BUF)))
-        out["value_after_transfer"] = out["sock"].write_wait._value
+        out["value_after_transfer"] = out["sock"].tx.writable.sema.value
         return 0
 
     holder["sim"] = sim = System(ncpus=2)
     out, _ = run_program(main, sim=sim)
-    assert out["err"] == EINTR
-    assert out["waiters_after_eintr"] == 0
+    assert out["rc"] == SOCK_BUF
+    assert out["waiters_after_signal"] == 0
     assert out["got"] == SOCK_BUF
     assert out["value_after_transfer"] == 0
