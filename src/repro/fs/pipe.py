@@ -66,7 +66,8 @@ class Pipe:
                 take = min(nbytes, len(self.buffer))
                 chunk = bytes(self.buffer[:take])
                 del self.buffer[:take]
-                self.writable.wake()
+                if self.writable.waiters:
+                    self.writable.wake()
                 return chunk
             if self.writers == 0:
                 return b""  # EOF
@@ -90,7 +91,8 @@ class Pipe:
                 chunk = payload[written:written + space]
                 self.buffer.extend(chunk)
                 written += len(chunk)
-                self.readable.wake()
+                if self.readable.waiters:
+                    self.readable.wake()
                 continue
             if self._inject.fire("pipe.write.sleep") or not (
                 yield from self.writable.sleep(proc)

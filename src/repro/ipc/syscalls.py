@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import EINTR, ENOSPC, ENOTCONN, ENOTSOCK, SysError
+from repro.errors import EINTR, EINVAL, ENOSPC, ENOTCONN, ENOTSOCK, SysError
 from repro.fs.file import File, O_RDWR
 from repro.fs.inode import Inode, InodeType
 from repro.ipc.socket import Socket, SocketNamespace
@@ -178,6 +178,8 @@ class IPCSyscalls:
     def sys_recv(self, proc, fd: int, nbytes: int):
         """Also the path of ``read`` on a socket; an unconnected socket
         reads EOF."""
+        if nbytes < 0:
+            raise SysError(EINVAL)
         socket = self._get_socket(proc, fd)
         yield kdelay(self.costs.socket_op)
         data = b""
@@ -187,12 +189,16 @@ class IPCSyscalls:
         return data
 
     def sys_sendfd(self, proc, fd: int, passed_fd: int):
-        """Pass an open descriptor to the peer (4.2BSD-style)."""
+        """Pass an open descriptor to the peer (4.2BSD-style); a peer
+        that has closed fails ``EPIPE``, SIGPIPE included, as ``send``
+        does."""
         socket = self._get_socket(proc, fd)
         if socket.peer is None:
             raise SysError(ENOTSOCK, "not connected")
         yield kdelay(self.costs.socket_op)
         file = proc.uarea.fdtable.get(passed_fd)
+        if socket.peer.closed:
+            raise self.broken_pipe(proc)
         socket.peer.push_fd(file.hold())
         return 0
 

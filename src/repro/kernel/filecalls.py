@@ -272,9 +272,14 @@ class FileSyscalls:
         try:
             count = yield from pipe.write(proc, payload)
         except BrokenPipe:
-            self.psignal(proc, SIGPIPE)
-            raise SysError(EPIPE)
+            raise self.broken_pipe(proc)
         return count
+
+    def broken_pipe(self, proc) -> SysError:
+        """Post SIGPIPE to ``proc`` and return the ``EPIPE`` to raise:
+        what a write or a ``sendfd`` with no reader left fails with."""
+        self.psignal(proc, SIGPIPE)
+        return SysError(EPIPE)
 
     def sys_read_v(self, proc, fd: int, vaddr: int, nbytes: int):
         """POSIX-shaped read into a *guest* buffer; returns the count."""

@@ -18,9 +18,12 @@ the process's resume value as its token), use the engine's
 inline-continuation slot (``engine.resched_inline``) with the callables
 prebound in ``__init__``: when the hop is the strictly next event on the
 timeline the engine fires it directly — no Event, no queue traffic, no
-closures (see ``docs/INTERNALS.md`` §14 and §17).  Paths that need a
-cancellable handle or follow anything other than these straight-line
-hops stay on ``engine.schedule_call``.
+closures (see ``docs/INTERNALS.md`` §14 and §17).  A kernel-mode delay
+goes one step further (``engine.hop``): when it is strictly the next
+event, ``_resume`` runs ahead to it and sends the next value into the
+same frame in the same call, so a syscall that meets no other event is
+one pass.  Paths that need a cancellable handle or follow anything
+other than these straight-line hops stay on ``engine.schedule_call``.
 
 Leaving the CPU is one scheduler call: ``preempt`` for a yield or a
 preemption (requeue the process, offer the CPU), ``cpu_idle`` for a
@@ -42,7 +45,7 @@ class CPU:
     __slots__ = (
         "idx", "machine", "engine", "costs", "tlb", "private_tlb",
         "current", "kernel", "dispatcher", "_last_asid", "_label",
-        "_resume_cb", "_boundary_cb", "_resched",
+        "_resume_cb", "_boundary_cb", "_resched", "_hop",
         "_ks", "_runq_wait",
         "busy_cycles", "switches", "dispatches", "preemptions",
     )
@@ -70,10 +73,12 @@ class CPU:
         # lifetime of the CPU.
         self._resume_cb = self._resume
         self._boundary_cb = self._boundary
-        # the trampoline-eliding hop for steady-state resumes; under the
-        # naive-loop ablation it degrades to schedule_call inside the
-        # engine, so call sites never need to know the mode
+        # the trampoline-eliding hop for steady-state resumes, and the
+        # run-ahead one for kernel delays; under the naive-loop ablation
+        # both degrade to schedule_call inside the engine, so call sites
+        # never need to know the mode
         self._resched = machine.engine.resched_inline
+        self._hop = machine.engine.hop
         # bound kstat handles: a dispatch bumps them in place
         self._ks = machine.kstat.counters("cpu", idx)
         self._runq_wait = machine.kstat.histogram("kernel", 0, "runq_wait")
@@ -137,34 +142,51 @@ class CPU:
     # interpreter
 
     def _resume(self, value) -> None:
-        """Advance the current process's top frame by one effect."""
+        """Advance the current process's top frame, effect by effect.
+
+        Each turn of the loop sends ``value`` into the frame and
+        interprets the effect it yields.  A kernel ``Delay`` is never
+        preempted, so when its hop is strictly the next event on the
+        timeline the engine runs ahead to it (``engine.hop``) and the
+        loop sends the next value into the same frame: a syscall whose
+        delays all run ahead is one call here.  A kernel hop that is not
+        strictly earliest parks for the drain; a user delay, a block or
+        a yield ends the call.
+        """
         proc = self.current
         if proc is None:
             raise SimulationError("CPU%d resume with no current proc" % self.idx)
+        # only this CPU's boundary and frame-done paths change the frame
+        # stack, and neither runs inside this loop
         frame = proc.frames[-1]
-        try:
-            effect = frame.send(value)
-        except StopIteration as stop:
-            self._frame_done(proc, stop.value)
-            return
-        except ExecImage as image:
-            # exec(): throw away the old image, start the new program.
-            proc.frames = [image.frame]
-            proc.saved_resume = []
-            self.engine.schedule_call(0, self._resume_cb, None)
-            return
-        except SimulationError:
-            raise
-        except Exception as err:
-            # An uncaught exception in guest or kernel code is a bug in
-            # the workload (or in us); wrap it with enough context to
-            # find the culprit, keeping the original traceback chained.
-            raise SimulationError(
-                "pid %d (%s) crashed on CPU%d at cycle %d: %r"
-                % (proc.pid, proc.name, self.idx, self.engine.now, err)
-            ) from err
-        # inline effect interpretation: Delay is ~all of the steady state
-        if type(effect) is Delay:
+        while True:
+            try:
+                effect = frame.send(value)
+            except StopIteration as stop:
+                self._frame_done(proc, stop.value)
+                return
+            except ExecImage as image:
+                # exec(): throw away the old image, start the new program.
+                proc.frames = [image.frame]
+                proc.saved_resume = []
+                self.engine.schedule_call(0, self._resume_cb, None)
+                return
+            except SimulationError:
+                raise
+            except Exception as err:
+                # An uncaught exception in guest or kernel code is a bug
+                # in the workload (or in us); wrap it with enough context
+                # to find the culprit, keeping the original traceback
+                # chained.
+                raise SimulationError(
+                    "pid %d (%s) crashed on CPU%d at cycle %d: %r"
+                    % (proc.pid, proc.name, self.idx, self.engine.now, err)
+                ) from err
+            # Delay is ~all of the steady state and is interpreted
+            # inline; every other effect goes to _interpret
+            if type(effect) is not Delay:
+                self._interpret(proc, effect)
+                return
             cycles = effect.cycles
             if effect.user:
                 quantum_left = proc.quantum_left
@@ -176,11 +198,11 @@ class CPU:
                     self._resched(cycles, self._boundary_cb, None)
                 else:
                     self._user_delay(proc, cycles)
-            else:
-                self.busy_cycles += cycles
-                self._resched(cycles, self._resume_cb, None)
-            return
-        self._interpret(proc, effect)
+                return
+            self.busy_cycles += cycles
+            if not self._hop(cycles, self._resume_cb, None):
+                return
+            value = None
 
     def _frame_done(self, proc, result) -> None:
         """The top frame ran to completion, returning ``result``."""

@@ -41,11 +41,19 @@ Host-speed notes (see ``docs/INTERNALS.md`` §14 and §17):
   Continuations only demote to real queued events under the naive
   ablation loop or past the park-list bound, so the protocol is
   observably transparent: exact ``(time, seq)`` order either way.
+* :meth:`Engine.hop` is **run-ahead** for an event's tail hop: a hop
+  due strictly earlier than everything pending, and within the running
+  drain's ``until``, is the very next event the drain would fire, so
+  the clock moves there at once and the caller continues in the same
+  pass — no park, no drain round trip, the same counts and seqs.  The
+  CPU uses it for kernel-mode delays, which are never preempted.
+  Anything else parks as before.
 
 ``loop="naive"`` (env ``REPRO_ENGINE_LOOP``) falls back to the seed's
 one-event-at-a-time loop with the inline slot disabled (continuations
-materialize immediately).  It is the fast loop's oracle: the two must
-stay cycle-identical, and the determinism tests diff them.
+materialize immediately, and nothing runs ahead).  It is the fast
+loop's oracle: the two must stay cycle-identical, and the determinism
+tests diff them.
 """
 
 from __future__ import annotations
@@ -77,6 +85,11 @@ _COMPACT_MIN_GARBAGE = 64
 #: so crossing this means host code is abusing resched_inline as a
 #: general scheduler — demote to real events rather than grow unbounded
 _INLINE_PARK_MAX = 1024
+
+#: run-ahead horizons (see Engine.hop): none outside an unbudgeted fast
+#: drain, and "no ``until``" inside one
+_NO_HORIZON = -1
+_FAR = 1 << 62
 
 
 def default_engine_loop() -> str:
@@ -176,6 +189,8 @@ class Engine:
         self._parked: List[Tuple[int, int, Callable[[Any], None], Any]] = []
         self.inline_hops = 0  #: continuations fired without queue traffic
         self.inline_fallbacks = 0  #: continuations demoted to real events
+        #: the latest cycle a tail hop may run ahead to (see hop)
+        self._horizon = _NO_HORIZON
         self.seed = seed
         self.rng = random.Random(seed) if seed is not None else None
         self.perturb = (
@@ -256,7 +271,8 @@ class Engine:
         for anything that needs a handle.  Under the naive ablation
         loop (and past the park-list safety bound) the continuation
         materializes immediately as a real event, counted as an
-        ``inline_fallback``.
+        ``inline_fallback``.  :meth:`hop` parks here when it cannot
+        run ahead.
         """
         if cycles < 0:
             raise SimulationError(
@@ -272,6 +288,34 @@ class Engine:
         # seq is globally unique, so sorting (and the drain's head
         # comparisons) never reach the non-comparable fn/token fields
         insort(parked, (self.now + int(cycles), seq, fn, token))
+
+    def hop(self, cycles: int, fn: Callable[[Any], None], token: Any) -> bool:
+        """An event's tail hop: run ahead to it, or park ``fn(token)``.
+
+        When ``now + cycles`` is **strictly earlier** than every pending
+        entry, queued or parked, and within the running drain's
+        ``until``, the hop is the very next event the drain would fire
+        and nothing runs in between.  So the engine moves the clock
+        there, reserves the hop's seq and counts an event and an inline
+        hop, exactly as firing the park would have, and returns
+        ``True``: the caller runs the continuation itself, in the same
+        pass.  Otherwise the hop parks through :meth:`resched_inline`
+        and this returns ``False``.  There is no run-ahead under a
+        ``max_events`` budget (so none under :meth:`step`), under the
+        naive loop or outside :meth:`run`.
+        """
+        t = self.now + cycles
+        if t <= self._horizon and cycles >= 0:
+            parked = self._parked
+            queue = self._queue
+            if (not parked or t < parked[0][0]) and (not queue or t < queue[0][0]):
+                self.now = t
+                self._seq += 1
+                self._events_processed += 1
+                self.inline_hops += 1
+                return True
+        self.resched_inline(cycles, fn, token)
+        return False
 
     # ------------------------------------------------------------------
     # queue hygiene
@@ -312,11 +356,15 @@ class Engine:
         self._running = True
         try:
             if self.loop == "fast":
+                if max_events is None:
+                    # a tail hop may run ahead up to here (see hop)
+                    self._horizon = until if until is not None else _FAR
                 self._drain_fast(until, max_events)
             else:
                 self._drain_naive(until, max_events)
         finally:
             self._running = False
+            self._horizon = _NO_HORIZON
 
     def _drain_fast(self, until: Optional[int], max_events: Optional[int]) -> None:
         """Batched drain: same-cycle events skip the time bookkeeping.
@@ -326,7 +374,8 @@ class Engine:
         bound to locals.  Event-count accounting is deferred to the
         ``finally`` so the per-event work is: pop, flag, fire — or, for
         an inline continuation at the (time, seq) minimum, just:
-        advance, fire.
+        advance, fire.  A callback may run ahead (:meth:`hop`), so the
+        clock is re-read after every one.
         """
         queue = self._queue
         parked = self._parked
@@ -372,6 +421,7 @@ class Engine:
                         del parked[0]
                         hops += 1
                         item[2](item[3])
+                        now = self.now
                         processed += 1
                         if processed == budget:
                             return
@@ -413,6 +463,7 @@ class Engine:
                     event.fn()
                 else:
                     event.fn(token)
+                now = self.now
                 processed += 1
                 if processed == budget:
                     return

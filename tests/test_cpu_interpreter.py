@@ -228,3 +228,41 @@ def test_delay_caches_share_one_bound():
         effects._KDELAY_CACHE.update(saved_k)
         effects._UDELAY_CACHE.clear()
         effects._UDELAY_CACHE.update(saved_u)
+
+
+def _syscall_loop(api, out):
+    for _ in range(50):
+        yield from api.getpid()
+        yield from api.getuid()
+        yield from api.umask(0o22)
+    return 0
+
+
+def test_syscall_loop_runs_its_kernel_delays_ahead(monkeypatch):
+    """Alone on one CPU, every kernel delay is strictly the next event:
+    under the fast loop none parks, and the run still ends on the naive
+    loop's cycle with the naive loop's kstat snapshot."""
+    from repro.sim.engine import Engine
+
+    def run(engine_loop):
+        parks = []
+        park = Engine.resched_inline
+
+        def counting(self, cycles, fn, token):
+            parks.append(fn.__name__)
+            return park(self, cycles, fn, token)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Engine, "resched_inline", counting)
+            sim = System(ncpus=1, engine_loop=engine_loop)
+            sim.spawn(_syscall_loop, {})
+            sim.run()
+        return parks, sim.now, sim.engine.events_processed, sim.kstat.snapshot()
+
+    fast, naive = run("fast"), run("naive")
+    assert fast[3]["kernel"][0]["syscalls"] == 150
+    # only the dispatch hop parks; each syscall is one _resume call
+    assert fast[0] == ["_boundary"]
+    # the oracle parks every kernel delay, one event each
+    assert naive[0].count("_resume") == naive[2] - 1
+    assert fast[1:] == naive[1:]

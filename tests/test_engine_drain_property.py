@@ -1,9 +1,10 @@
 """Randomized equivalence of the fast drain loop and its naive oracle.
 
 One generated *script* — a pure-data schedule of events, inline
-continuations, cancels (including cancel-after-fire), nested
-reschedules, cancel storms that cross the compaction threshold, and
-partial drains via ``until`` / ``max_events`` — is executed against a
+continuations, tail hops that may run ahead (``Engine.hop``), cancels
+(including cancel-after-fire), nested reschedules, cancel storms that
+cross the compaction threshold, and partial drains via ``until`` /
+``max_events`` — is executed against a
 ``loop="fast"`` and a ``loop="naive"`` engine.  The fast loop must
 agree with the naive reference on the full firing log (time and label
 of every callback), the final clock, ``events_processed``, and what
@@ -19,8 +20,28 @@ import pytest
 from repro.sim.engine import Engine
 
 
+def _gen_op(rng, next_id, depth, kind):
+    oid = next_id[0]
+    next_id[0] += 1
+    # tail hops nest more often, so chains of them run ahead
+    children = (
+        _gen_ops(rng, next_id, depth + 1)
+        if depth < 2 and rng.random() < (0.7 if kind == "tail" else 0.35)
+        else []
+    )
+    return {
+        "kind": kind,
+        "id": oid,
+        "delay": rng.choice([0, 0, 1, 2, 3, 5, 8, 13, 40, 1000]),
+        "children": children,
+    }
+
+
 def _gen_ops(rng, next_id, depth):
-    """A list of pure-data ops; ``children`` run when the parent fires."""
+    """A list of pure-data ops; ``children`` run when the parent fires.
+
+    A ``tail`` op comes only last: it is the callback's tail hop.
+    """
     ops = []
     for _ in range(rng.randrange(1, 6)):
         kind = rng.choices(
@@ -32,19 +53,9 @@ def _gen_ops(rng, next_id, depth):
             # reference that never resolves (skipped)
             ops.append({"kind": "cancel", "target": rng.randrange(next_id[0] + 2)})
             continue
-        oid = next_id[0]
-        next_id[0] += 1
-        children = (
-            _gen_ops(rng, next_id, depth + 1)
-            if depth < 2 and rng.random() < 0.35
-            else []
-        )
-        ops.append({
-            "kind": kind,
-            "id": oid,
-            "delay": rng.choice([0, 0, 1, 2, 3, 5, 8, 13, 40, 1000]),
-            "children": children,
-        })
+        ops.append(_gen_op(rng, next_id, depth, kind))
+    if rng.random() < 0.7:
+        ops.append(_gen_op(rng, next_id, depth, "tail"))
     return ops
 
 
@@ -81,6 +92,7 @@ def _execute(script, loop):
     eng = Engine(loop=loop)
     log = []
     handles = {}
+    ran_ahead = [0]
 
     def apply_op(op):
         kind = op["kind"]
@@ -98,8 +110,11 @@ def _execute(script, loop):
 
         if kind == "schedule":
             handles[op["id"]] = eng.schedule_call(op["delay"], fire, token)
-        else:  # inline continuation: no cancellable handle exists
+        elif kind == "inline":  # no cancellable handle exists
             eng.resched_inline(op["delay"], fire, token)
+        elif eng.hop(op["delay"], fire, token):
+            ran_ahead[0] += 1
+            fire(token)  # the continuation runs in this same pass
 
     for ops, (mode, arg) in script:
         for op in ops:
@@ -116,13 +131,27 @@ def _execute(script, loop):
         "now": eng.now,
         "events_processed": eng.events_processed,
         "pending": eng.pending,
+        "ran_ahead": ran_ahead[0],
     }
 
 
-@pytest.mark.parametrize("seed", range(12))
+SEEDS = range(24)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_all_drains_agree_on_random_scripts(seed):
     script = _gen_script(seed)
     reference = _execute(script, "naive")
+    assert reference.pop("ran_ahead") == 0  # the oracle never runs ahead
     assert reference["pending"] == 0  # the final drain leaves nothing owed
     assert reference["log"], "degenerate script: nothing fired"
-    assert _execute(script, "fast") == reference
+    fast = _execute(script, "fast")
+    fast.pop("ran_ahead")
+    assert fast == reference
+
+
+def test_random_scripts_exercise_run_ahead():
+    """The tail ops are not vacuous: under the fast loop some of them
+    run ahead."""
+    ran = [_execute(_gen_script(seed), "fast")["ran_ahead"] for seed in SEEDS]
+    assert sum(ran) >= len(SEEDS)

@@ -282,6 +282,171 @@ def test_park_bound_demotes_to_real_events():
 
 
 # ----------------------------------------------------------------------
+# run-ahead (engine.hop): a tail hop strictly earlier than everything
+# pending continues in the same pass, counted as if its park had fired
+
+
+def _tail_hop_run(use_hop):
+    """One event at cycle 10 ends with a 4-cycle tail hop; another
+    event waits at cycle 20.  Returns what the hop returned, the clock
+    right after it, the seq of an event scheduled next, the firing log
+    and the engine."""
+    eng = Engine(loop="fast")
+    log = []
+    seen = {}
+
+    def tail(token):
+        log.append((eng.now, token))
+
+    def first():
+        log.append((eng.now, "first"))
+        if use_hop:
+            seen["ran"] = eng.hop(4, tail, "tail")
+            if seen["ran"]:
+                tail("tail")
+        else:
+            eng.resched_inline(4, tail, "tail")
+        seen["now"] = eng.now
+
+    def later():
+        log.append((eng.now, "later"))
+        seen["next_seq"] = eng.schedule(1, lambda: None).seq
+
+    eng.schedule(10, first)
+    eng.schedule(20, later)
+    eng.run()
+    return seen, log, eng
+
+
+def test_strictly_earliest_hop_runs_ahead():
+    seen, log, eng = _tail_hop_run(use_hop=True)
+    assert seen["ran"] is True
+    assert seen["now"] == 14  # the clock moved inside the callback
+    parked_seen, parked_log, parked_eng = _tail_hop_run(use_hop=False)
+    assert parked_seen["now"] == 10
+    # as if the park had fired: same log, clock, counts and next seq
+    assert log == parked_log == [(10, "first"), (14, "tail"), (20, "later")]
+    assert seen["next_seq"] == parked_seen["next_seq"]
+    for attr in ("now", "events_processed", "inline_hops", "inline_fallbacks"):
+        assert getattr(eng, attr) == getattr(parked_eng, attr), attr
+    assert eng.events_processed == 4 and eng.inline_hops == 1
+    assert eng.idle()
+
+
+def _hop_from_callback(eng, at, cycles, log, **run_kwargs):
+    """Schedule an event at ``at`` whose tail is ``eng.hop(cycles)``;
+    run; return what the hop returned."""
+    result = []
+
+    def fire(token):
+        log.append((eng.now, token))
+
+    def cb():
+        ran = eng.hop(cycles, fire, "hop")
+        result.append(ran)
+        if ran:
+            fire("hop")
+
+    eng.schedule(at, cb)
+    eng.run(**run_kwargs)
+    return result[0]
+
+
+def test_hop_tied_with_a_queued_entry_parks():
+    eng = Engine(loop="fast")
+    log = []
+    eng.schedule_call(14, log.append, "queued")
+    assert _hop_from_callback(eng, 10, 4, log) is False
+    # the queued entry has the smaller seq, so it fires first
+    assert log == ["queued", (14, "hop")]
+    assert eng.inline_hops == 1  # the park fired it
+
+
+def test_hop_tied_with_a_parked_entry_parks():
+    eng = Engine(loop="fast")
+    log = []
+    eng.resched_inline(14, log.append, "parked")
+    assert _hop_from_callback(eng, 10, 4, log) is False
+    assert log == ["parked", (14, "hop")]
+    assert eng.inline_hops == 2
+
+
+def test_hop_past_until_parks():
+    eng = Engine(loop="fast")
+    log = []
+    assert _hop_from_callback(eng, 10, 4, log, until=13) is False
+    assert eng.now == 13 and log == []
+    assert eng.pending == 1  # still owed
+    eng.run()
+    assert log == [(14, "hop")]
+    # exactly at until is within the horizon
+    eng = Engine(loop="fast")
+    assert _hop_from_callback(eng, 10, 4, [], until=14) is True
+
+
+@pytest.mark.parametrize("budget", [1, 2, 100])
+def test_no_run_ahead_under_max_events(budget):
+    eng = Engine(loop="fast")
+    assert _hop_from_callback(eng, 10, 4, [], max_events=budget) is False
+
+
+def test_no_run_ahead_under_step():
+    eng = Engine(loop="fast")
+    result = []
+    eng.schedule(10, lambda: result.append(eng.hop(4, lambda token: None, None)))
+    assert eng.step() is True
+    assert result == [False]
+    assert eng.pending == 1
+
+
+def test_no_run_ahead_under_the_naive_loop():
+    eng = Engine(loop="naive")
+    log = []
+    assert _hop_from_callback(eng, 10, 4, log) is False
+    assert log == [(14, "hop")]
+    assert eng.inline_fallbacks == 1 and eng.inline_hops == 0
+
+
+def test_no_run_ahead_outside_run():
+    eng = Engine(loop="fast")
+    log = []
+    assert eng.hop(4, log.append, "hop") is False
+    assert eng.now == 0 and eng.pending == 1
+    eng.run()
+    assert log == ["hop"] and eng.now == 4
+
+
+def test_drain_rereads_the_clock_after_a_callback():
+    """A callback may move the clock (a run-ahead does); the drain's
+    backwards-time check must see where it left it."""
+    eng = Engine(loop="fast")
+
+    def corrupt():
+        eng.now = 30  # as a run-ahead past the next event would
+
+    eng.schedule(10, corrupt)
+    eng.schedule(20, lambda: None)
+    with pytest.raises(SimulationError):
+        eng.run()
+
+
+def test_hop_rejects_negative_delay():
+    eng = Engine(loop="fast")
+    with pytest.raises(SimulationError):
+        eng.hop(-1, lambda token: None, None)
+    raised = []
+
+    def cb():
+        with pytest.raises(SimulationError):
+            eng.hop(-1, lambda token: None, None)
+        raised.append(eng.now)
+
+    eng.schedule(10, cb)
+    eng.run()
+    assert raised == [10]
+
+
+# ----------------------------------------------------------------------
 # cycle identity: the fast drain must be bit-identical to the naive
 # reference loop, kstats and chrome trace included, under perturbation
 

@@ -1,9 +1,10 @@
 """Local sockets: connect/accept, data transfer, descriptor passing."""
 
+import pytest
 
 from repro import O_CREAT, O_RDWR, SEEK_SET, SIGUSR1, System
 from repro.check.invariants import audit_leaks
-from repro.errors import ECONNREFUSED, EINTR, EMFILE, ENOTCONN, ENOTSOCK, EPIPE
+from repro.errors import ECONNREFUSED, EINTR, EINVAL, EMFILE, ENOTCONN, ENOTSOCK, EPIPE
 from tests.conftest import run_program
 
 
@@ -149,6 +150,58 @@ def test_send_after_peer_close_is_epipe():
 
     out, _ = run_program(main)
     assert out["errno"] == EPIPE
+
+
+def test_recv_with_a_negative_count_is_einval():
+    """``recv`` rejects a negative count before it takes any data, as
+    ``read`` does; the bytes stay queued for the next call."""
+
+    def main(api, out):
+        a, b = yield from api.socketpair()
+        yield from api.send(a, b"abcd")
+        out["bad"] = yield from api.recv(b, -1)
+        out["errno"] = yield from api.errno()
+        out["good"] = yield from api.recv(b, 4)
+        return 0
+
+    out, _ = run_program(main)
+    assert (out["bad"], out["errno"]) == (-1, EINVAL)
+    assert out["good"] == b"abcd"
+
+
+@pytest.mark.parametrize("disposition", ["ignored", "handled"])
+def test_sendfd_to_a_closed_peer_is_epipe_and_holds_nothing(disposition):
+    """``sendfd`` to a peer that has closed fails like ``send`` does,
+    SIGPIPE included, and takes no reference on the passed file."""
+    from repro import SIG_IGN, SIGPIPE
+
+    def main(api, out):
+        out["signals"] = []
+
+        def handler(api, sig):
+            out["signals"].append(sig)
+            yield from api.compute(10)
+
+        yield from api.signal(
+            SIGPIPE, SIG_IGN if disposition == "ignored" else handler
+        )
+        a, b = yield from api.socketpair()
+        fd = yield from api.open("/passed", O_RDWR | O_CREAT)
+        file = api.proc.uarea.fdtable.get(fd)
+        before = file.refcount
+        yield from api.close(b)
+        out["rc"] = yield from api.sendfd(a, fd)
+        out["errno"] = yield from api.errno()
+        out["refs"] = (before, file.refcount)
+        yield from api.close(a)
+        yield from api.close(fd)
+        return 0
+
+    out, sim = run_program(main)
+    assert (out["rc"], out["errno"]) == (-1, EPIPE)
+    assert out["refs"] == (1, 1)
+    assert out["signals"] == ([] if disposition == "ignored" else [SIGPIPE])
+    assert audit_leaks(sim) == []
 
 
 def test_large_transfer_blocks_and_completes():
