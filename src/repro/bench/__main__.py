@@ -4,21 +4,21 @@
     python -m repro.bench E1 E6                 # run a subset
     python -m repro.bench --list                # show what exists
     python -m repro.bench --scale quick         # E17 at its per-PR scale
-    python -m repro.bench e15 --seeds 10 --jobs 4
+    python -m repro.bench --seeds 10 --scale quick   # the seed tables
 
 Each experiment prints its table and claim results; a non-zero exit code
 means some claim failed.  Tables land in benchmarks/results/ (or
-``$REPRO_RESULTS_DIR``) along with a machine-readable BENCH_<eid>.json.
-A plain run of everything reproduces each committed ``eNN.txt`` byte
-for byte; ``--scale quick`` rewrites ``e17.txt`` at the quick scale.
+``$REPRO_RESULTS_DIR``).  A plain run of everything reproduces each
+committed ``eNN.txt`` byte for byte; ``--scale quick`` rewrites
+``e17.txt`` at the quick scale.
 
-``--seeds N`` additionally runs each experiment under N perturbation
-seeds (sharded across ``--jobs`` host processes), attaches a bootstrap
-confidence interval to every metric (stored under ``"stats"`` in the
-BENCH json, gated on CI overlap by benchmarks/compare_bench.py), and
-requires the paper claims to hold under *every* seed, not just the
-default schedule.  Host speed is measured by ``perfbench/run.py``, not
-here.
+``--seeds N`` is a sweep and nothing else: each experiment runs under
+perturbation seeds 0..N-1 (sharded across ``--jobs`` host processes),
+every paper claim must hold under every seed, and the per-seed values
+land in ``eNN.seeds.txt`` beside ``eNN.txt``, which it leaves alone.
+``--seeds 10 --scale quick`` reproduces each committed
+``eNN.seeds.txt`` byte for byte, whatever ``--jobs``.  Host speed is
+measured by ``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import inspect
 import sys
 
 from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.stats import run_sweep
 
 
 def _list_experiments() -> int:
@@ -47,8 +48,9 @@ def main(argv) -> int:
     parser.add_argument("--list", "-l", action="store_true",
                         help="list experiments and exit")
     parser.add_argument("--seeds", type=int, default=0, metavar="N",
-                        help="run each experiment under N perturbation "
-                             "seeds and attach bootstrap CIs")
+                        help="instead of the default schedule, run each "
+                             "experiment under perturbation seeds 0..N-1 "
+                             "and write its eNN.seeds.txt")
     parser.add_argument("--jobs", type=int, default=None, metavar="J",
                         help="host processes for the seed sweep "
                              "(default: min(seeds, cpu_count))")
@@ -71,21 +73,18 @@ def main(argv) -> int:
     failures = 0
     for eid in chosen:
         func = ALL_EXPERIMENTS[eid]
+        params = inspect.signature(func).parameters
         kwargs = {}
-        if (args.scale is not None
-                and "scale" in inspect.signature(func).parameters):
-            kwargs["scale"] = args.scale
-        result = func(**kwargs)
+        if "scale" in params:
+            kwargs["scale"] = args.scale or params["scale"].default
         if args.seeds > 0:
-            from repro.bench.stats import run_sweep
-
             sweep = run_sweep(eid, nseeds=args.seeds, jobs=args.jobs, **kwargs)
-            result.stats = sweep.stats()
-            print(sweep.render())
+            sweep.save()
             failures += len(sweep.failed_claims)
-        result.save()
-        result.save_json()
-        failures += sum(1 for claim in result.claims if not claim.holds)
+        else:
+            result = func(**kwargs)
+            result.save()
+            failures += sum(1 for claim in result.claims if not claim.holds)
 
     if failures:
         print("%d claim(s) FAILED" % failures)

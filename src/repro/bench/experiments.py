@@ -339,7 +339,7 @@ def run_e04(npages: int = 48, nprocs_list=(1, 2, 4, 8),
         ):
             out = {}
             kwargs = {"vm_lock_factory": factory} if factory else {}
-            sim = _run(
+            _run(
                 _e04_main,
                 {"out": out, "nprocs": nprocs, "npages": npages},
                 ncpus=8,
@@ -347,10 +347,6 @@ def run_e04(npages: int = 48, nprocs_list=(1, 2, 4, 8),
                 **kwargs,
             )
             row[label] = out["cycles"]
-            result.counters["%s_n%d" % (label, nprocs)] = {
-                "kernel": sim.kstat.scope("kernel", 0),
-                "locks": sim.lockstats.snapshot(),
-            }
         measured[nprocs] = row
         result.add_row(
             faulting_members=nprocs,
@@ -422,13 +418,6 @@ def run_e05(ops: int = 10, ncpus_list=(1, 2, 4, 8), seed: Optional[int] = None):
         out = {}
         sim = _run(_e05_main, {"out": out, "ops": ops}, ncpus=ncpus, seed=seed)
         measured[ncpus] = out
-        result.counters["ncpus%d" % ncpus] = {
-            "kernel": sim.kstat.scope("kernel", 0),
-            "cpu": {
-                idx: sim.kstat.scope("cpu", idx)
-                for idx in sim.kstat.scopes("cpu")
-            },
-        }
         result.add_row(
             ncpus=ncpus,
             mmap_cycles=int(out["mmap"]),
@@ -1363,7 +1352,6 @@ def run_e15(
             migrations=sched.migrations,
             steals=sched.steals,
         )
-        result.counters[kind] = sim.kstat.snapshot().get("kernel", {})
 
         # determinism guard: instrumentation off, same simulated history
         quiet_out = {}
@@ -1399,7 +1387,7 @@ def run_e15(
     )
     result.claim(
         "work stealing keeps the distributed queues work-conserving: "
-        "makespan stays within 10%% of the global queue's",
+        "makespan stays within 10% of the global queue's",
         pq["makespan"] <= gq["makespan"] * 1.10,
         "%d vs %d cycles" % (pq["makespan"], gq["makespan"]),
     )
@@ -1548,7 +1536,6 @@ def run_e16(
             asid_flush_scanned=asid_flush_scanned,
             flush_pages=flush_pages,
         )
-        result.counters[mode] = sim.kstat.snapshot().get("kernel", {})
 
         # determinism guard: instrumentation off, same simulated history
         quiet_out = {}
@@ -1617,7 +1604,7 @@ def run_e16(
 
 #: E17 arrival-rate sweep: label -> (multiplier of the nominal capacity,
 #: full-scale requests, quick-scale requests).  Labels are the row keys
-#: compare_bench matches across runs, so they are scale-independent.
+#: of the seed table, the same at either scale.
 E17_RATES = [
     ("x0.30", 0.30, 150_000, 6_000),
     ("x0.60", 0.60, 150_000, 6_000),

@@ -14,7 +14,6 @@ Rendered tables are printed and also written under
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List, Optional, Sequence
 
@@ -41,10 +40,6 @@ class ExperimentResult:
         self.rows: List[Dict] = []
         self.claims: List[Claim] = []
         self.notes: List[str] = []
-        self.counters: Dict = {}  #: optional kstat snapshot(s), see save_json
-        #: optional multi-seed bootstrap summaries attached by the
-        #: ``--seeds`` sweep: ``{row: {metric: {mean, ci_lo, ci_hi, ...}}}``
-        self.stats: Dict = {}
 
     # ------------------------------------------------------------------
 
@@ -111,48 +106,20 @@ class ExperimentResult:
         """Print the table and persist it under benchmarks/results/."""
         text = self.render()
         print(text)
-        directory = directory or os.environ.get(
-            "REPRO_RESULTS_DIR", _default_results_dir()
-        )
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, "%s.txt" % self.eid.lower())
-        with open(path, "w") as handle:
-            handle.write(text)
-        return path
+        return write_result("%s.txt" % self.eid.lower(), text, directory)
 
-    def to_json_dict(self) -> Dict:
-        """The experiment as one JSON-serialisable dict."""
-        out = {
-            "experiment": self.eid,
-            "title": self.title,
-            "columns": self.columns,
-            "rows": self.rows,
-            "claims": [
-                {
-                    "description": claim.description,
-                    "holds": claim.holds,
-                    "detail": claim.detail,
-                }
-                for claim in self.claims
-            ],
-            "notes": self.notes,
-            "counters": self.counters,
-        }
-        if self.stats:
-            out["stats"] = self.stats
-        return out
 
-    def save_json(self, directory: Optional[str] = None) -> str:
-        """Persist headline numbers + counters as BENCH_<eid>.json."""
-        directory = directory or os.environ.get(
-            "REPRO_RESULTS_DIR", _default_results_dir()
-        )
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, "BENCH_%s.json" % self.eid.upper())
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
+def write_result(name: str, text: str, directory: Optional[str] = None) -> str:
+    """Write ``text`` as ``name`` under ``directory``, else under
+    ``$REPRO_RESULTS_DIR``, else under benchmarks/results/."""
+    directory = directory or os.environ.get(
+        "REPRO_RESULTS_DIR", _default_results_dir()
+    )
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
+    with open(path, "w") as handle:
+        handle.write(text)
+    return path
 
 
 def _default_results_dir() -> str:

@@ -1,19 +1,15 @@
-"""Statistical claims harness: N-seed sweeps and bootstrap CIs.
+"""Seed sweeps: every experiment under N perturbation seeds, one table.
 
-A single seeded run is a point estimate; the paper-reproduction claims
-deserve error bars.  This module runs any E-benchmark over ``N``
-perturbation seeds (sharded across host cores with ``multiprocessing``),
-collects every numeric metric each run reports, and attaches a
-*nonparametric bootstrap confidence interval* (percentile method, seeded
-resampler — no distributional assumptions) to each one.  ``python -m
-repro.bench EID --seeds N`` stores them under ``"stats"`` in
-``BENCH_<eid>.json``, and ``benchmarks/compare_bench.py`` gates
-regressions on **CI overlap** instead of a raw percentage threshold.
-
-Determinism: seed ``s`` always produces the same run (the engine's
-perturbation RNG is seeded), and the bootstrap resampler is its own
-``random.Random(seed)`` — the whole pipeline is reproducible from the
-command line that ran it.
+Every number an experiment reports is in simulated cycles on a
+deterministic machine, so seed ``s`` of an experiment prints the same
+numbers on every host.  ``python -m repro.bench --seeds N`` runs each
+chosen experiment under seeds ``0..N-1`` (sharded across ``--jobs``
+host processes with ``multiprocessing``), requires every claim to hold
+under every seed, and writes ``eNN.seeds.txt`` beside ``eNN.txt``: one
+line per (row, metric) with the mean, min and max over the seeds, then
+each seed's value exactly as the row holds it.  Any change to any
+seed's value changes the file, so the committed tables are the gate:
+CI reruns the sweep and diffs ``benchmarks/results``.
 """
 
 from __future__ import annotations
@@ -21,71 +17,20 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-import random
 from typing import Dict, List, Optional, Sequence
 
-#: resamples for the percentile bootstrap (enough for stable 95% bounds)
-DEFAULT_RESAMPLES = 2000
-
-#: the default confidence level reported everywhere
-DEFAULT_ALPHA = 0.05
+from repro.bench.harness import write_result
 
 
-# ----------------------------------------------------------------------
-# the bootstrap itself
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    n_resamples: int = DEFAULT_RESAMPLES,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-):
-    """Percentile-method bootstrap CI for the mean of ``values``.
-
-    Resample with replacement ``n_resamples`` times, take each
-    resample's mean, and report the ``alpha/2`` and ``1 - alpha/2``
-    empirical quantiles.  A private ``random.Random(seed)`` makes the
-    interval a pure function of ``(values, n_resamples, alpha, seed)``.
-    """
+def summarize(values: Sequence[float]) -> dict:
+    """Count, mean, min and max of one metric's per-seed values."""
     values = list(values)
-    n = len(values)
-    if n == 0:
-        return (0.0, 0.0)
-    if n == 1:
-        return (float(values[0]), float(values[0]))
-    rng = random.Random(seed)
-    means = []
-    for _ in range(n_resamples):
-        total = 0.0
-        for _ in range(n):
-            total += values[rng.randrange(n)]
-        means.append(total / n)
-    means.sort()
-    lo_rank = int(alpha / 2.0 * n_resamples)
-    hi_rank = min(n_resamples - 1, int((1.0 - alpha / 2.0) * n_resamples))
-    return (means[lo_rank], means[hi_rank])
-
-
-def summarize(
-    values: Sequence[float],
-    n_resamples: int = DEFAULT_RESAMPLES,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-) -> dict:
-    """Mean, spread and bootstrap CI of one metric's per-seed values."""
-    values = [float(v) for v in values]
-    lo, hi = bootstrap_ci(values, n_resamples=n_resamples, alpha=alpha,
-                          seed=seed)
     n = len(values)
     return {
         "n": n,
         "mean": sum(values) / n if n else 0.0,
         "min": min(values) if values else 0.0,
         "max": max(values) if values else 0.0,
-        "ci_lo": lo,
-        "ci_hi": hi,
-        "alpha": alpha,
         "values": values,
     }
 
@@ -100,8 +45,7 @@ def run_experiment(eid: str, seed: Optional[int] = None, **kwargs):
     Every experiment threads ``seed`` into its ``System(perturb_seed=...)``
     builds, so distinct seeds explore distinct legal schedules; ``None``
     is each one's default schedule.  Experiments whose numbers no legal
-    schedule moves reproduce them under every seed (their CIs collapse
-    to a point, which the overlap gate handles fine).
+    schedule moves print the same value under every seed.
     """
     from repro.bench.experiments import ALL_EXPERIMENTS
 
@@ -111,20 +55,26 @@ def run_experiment(eid: str, seed: Optional[int] = None, **kwargs):
 def extract_metrics(result) -> Dict[str, Dict[str, float]]:
     """Flatten an ExperimentResult's rows into ``{row_key: {metric: v}}``.
 
-    The first column identifies the row (``scheduler``, ``vm_index``,
-    ``mechanism`` ...); every other numeric column is a metric.
+    The first column names the row (``scheduler``, ``vm_index``,
+    ``mechanism`` ...).  A name that several rows share gets the row's
+    index appended (E1's ``fork#0`` ... ``thread#11``), so every row
+    keeps its own key.  Every other numeric column is a metric, kept as
+    the row holds it (a bool counts as 0 or 1).
     """
     key = result.columns[0]
+    names = [str(row.get(key)) for row in result.rows]
     out: Dict[str, Dict[str, float]] = {}
-    for row in result.rows:
-        name = str(row.get(key))
+    for index, row in enumerate(result.rows):
+        name = names[index]
+        if names.count(name) > 1:
+            name = "%s#%d" % (name, index)
         metrics = {}
         for column in result.columns[1:]:
             value = row.get(column)
             if isinstance(value, bool):
                 value = int(value)
             if isinstance(value, (int, float)):
-                metrics[column] = float(value)
+                metrics[column] = value
         out[name] = metrics
     return out
 
@@ -133,11 +83,11 @@ def _sweep_worker(job):
     """Top-level worker (multiprocessing needs it importable)."""
     eid, seed, kwargs = job
     result = run_experiment(eid, seed=seed, **kwargs)
-    failed = [c.description for c in result.claims if not c.holds]
     return {
         "seed": seed,
+        "title": result.title,
         "metrics": extract_metrics(result),
-        "failed_claims": failed,
+        "claims": [(claim.description, claim.holds) for claim in result.claims],
     }
 
 
@@ -146,69 +96,87 @@ def _sweep_worker(job):
 
 
 class SweepResult:
-    """Per-seed metric samples plus their bootstrap summaries."""
+    """Per-seed metric samples and claim outcomes of one experiment."""
 
-    def __init__(self, eid: str, seeds: List[int], jobs: int):
+    def __init__(self, eid: str, seeds: List[int], scale: Optional[str] = None):
         self.eid = eid
         self.seeds = seeds
-        self.jobs = jobs
+        self.scale = scale
         self.runs: List[dict] = []  #: one _sweep_worker payload per seed
 
     # ------------------------------------------------------------------
 
+    def claims(self) -> Dict[str, List[int]]:
+        """``{claim description: [seeds it fails under]}``, in claim order."""
+        out: Dict[str, List[int]] = {}
+        for run in self.runs:
+            for description, holds in run["claims"]:
+                failing = out.setdefault(description, [])
+                if not holds:
+                    failing.append(run["seed"])
+        return out
+
     @property
     def failed_claims(self) -> List[str]:
-        out = []
-        for run in self.runs:
-            for description in run["failed_claims"]:
-                out.append("seed %s: %s" % (run["seed"], description))
-        return out
+        return [
+            "seed %d: %s" % (seed, description)
+            for description, seeds in self.claims().items()
+            for seed in seeds
+        ]
 
     def samples(self) -> Dict[str, Dict[str, List[float]]]:
         """``{row: {metric: [per-seed values]}}`` in seed order."""
         out: Dict[str, Dict[str, List[float]]] = {}
-        for run in sorted(self.runs, key=lambda r: r["seed"]):
+        for run in self.runs:
             for row, metrics in run["metrics"].items():
                 slot = out.setdefault(row, {})
                 for metric, value in metrics.items():
                     slot.setdefault(metric, []).append(value)
         return out
 
-    def stats(self, n_resamples: int = DEFAULT_RESAMPLES,
-              alpha: float = DEFAULT_ALPHA) -> Dict[str, Dict[str, dict]]:
-        """``{row: {metric: summarize(...)}}`` over the whole sweep."""
-        return {
-            row: {
-                metric: summarize(values, n_resamples=n_resamples,
-                                  alpha=alpha)
-                for metric, values in metrics.items()
-            }
-            for row, metrics in self.samples().items()
-        }
-
-    def render(self, alpha: float = DEFAULT_ALPHA) -> str:
-        """The CI table: one line per (row, metric)."""
-        pct = int(round((1.0 - alpha) * 100))
+    def render(self) -> str:
+        """The seed table: one line per (row, metric), then the claims."""
         lines = [
-            "%s over %d seed(s), %d job(s) — mean [%d%% bootstrap CI]"
-            % (self.eid, len(self.seeds), self.jobs, pct),
+            "%s — %s" % (self.eid, self.runs[0]["title"]),
+            "seeds %d..%d%s: mean, min and max over the seeds, then each "
+            "seed's value in seed order"
+            % (self.seeds[0], self.seeds[-1],
+               ", %s scale" % self.scale if self.scale else ""),
+            "",
         ]
-        header = "%-12s %-20s %12s %26s" % ("row", "metric", "mean",
-                                            "ci (lo, hi)")
-        lines.append(header)
-        lines.append("-" * len(header))
-        for row, metrics in sorted(self.stats(alpha=alpha).items()):
-            for metric, stat in sorted(metrics.items()):
-                lines.append(
-                    "%-12s %-20s %12.3f %26s"
-                    % (row, metric, stat["mean"],
-                       "[%.3f, %.3f]" % (stat["ci_lo"], stat["ci_hi"]))
-                )
-        if self.failed_claims:
-            lines.append("")
-            for failure in self.failed_claims:
-                lines.append("CLAIM FAILED %s" % failure)
-        return "\n".join(lines)
+        header = ("row", "metric", "mean", "min", "max", "values")
+        table = []
+        for row, metrics in self.samples().items():
+            for metric, values in metrics.items():
+                stat = summarize(values)
+                table.append((
+                    row, metric, "%.3f" % stat["mean"], repr(stat["min"]),
+                    repr(stat["max"]), " ".join(repr(v) for v in values),
+                ))
+        widths = [max(len(cells[i]) for cells in [header] + table)
+                  for i in range(5)]
+
+        def line(cells):
+            padded = [cell.ljust(width) for cell, width in zip(cells, widths)]
+            return "  ".join(padded + [cells[5]])
+
+        lines.append(line(header))
+        lines.append("-" * len(lines[-1]))
+        lines.extend(line(cells) for cells in table)
+        lines.append("")
+        for description, failing in self.claims().items():
+            if failing:
+                lines.append("[FAIL] %s — fails under seed(s) %s" % (
+                    description, ", ".join(str(seed) for seed in failing)))
+            else:
+                lines.append("[ok  ] %s" % description)
+        return "\n".join(lines) + "\n"
+
+    def save(self, directory: Optional[str] = None) -> str:
+        """Print the seed table and write it as ``eNN.seeds.txt``."""
+        text = self.render()
+        print(text)
+        return write_result("%s.seeds.txt" % self.eid.lower(), text, directory)
 
 
 def run_sweep(
@@ -221,14 +189,14 @@ def run_sweep(
 
     ``jobs=1`` (or a single seed) runs in-process — no fork, no pickle —
     which is what the tests use; anything larger spins a Pool.  Worker
-    payloads are plain dicts of metrics and failed claims.
+    payloads are plain dicts, collected in seed order either way.
     """
     eid = eid.upper()
     seeds = list(range(nseeds))
     if jobs is None:
-        jobs = min(len(seeds), os.cpu_count() or 1)
+        jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(seeds) or 1))
-    sweep = SweepResult(eid, seeds, jobs)
+    sweep = SweepResult(eid, seeds, kwargs.get("scale"))
     payload = [(eid, seed, kwargs) for seed in seeds]
     if jobs == 1:
         sweep.runs = [_sweep_worker(job) for job in payload]

@@ -194,7 +194,7 @@ class IPCSyscalls:
         does."""
         socket = self._get_socket(proc, fd)
         if socket.peer is None:
-            raise SysError(ENOTSOCK, "not connected")
+            raise SysError(ENOTCONN)
         yield kdelay(self.costs.socket_op)
         file = proc.uarea.fdtable.get(passed_fd)
         if socket.peer.closed:

@@ -19,6 +19,9 @@ from repro.sync.semaphore import WaitQueue
 
 from repro.ipc.sysv_shm import IPC_CREAT, IPC_EXCL, IPC_PRIVATE
 
+#: semaphores per set (SysV's SEMMSL): a larger ``nsems`` fails EINVAL
+SEMMSL = 25
+
 
 class SemSet:
     """One semaphore set."""
@@ -58,7 +61,7 @@ class SemRegistry:
             return self._by_key[key]
         if not flags & IPC_CREAT and key != IPC_PRIVATE:
             raise SysError(ENOENT)
-        if nsems <= 0:
+        if not 0 < nsems <= SEMMSL:
             raise SysError(EINVAL)
         self._next_id += 1
         semset = SemSet(self._next_id, key, nsems, self.machine, self.waker)

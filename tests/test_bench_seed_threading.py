@@ -1,11 +1,12 @@
 """Every experiment must thread the sweep's seed into its System builds.
 
 ``python -m repro.bench --seeds N`` runs each experiment under N
-perturbation seeds and attaches bootstrap CIs.  That is only meaningful
-if the seed actually reaches ``System(perturb_seed=...)`` — an
-experiment that drops it runs N identical replicas and reports a
-zero-width interval that gates nothing.  Historically only E15/E16
-accepted a seed; now the whole table must.
+perturbation seeds and commits every seed's values in ``eNN.seeds.txt``.
+That is only meaningful if the seed actually reaches
+``System(perturb_seed=...)`` — an experiment that drops it runs N
+identical replicas, and its table checks the claims under one schedule
+only.  Historically only E15/E16 accepted a seed; now the whole table
+must.
 """
 
 import inspect

@@ -1,35 +1,13 @@
-"""The statistical claims harness: bootstrap CIs, sweeps, gating."""
+"""The seed sweep: per-seed metrics, the eNN.seeds.txt table, the host gate."""
 
 import importlib.util
 import json
 import os
 
-import pytest
-
 from repro.bench.__main__ import main as bench_main
+from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.harness import ExperimentResult
-from repro.bench.stats import bootstrap_ci, extract_metrics, run_sweep, summarize
-
-
-# ----------------------------------------------------------------------
-# the bootstrap
-
-
-def test_bootstrap_ci_is_seed_deterministic_and_ordered():
-    values = [10.0, 12.0, 9.0, 11.0, 13.0, 10.5]
-    lo1, hi1 = bootstrap_ci(values, seed=0)
-    lo2, hi2 = bootstrap_ci(values, seed=0)
-    assert (lo1, hi1) == (lo2, hi2)
-    assert lo1 <= sum(values) / len(values) <= hi1
-    assert min(values) <= lo1 <= hi1 <= max(values)
-
-
-def test_bootstrap_ci_degenerate_inputs():
-    assert bootstrap_ci([]) == (0.0, 0.0)
-    assert bootstrap_ci([7.0]) == (7.0, 7.0)
-    # identical samples -> zero-width interval
-    lo, hi = bootstrap_ci([5.0] * 8)
-    assert lo == hi == 5.0
+from repro.bench.stats import extract_metrics, run_sweep, summarize
 
 
 def test_summarize_shape():
@@ -37,7 +15,6 @@ def test_summarize_shape():
     assert stat["n"] == 3
     assert stat["mean"] == 2.0
     assert stat["min"] == 1.0 and stat["max"] == 3.0
-    assert stat["ci_lo"] <= stat["mean"] <= stat["ci_hi"]
     assert stat["values"] == [1.0, 2.0, 3.0]
 
 
@@ -56,13 +33,17 @@ def test_extract_metrics_takes_numeric_columns_keyed_by_first():
     }
 
 
-def test_experiment_result_json_includes_stats_when_attached(tmp_path):
-    result = ExperimentResult("EX", "t", ["mode", "cycles"])
-    result.add_row(mode="fast", cycles=100)
-    assert "stats" not in result.to_json_dict()
-    result.stats = {"fast": {"cycles": summarize([100.0, 102.0])}}
-    doc = json.loads(json.dumps(result.to_json_dict()))
-    assert doc["stats"]["fast"]["cycles"]["n"] == 2
+def test_extract_metrics_keeps_rows_that_share_a_first_column():
+    """E1's shape: each mechanism at several image sizes."""
+    result = ExperimentResult("EX", "t", ["mechanism", "pages", "cycles"])
+    result.add_row(mechanism="fork", pages=4, cycles=100)
+    result.add_row(mechanism="fork", pages=64, cycles=300)
+    result.add_row(mechanism="thread", pages=4, cycles=50)
+    assert extract_metrics(result) == {
+        "fork#0": {"pages": 4, "cycles": 100},
+        "fork#1": {"pages": 64, "cycles": 300},
+        "thread": {"pages": 4, "cycles": 50},
+    }
 
 
 # ----------------------------------------------------------------------
@@ -74,12 +55,15 @@ def test_sweep_serial_collects_per_seed_samples_and_cis():
     assert sweep.failed_claims == []
     samples = sweep.samples()
     assert set(samples) == {"global", "percpu"}
-    assert len(samples["percpu"]["makespan_cycles"]) == 2
-    stats = sweep.stats(n_resamples=200)
-    stat = stats["percpu"]["makespan_cycles"]
-    assert stat["n"] == 2
-    assert stat["ci_lo"] <= stat["mean"] <= stat["ci_hi"]
-    assert "makespan_cycles" in sweep.render()
+    values = samples["percpu"]["makespan_cycles"]
+    assert len(values) == 2
+    text = sweep.render()
+    assert text.startswith("E15 — ")
+    assert "seeds 0..1:" in text
+    line = next(line for line in text.splitlines()
+                if line.startswith("percpu") and "makespan_cycles" in line)
+    # the per-seed values close the line, exactly as the rows hold them
+    assert line.endswith("%d %d" % tuple(values))
 
 
 def test_sweep_same_seed_reproduces_identical_metrics():
@@ -89,7 +73,7 @@ def test_sweep_same_seed_reproduces_identical_metrics():
 
 
 # ----------------------------------------------------------------------
-# the CI-overlap gate in benchmarks/compare_bench.py
+# the host-speed gate in benchmarks/compare_bench.py
 
 
 def _load_compare_bench():
@@ -99,69 +83,6 @@ def _load_compare_bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _bench_json(tmp_path, name, value, ci, with_stats=True):
-    doc = {
-        "experiment": "E15",
-        "columns": ["scheduler", "scan_per_pick"],
-        "rows": [{"scheduler": "percpu", "scan_per_pick": value}],
-    }
-    if with_stats:
-        doc["stats"] = {
-            "percpu": {
-                "scan_per_pick": {
-                    "mean": value, "ci_lo": ci[0], "ci_hi": ci[1], "n": 10,
-                }
-            }
-        }
-    path = str(tmp_path / name)
-    with open(path, "w") as handle:
-        json.dump(doc, handle)
-    return path
-
-
-@pytest.mark.parametrize(
-    "base_ci,cand_ci,cand,expected",
-    [
-        # overlapping CIs: not a resolved regression
-        ((4.0, 5.0), (4.8, 6.0), 5.4, 0),
-        # candidate CI entirely above baseline CI: regression
-        ((4.0, 5.0), (5.1, 6.0), 5.5, 1),
-        # candidate improved: fine
-        ((4.0, 5.0), (3.0, 3.9), 3.5, 0),
-    ],
-)
-def test_compare_bench_gates_on_ci_overlap(tmp_path, base_ci, cand_ci,
-                                           cand, expected, capsys):
-    compare_bench = _load_compare_bench()
-    prev = _bench_json(tmp_path, "prev.json", sum(base_ci) / 2, base_ci)
-    cur = _bench_json(tmp_path, "cur.json", cand, cand_ci)
-    code = compare_bench.main([
-        "--previous", prev, "--current", cur,
-        "--key", "scheduler", "--gate", "percpu",
-        "--metric", "scan_per_pick",
-    ])
-    out = capsys.readouterr().out
-    assert code == expected
-    assert "CI overlap" in out
-    if expected:
-        assert "REGRESSION" in out
-        assert "scan_per_pick" in out  # the delta table names the metric
-
-
-def test_compare_bench_falls_back_to_threshold_without_stats(tmp_path, capsys):
-    compare_bench = _load_compare_bench()
-    prev = _bench_json(tmp_path, "prev.json", 4.0, (0, 0), with_stats=False)
-    cur = _bench_json(tmp_path, "cur.json", 5.5, (0, 0), with_stats=False)
-    code = compare_bench.main([
-        "--previous", prev, "--current", cur,
-        "--key", "scheduler", "--gate", "percpu",
-        "--metric", "scan_per_pick", "--threshold", "0.25",
-    ])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "threshold" in out
 
 
 def test_compare_bench_host_mode_gates_on_rate(tmp_path, capsys):
@@ -180,13 +101,11 @@ def test_compare_bench_host_mode_gates_on_rate(tmp_path, capsys):
         return path
 
     ok = compare_bench.main([
-        "--host",
         "--previous", host_json("p.json", 1_000_000.0),
         "--current", host_json("c.json", 900_000.0),
     ])
     assert ok == 0  # within the generous runner-noise threshold
     bad = compare_bench.main([
-        "--host",
         "--previous", host_json("p2.json", 1_000_000.0),
         "--current", host_json("c2.json", 400_000.0),
     ])
@@ -195,30 +114,50 @@ def test_compare_bench_host_mode_gates_on_rate(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# end to end: the CLI's seed sweep writes the file CI's gate reads
+# end to end: the CLI's sweep writes the committed seed table
 
 
-@pytest.mark.parametrize(
-    "eid,key,gate,metric",
-    [
-        ("E15", "scheduler", "percpu", "scan_per_pick"),
-        ("E16", "vm_index", "indexed", "scan_per_fault"),
-    ],
-)
-def test_cli_seed_sweep_feeds_the_ci_overlap_gate(tmp_path, monkeypatch,
-                                                  capsys, eid, key, gate,
-                                                  metric):
+def test_cli_sweep_writes_only_the_seed_table(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    assert bench_main(["prog", eid, "--seeds", "2", "--jobs", "1"]) == 0
-    path = str(tmp_path / ("BENCH_%s.json" % eid))
-    with open(path) as handle:
-        stat = json.load(handle)["stats"][gate][metric]
-    assert stat["ci_lo"] <= stat["mean"] <= stat["ci_hi"]
-    capsys.readouterr()
+    assert bench_main(["prog", "E15", "--seeds", "2", "--jobs", "1"]) == 0
+    assert os.listdir(str(tmp_path)) == ["e15.seeds.txt"]
+    text = (tmp_path / "e15.seeds.txt").read_text()
+    assert "seeds 0..1:" in text
+    assert "percpu  scan_per_pick" in text
+    assert capsys.readouterr().out.endswith("all claims hold\n")
 
-    code = _load_compare_bench().main([
-        "--previous", path, "--current", path,
-        "--key", key, "--gate", gate, "--metric", metric,
-    ])
-    assert code == 0
-    assert "gate (CI overlap" in capsys.readouterr().out
+
+def test_cli_sweep_is_byte_identical_across_job_counts(tmp_path, monkeypatch):
+    tables = []
+    for jobs in ("1", "2"):
+        directory = tmp_path / ("jobs" + jobs)
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(directory))
+        assert bench_main(["prog", "E1", "E15", "--seeds", "2",
+                           "--jobs", jobs]) == 0
+        tables.append({name: (directory / name).read_bytes()
+                       for name in os.listdir(str(directory))})
+    assert sorted(tables[0]) == ["e1.seeds.txt", "e15.seeds.txt"]
+    assert tables[0] == tables[1]
+    # every E1 row reaches the table: 4 mechanisms x 3 image sizes
+    e1 = tables[0]["e1.seeds.txt"].decode().splitlines()
+    assert sum(line.split()[1:2] == ["cycles"] for line in e1) == 12
+
+
+def test_cli_sweep_fails_and_names_the_seed_a_claim_fails_under(
+        tmp_path, monkeypatch, capsys):
+    def run_stub(seed=None):
+        """A stub experiment whose first claim fails under seed 1 only."""
+        result = ExperimentResult("EX", "stub", ["name", "value"])
+        result.add_row(name="only", value=seed)
+        result.claim("seed 1 is never drawn", seed != 1)
+        result.claim("always", True)
+        return result
+
+    monkeypatch.setitem(ALL_EXPERIMENTS, "EX", run_stub)
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    assert bench_main(["prog", "EX", "--seeds", "3", "--jobs", "1"]) == 1
+    assert "1 claim(s) FAILED" in capsys.readouterr().out
+    text = (tmp_path / "ex.seeds.txt").read_text()
+    assert "[FAIL] seed 1 is never drawn — fails under seed(s) 1\n" in text
+    assert "[ok  ] always\n" in text
+    assert "\nonly  value   1.000  0    2    0 1 2\n" in text

@@ -3,6 +3,7 @@
 
 from repro import IPC_CREAT, IPC_EXCL, IPC_PRIVATE
 from repro.errors import EEXIST, EINVAL, ENOENT
+from repro.ipc import SEMMSL
 from tests.conftest import run_program
 
 
@@ -160,6 +161,22 @@ def test_sem_pingpong():
 
     out, _ = run_program(main, ncpus=2)
     assert out["ok"]
+
+
+def test_semget_bounds_the_set_size():
+    """A set larger than SEMMSL fails EINVAL before the kernel builds it;
+    SEMMSL itself is a legal size."""
+
+    def main(api, out):
+        rc = yield from api.semget(IPC_PRIVATE, SEMMSL + 1, IPC_CREAT)
+        out["over"] = (rc, (yield from api.errno()))
+        semid = yield from api.semget(IPC_PRIVATE, SEMMSL, IPC_CREAT)
+        out["last_op"] = yield from api.semop(semid, [(SEMMSL - 1, 1)])
+        return 0
+
+    out, _ = run_program(main)
+    assert out["over"] == (-1, EINVAL)
+    assert out["last_op"] == 0
 
 
 def test_semop_bad_index_is_einval():

@@ -101,10 +101,15 @@ def test_connect_without_listen_refused():
     assert out["errno"] == ECONNREFUSED
 
 
-def test_send_on_unconnected_is_enotconn():
+@pytest.mark.parametrize("call", ["send", "sendfd"])
+def test_send_on_unconnected_is_enotconn(call):
     def main(api, out):
         s = yield from api.socket()
-        rc = yield from api.send(s, b"x")
+        if call == "send":
+            rc = yield from api.send(s, b"x")
+        else:
+            fd = yield from api.open("/f", O_RDWR | O_CREAT)
+            rc = yield from api.sendfd(s, fd)
         out["errno"] = yield from api.errno()
         return 0
 
