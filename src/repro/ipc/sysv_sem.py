@@ -58,7 +58,11 @@ class SemRegistry:
         if key != IPC_PRIVATE and key in self._by_key:
             if flags & IPC_CREAT and flags & IPC_EXCL:
                 raise SysError(EEXIST)
-            return self._by_key[key]
+            semset = self._by_key[key]
+            # an nsems of 0 accepts the set whatever its size
+            if not 0 <= nsems <= len(semset.values):
+                raise SysError(EINVAL)
+            return semset
         if not flags & IPC_CREAT and key != IPC_PRIVATE:
             raise SysError(ENOENT)
         if not 0 < nsems <= SEMMSL:

@@ -664,7 +664,9 @@ class ProcSyscalls:
         """
         yield kdelay(self.costs.flag_batch_test)
         remaining = 0
-        if proc.alarm_event is not None and not proc.alarm_event.cancelled:
+        if proc.alarm_event is not None:
+            # a fired alarm is due no later than now: nothing remains
+            # and the cancel finds no entry
             remaining = max(proc.alarm_event.time - self.engine.now, 0)
             proc.alarm_event.cancel()
             proc.alarm_event = None

@@ -12,18 +12,16 @@ boundary the CPU lets the kernel deliver pending signals and honors
 preemption requests; kernel-mode execution is never preempted, which is
 the classic System V invariant the paper leans on (section 6).
 
-The steady-state hops between ``_resume`` and ``_boundary``, and the
-dispatch hop from ``assign`` straight to the first boundary (carrying
-the process's resume value as its token), use the engine's
-inline-continuation slot (``engine.resched_inline``) with the callables
-prebound in ``__init__``: when the hop is the strictly next event on the
-timeline the engine fires it directly — no Event, no queue traffic, no
-closures (see ``docs/INTERNALS.md`` §14 and §17).  A kernel-mode delay
-goes one step further (``engine.hop``): when it is strictly the next
-event, ``_resume`` runs ahead to it and sends the next value into the
-same frame in the same call, so a syscall that meets no other event is
-one pass.  Paths that need a cancellable handle or follow anything
-other than these straight-line hops stay on ``engine.schedule_call``.
+The CPU makes two engine calls, both with the callables prebound in
+``__init__`` and the per-hop state in the token, so a hop allocates no
+closure and no Event (see ``docs/INTERNALS.md`` §14).  Every hop it
+queues goes through ``engine.schedule_call``: the hops between
+``_resume`` and ``_boundary``, and the dispatch hop from ``assign``
+straight to the first boundary (carrying the process's resume value as
+its token).  A kernel-mode delay goes through ``engine.hop``: when it is
+strictly the next event, ``_resume`` runs ahead to it and sends the next
+value into the same frame in the same call, so a syscall that meets no
+other event is one pass; otherwise ``hop`` queues it.
 
 Leaving the CPU is one scheduler call: ``preempt`` for a yield or a
 preemption (requeue the process, offer the CPU), ``cpu_idle`` for a
@@ -45,7 +43,7 @@ class CPU:
     __slots__ = (
         "idx", "machine", "engine", "costs", "tlb", "private_tlb",
         "current", "kernel", "dispatcher", "_last_asid", "_label",
-        "_resume_cb", "_boundary_cb", "_resched", "_hop",
+        "_resume_cb", "_boundary_cb", "_hop",
         "_ks", "_runq_wait",
         "busy_cycles", "switches", "dispatches", "preemptions",
     )
@@ -73,11 +71,9 @@ class CPU:
         # lifetime of the CPU.
         self._resume_cb = self._resume
         self._boundary_cb = self._boundary
-        # the trampoline-eliding hop for steady-state resumes, and the
-        # run-ahead one for kernel delays; under the naive-loop ablation
-        # both degrade to schedule_call inside the engine, so call sites
-        # never need to know the mode
-        self._resched = machine.engine.resched_inline
+        # the run-ahead hop for kernel delays; outside a fast drain it
+        # queues like schedule_call, so the call site never needs to
+        # know the loop
         self._hop = machine.engine.hop
         # bound kstat handles: a dispatch bumps them in place
         self._ks = machine.kstat.counters("cpu", idx)
@@ -136,7 +132,7 @@ class CPU:
             kernel.trace("dispatch", proc.pid, self._label, ph="B", cpu=self.idx)
         value = proc.resume_value
         proc.resume_value = None
-        self._resched(cost, self._boundary_cb, value)
+        self.engine.schedule_call(cost, self._boundary_cb, value)
 
     # ------------------------------------------------------------------
     # interpreter
@@ -150,8 +146,8 @@ class CPU:
         timeline the engine runs ahead to it (``engine.hop``) and the
         loop sends the next value into the same frame: a syscall whose
         delays all run ahead is one call here.  A kernel hop that is not
-        strictly earliest parks for the drain; a user delay, a block or
-        a yield ends the call.
+        strictly earliest is queued for the drain; a user delay, a block
+        or a yield ends the call.
         """
         proc = self.current
         if proc is None:
@@ -191,11 +187,11 @@ class CPU:
             if effect.user:
                 quantum_left = proc.quantum_left
                 if cycles <= quantum_left:
-                    # _user_delay's one-chunk case, parked here: the
+                    # _user_delay's one-chunk case, queued here: the
                     # whole delay fits in what is left of the quantum
                     proc.quantum_left = quantum_left - cycles
                     self.busy_cycles += cycles
-                    self._resched(cycles, self._boundary_cb, None)
+                    self.engine.schedule_call(cycles, self._boundary_cb, None)
                 else:
                     self._user_delay(proc, cycles)
                 return
@@ -241,7 +237,7 @@ class CPU:
     def _user_delay(self, proc, cycles: int) -> None:
         """Burn preemptible user cycles, chunked at the quantum.
 
-        ``_resume`` parks a delay that fits in the quantum itself; this
+        ``_resume`` queues a delay that fits in the quantum itself; this
         is the path for one that does not, and for a delay's remainder.
 
         The unburned remainder travels *inside* the resume token, never
@@ -255,13 +251,10 @@ class CPU:
         proc.quantum_left = quantum_left - chunk
         remaining = cycles - chunk
         self.busy_cycles += chunk
-        # The hop to the chunk boundary is inline-eligible: _boundary
-        # itself still performs signal delivery and preemption checks,
-        # so eliding the queue round-trip is semantically invisible.
-        if remaining > 0:
-            self._resched(chunk, self._boundary_cb, _ContinueDelay(remaining))
-        else:
-            self._resched(chunk, self._boundary_cb, None)
+        # _boundary itself performs signal delivery and preemption
+        # checks at the end of the chunk
+        token = _ContinueDelay(remaining) if remaining > 0 else None
+        self.engine.schedule_call(chunk, self._boundary_cb, token)
 
     def _boundary(self, resume_value) -> None:
         """A user-mode boundary: deliver signals, honor preemption, resume."""

@@ -17,7 +17,7 @@ from repro.obs.lockdep import LockDep, NULL_LOCKDEP
 from repro.obs.lockstat import LockStatRegistry
 from repro.sim.costs import CostModel, default_costs
 from repro.sim.cpu import CPU
-from repro.sim.engine import ENGINE_LOOP_MODES, Engine
+from repro.sim.engine import Engine
 
 
 #: pregion-lookup / TLB-flush strategies: "indexed" is the fast path,
@@ -39,7 +39,6 @@ class Machine:
         seed: Optional[int] = None,
         perturb: Optional[Iterable[str]] = None,
         vm_index: str = "indexed",
-        engine_loop: Optional[str] = None,
     ):
         if ncpus <= 0:
             raise ValueError("need at least one CPU")
@@ -48,15 +47,10 @@ class Machine:
                 "unknown vm_index %r (choose from %s)"
                 % (vm_index, ", ".join(VM_INDEX_MODES))
             )
-        if engine_loop is not None and engine_loop not in ENGINE_LOOP_MODES:
-            raise ValueError(
-                "unknown engine_loop %r (choose from %s)"
-                % (engine_loop, ", ".join(ENGINE_LOOP_MODES))
-            )
         # Must be set before the CPUs exist: each CPU's TLB keys its
         # per-ASID index decision off this flag.
         self.vm_index = vm_index
-        self.engine = Engine(seed=seed, perturb=perturb, loop=engine_loop)
+        self.engine = Engine(seed=seed, perturb=perturb)
         self.costs = costs if costs is not None else default_costs()
         self.costs.validate()
         self.frames = FrameAllocator(memory_bytes // PAGE_SIZE)

@@ -53,7 +53,6 @@ class System:
         perturb_features: Optional[Iterable[str]] = None,
         inject: Optional[Dict[str, str]] = None,
         vm_index: str = "indexed",
-        engine_loop: Optional[str] = None,
     ):
         self.machine = Machine(
             ncpus=ncpus,
@@ -65,7 +64,6 @@ class System:
             seed=perturb_seed,
             perturb=perturb_features,
             vm_index=vm_index,
-            engine_loop=engine_loop,
         )
         if inject:
             self.machine.inject.arm_many(inject)

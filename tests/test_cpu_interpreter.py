@@ -240,29 +240,30 @@ def _syscall_loop(api, out):
 
 def test_syscall_loop_runs_its_kernel_delays_ahead(monkeypatch):
     """Alone on one CPU, every kernel delay is strictly the next event:
-    under the fast loop none parks, and the run still ends on the naive
-    loop's cycle with the naive loop's kstat snapshot."""
-    from repro.sim.engine import Engine
+    under the fast loop none is queued, and the run still ends on the
+    naive loop's cycle with the naive loop's kstat snapshot."""
+    from repro.sim import engine
 
-    def run(engine_loop):
-        parks = []
-        park = Engine.resched_inline
+    def run(loop):
+        queued = []  # the callable of every entry that enters the queue
+        insort = engine.insort
 
-        def counting(self, cycles, fn, token):
-            parks.append(fn.__name__)
-            return park(self, cycles, fn, token)
+        def counting(queue, entry):
+            queued.append(getattr(entry[2], "__name__", None))
+            insort(queue, entry)
 
         with monkeypatch.context() as patch:
-            patch.setattr(Engine, "resched_inline", counting)
-            sim = System(ncpus=1, engine_loop=engine_loop)
+            patch.setenv("REPRO_ENGINE_LOOP", loop)
+            patch.setattr(engine, "insort", counting)
+            sim = System(ncpus=1)
             sim.spawn(_syscall_loop, {})
             sim.run()
-        return parks, sim.now, sim.engine.events_processed, sim.kstat.snapshot()
+        return queued, sim.now, sim.engine.events_processed, sim.kstat.snapshot()
 
     fast, naive = run("fast"), run("naive")
     assert fast[3]["kernel"][0]["syscalls"] == 150
-    # only the dispatch hop parks; each syscall is one _resume call
+    # only the dispatch hop is queued; each syscall is one _resume call
     assert fast[0] == ["_boundary"]
-    # the oracle parks every kernel delay, one event each
+    # the oracle queues every kernel delay, one event each
     assert naive[0].count("_resume") == naive[2] - 1
     assert fast[1:] == naive[1:]

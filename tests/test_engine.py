@@ -30,7 +30,7 @@ def test_zero_delay_runs_after_current_cycle_events():
     eng = Engine()
     fired = []
     eng.schedule(0, lambda: fired.append(1))
-    eng.call_soon(lambda: fired.append(2))
+    eng.schedule_call(0, fired.append, 2)
     eng.run()
     assert fired == [1, 2]
 

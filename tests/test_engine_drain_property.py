@@ -1,16 +1,16 @@
 """Randomized equivalence of the fast drain loop and its naive oracle.
 
-One generated *script* — a pure-data schedule of events, inline
-continuations, tail hops that may run ahead (``Engine.hop``), cancels
-(including cancel-after-fire), nested reschedules, cancel storms that
-cross the compaction threshold, and partial drains via ``until`` /
-``max_events`` — is executed against a
+One generated *script* — a pure-data schedule of cancellable events
+(``Engine.schedule``), token entries (``Engine.schedule_call``), tail
+hops that may run ahead (``Engine.hop``), cancels of pending and of
+already-fired events, nested reschedules, cancel storms, and partial
+drains via ``until`` / ``max_events`` — is executed against a
 ``loop="fast"`` and a ``loop="naive"`` engine.  The fast loop must
 agree with the naive reference on the full firing log (time and label
-of every callback), the final clock, ``events_processed``, and what
-remains pending.  This is the randomized backstop behind the
-workload-level fingerprint tests: anything the hand-written cases
-miss, a seedful of scripts won't.
+of every callback), the final clock, ``events_processed``, what
+remains pending, and which cancels found a pending entry.  This is the
+randomized backstop behind the workload-level fingerprint tests:
+anything the hand-written cases miss, a seedful of scripts won't.
 """
 
 import random
@@ -45,7 +45,7 @@ def _gen_ops(rng, next_id, depth):
     ops = []
     for _ in range(rng.randrange(1, 6)):
         kind = rng.choices(
-            ["schedule", "inline", "cancel"], weights=[6, 3, 3]
+            ["schedule", "call", "cancel"], weights=[6, 3, 3]
         )[0]
         if kind == "cancel":
             # target anything issued so far: pending, fired (must be a
@@ -66,8 +66,7 @@ def _gen_script(seed):
     for _ in range(rng.randrange(3, 7)):
         ops = _gen_ops(rng, next_id, 0)
         if rng.random() < 0.3:
-            # a cancel storm big enough to cross the compaction
-            # threshold (>= 64 dead and >= half the structure)
+            # a cancel storm: every entry is deleted as it is cancelled
             storm = []
             for _ in range(150):
                 oid = next_id[0]
@@ -92,28 +91,36 @@ def _execute(script, loop):
     eng = Engine(loop=loop)
     log = []
     handles = {}
-    ran_ahead = [0]
+    fired = set()
+    counts = {"ran_ahead": 0, "cancel_pending": 0, "cancel_fired": 0}
 
     def apply_op(op):
         kind = op["kind"]
         if kind == "cancel":
             handle = handles.get(op["target"])
             if handle is not None:
+                before = eng.pending
                 handle.cancel()
+                if op["target"] in fired:
+                    assert eng.pending == before  # its entry is gone
+                    counts["cancel_fired"] += 1
+                elif eng.pending == before - 1:
+                    counts["cancel_pending"] += 1
             return
         token = (op["id"], tuple(ch.get("id") for ch in op["children"]))
 
-        def fire(tok, _op=op):
+        def fire(tok=None, _op=op):
+            fired.add(_op["id"])
             log.append((eng.now, _op["id"]))
             for child in _op["children"]:
                 apply_op(child)
 
-        if kind == "schedule":
-            handles[op["id"]] = eng.schedule_call(op["delay"], fire, token)
-        elif kind == "inline":  # no cancellable handle exists
-            eng.resched_inline(op["delay"], fire, token)
+        if kind == "schedule":  # the one cancellable entry point
+            handles[op["id"]] = eng.schedule(op["delay"], fire)
+        elif kind == "call":  # a token entry: no handle exists
+            eng.schedule_call(op["delay"], fire, token)
         elif eng.hop(op["delay"], fire, token):
-            ran_ahead[0] += 1
+            counts["ran_ahead"] += 1
             fire(token)  # the continuation runs in this same pass
 
     for ops, (mode, arg) in script:
@@ -131,7 +138,7 @@ def _execute(script, loop):
         "now": eng.now,
         "events_processed": eng.events_processed,
         "pending": eng.pending,
-        "ran_ahead": ran_ahead[0],
+        **counts,
     }
 
 
@@ -155,3 +162,11 @@ def test_random_scripts_exercise_run_ahead():
     run ahead."""
     ran = [_execute(_gen_script(seed), "fast")["ran_ahead"] for seed in SEEDS]
     assert sum(ran) >= len(SEEDS)
+
+
+def test_random_scripts_cancel_pending_and_fired_entries():
+    """The cancel ops are not vacuous either: across the seeds they
+    delete pending entries and hit already-fired ones (a no-op)."""
+    results = [_execute(_gen_script(seed), "fast") for seed in SEEDS]
+    assert sum(r["cancel_pending"] for r in results) >= len(SEEDS)
+    assert sum(r["cancel_fired"] for r in results) >= len(SEEDS)

@@ -1,12 +1,12 @@
-"""The engine fast path: guarded step(), event reclamation, cycle identity.
+"""The engine fast path: guarded step(), one queue, cycle identity.
 
 The batched drain in :mod:`repro.sim.engine` is a host-speed
 optimisation only — ``REPRO_ENGINE_LOOP=naive`` (or ``loop="naive"``)
 selects the one-event-at-a-time reference loop, and the two must agree
 on every simulated cycle.  These tests pin that contract, plus the
-engine-correctness fixes that rode along: ``step()`` goes through the
-same guarded path as ``run()``, and cancelled events are both counted
-exactly and physically reclaimed from the heap.
+engine-correctness rules that ride along: ``step()`` goes through the
+same guarded path as ``run()``, ``run(until=...)`` never turns the
+clock back, and a cancel deletes its entry from the one sorted queue.
 """
 
 import hashlib
@@ -16,12 +16,7 @@ import pytest
 
 from repro import PR_SALL, System
 from repro.errors import SimulationError
-from repro.sim.engine import (
-    _INLINE_PARK_MAX,
-    ENGINE_LOOP_MODES,
-    Engine,
-    default_engine_loop,
-)
+from repro.sim.engine import ENGINE_LOOP_MODES, Engine, default_engine_loop
 from repro.sim.trace import Tracer
 
 
@@ -76,21 +71,43 @@ def test_run_rejects_reentry():
         eng.run()
 
 
+@pytest.mark.parametrize("loop", ENGINE_LOOP_MODES)
+def test_run_until_in_the_past_is_rejected(loop):
+    """``until`` before the clock would turn it back: later entries
+    would fire before history already reached.  It is rejected before
+    anything fires, as a negative delay is."""
+    eng = Engine(loop=loop)
+    fired = []
+    eng.schedule(100, lambda: fired.append(eng.now))
+    eng.schedule(150, lambda: fired.append(eng.now))
+    eng.run(until=100)
+    assert fired == [100] and eng.now == 100
+    with pytest.raises(SimulationError):
+        eng.run(until=50)
+    assert eng.now == 100 and eng.pending == 1
+    eng.run(until=100)  # the current cycle itself is fine
+    eng.schedule(10, lambda: fired.append(eng.now))
+    eng.run()
+    assert fired == [100, 110, 150]
+
+
 # ----------------------------------------------------------------------
-# cancellation accounting and heap reclamation (satellite: pending was
-# an O(n) scan and cancelled entries were never removed from the heap)
+# cancellation deletes the entry: the queue holds live entries only
 
 
 def test_cancel_storm_keeps_heap_bounded():
     eng = Engine()
-    floor = eng.pending
+    live = [eng.schedule(5000 + i, lambda: None) for i in range(7)]
     for _ in range(50):
         events = [eng.schedule(1000 + i, lambda: None) for i in range(100)]
         for event in events:
             event.cancel()
-        assert eng.pending == floor
-    # compaction must have reclaimed the 5000 dead entries
-    assert len(eng._queue) < 200
+        # no dead entry waits for a compaction or a drain
+        assert len(eng._queue) == eng.pending == len(live)
+    live[3].cancel()
+    assert len(eng._queue) == 6
+    eng.run()
+    assert eng.events_processed == 6
 
 
 def test_pending_is_exact_under_cancellation():
@@ -125,7 +142,7 @@ def test_cancel_after_fire_is_a_noop():
 def test_schedule_call_delivers_token():
     eng = Engine()
     got = []
-    eng.schedule_call(1, got.append, "tok")
+    assert eng.schedule_call(1, got.append, "tok") is None  # no handle
     eng.schedule_call(2, got.append, None)  # None is a real token too
     eng.run()
     assert got == ["tok", None]
@@ -146,9 +163,6 @@ def test_cancelled_head_does_not_stall_until():
 def test_unknown_loop_mode_rejected():
     with pytest.raises(SimulationError):
         Engine(loop="turbo")
-    # Machine validates config with ValueError, matching vm_index
-    with pytest.raises(ValueError):
-        System(ncpus=1, engine_loop="turbo")
 
 
 def test_default_loop_reads_env(monkeypatch):
@@ -163,22 +177,23 @@ def test_default_loop_reads_env(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the inline-continuation park (engine.resched_inline): trampoline-
-# eliding dispatch for the CPU's steady-state hops
+# the one queue: every entry is (time, seq, fn, token), fired in
+# (time, seq) order; a token entry allocates no Event
 
 
-def test_resched_inline_fires_like_schedule_call():
+def test_token_entry_fires_as_an_inline_hop():
     eng = Engine(loop="fast")
     got = []
-    eng.resched_inline(5, got.append, "hop")
-    assert eng.pending == 1
+    eng.schedule_call(5, got.append, "hop")
+    eng.schedule(7, lambda: got.append("event"))
+    assert eng.pending == 2
     assert not eng.idle()
     eng.run()
-    assert got == ["hop"]
-    assert eng.now == 5
+    assert got == ["hop", "event"]
+    assert eng.now == 7
+    # only the token entry counts: the other one has an Event handle
     assert eng.inline_hops == 1
-    assert eng.inline_fallbacks == 0
-    assert eng.events_processed == 1
+    assert eng.events_processed == 2
     assert eng.pending == 0
     assert eng.idle()
 
@@ -186,104 +201,94 @@ def test_resched_inline_fires_like_schedule_call():
 def test_inline_chain_advances_clock_without_queue_traffic():
     eng = Engine(loop="fast")
     ticks = []
+    depth = []
 
-    def hop(token):
-        ticks.append(eng.now)
-        if len(ticks) < 5:
-            eng.resched_inline(3, hop, None)
+    def chain():
+        # a callback whose tail hops all run ahead: nothing is queued
+        while len(ticks) < 5:
+            assert eng.hop(3, ticks.append, "queued") is True
+            depth.append(len(eng._queue))
+            ticks.append(eng.now)
 
-    eng.resched_inline(3, hop, None)
+    eng.schedule(0, chain)
     eng.run()
     assert ticks == [3, 6, 9, 12, 15]
+    assert depth == [0] * 5
     assert eng.inline_hops == 5
-    assert eng.events_processed == 5
-    assert len(eng._queue) == 0  # nothing ever touched the heap
+    assert eng.events_processed == 6
 
 
 def test_parked_hop_waits_for_earlier_queued_event():
     eng = Engine(loop="fast")
     order = []
-    eng.schedule_call(3, order.append, "early-event")
-    eng.resched_inline(5, order.append, "hop")
-    eng.schedule_call(5, order.append, "tie-later")  # later seq than the hop
+    eng.schedule(3, lambda: order.append("early-event"))
+    eng.schedule_call(5, order.append, "hop")
+    eng.schedule(5, lambda: order.append("tie-later"))  # later seq than the hop
     eng.run()
     assert order == ["early-event", "hop", "tie-later"]
     assert eng.inline_hops == 1
-    assert eng.inline_fallbacks == 0
 
 
 def test_park_tie_respects_reserved_seq():
-    # seq is reserved at park time, so a same-cycle tie resolves exactly
-    # as if the continuation had been queued: schedule order.
+    # one cycle, four entries: seq (schedule order) decides, whichever
+    # entry point queued them
     eng = Engine(loop="fast")
     order = []
-    eng.schedule_call(5, order.append, "queued-first")
-    eng.resched_inline(5, order.append, "hop")
-    eng.schedule_call(5, order.append, "queued-last")
+    eng.schedule_call(5, order.append, "first")
+    middle = eng.schedule(5, lambda: order.append("second"))
+    eng.schedule_call(5, order.append, "third")
+    eng.schedule(5, lambda: order.append("fourth"))
+    assert [entry[1] for entry in eng._queue] == [1, 2, 3, 4]
+    assert middle.seq == 2
     eng.run()
-    assert order == ["queued-first", "hop", "queued-last"]
-    assert eng.inline_hops == 1
+    assert order == ["first", "second", "third", "fourth"]
 
 
 def test_until_leaves_parked_hops_parked():
     eng = Engine(loop="fast")
     got = []
-    eng.resched_inline(10, got.append, "hop")
+    eng.schedule_call(2, got.append, "early")
+    eng.schedule_call(10, got.append, "hop")
+    eng.schedule(12, lambda: got.append("event"))
     eng.run(until=4)
     assert eng.now == 4
-    assert got == []
-    assert eng.pending == 1  # still owed; pending counts parked hops
+    assert got == ["early"]
+    assert eng.pending == 2  # later entries stay queued, in order
+    assert [entry[0] for entry in eng._queue] == [10, 12]
     eng.run(until=10)  # boundary is inclusive: the hop is due, fires
-    assert got == ["hop"]
+    assert got == ["early", "hop"]
     assert eng.now == 10
+    assert eng.pending == 1
+    eng.run()
+    assert got == ["early", "hop", "event"]
     assert eng.idle()
 
 
 def test_step_fires_parked_hop():
+    # exactly one entry per step, even when its peer is due the same cycle
     eng = Engine(loop="fast")
     got = []
-    eng.resched_inline(2, got.append, "hop")
+    eng.schedule_call(2, got.append, "hop")
+    eng.schedule(2, lambda: got.append("event"))
     assert eng.step() is True
     assert got == ["hop"]
+    assert eng.pending == 1
+    assert eng.step() is True
+    assert got == ["hop", "event"]
     assert eng.step() is False
+    assert eng.events_processed == 2
 
 
-def test_resched_inline_rejects_negative_delay():
+def test_schedule_call_rejects_negative_delay():
     eng = Engine(loop="fast")
     with pytest.raises(SimulationError):
-        eng.resched_inline(-1, lambda token: None, None)
-
-
-def test_naive_loop_materializes_inline_fallbacks():
-    eng = Engine(loop="naive")
-    got = []
-    eng.resched_inline(5, got.append, "hop")
-    assert eng.inline_fallbacks == 1
-    assert eng.pending == 1
-    eng.run()
-    assert got == ["hop"]
-    assert eng.now == 5
-    assert eng.inline_hops == 0  # everything went through the queue
-
-
-def test_park_bound_demotes_to_real_events():
-    eng = Engine(loop="fast")
-    got = []
-    extra = 5
-    for i in range(_INLINE_PARK_MAX + extra):
-        eng.resched_inline(1, got.append, i)
-    assert eng.inline_fallbacks == extra
-    assert eng.pending == _INLINE_PARK_MAX + extra
-    eng.run()
-    # all at cycle 1: reserved seqs interleave parked and demoted hops
-    # in exact submission order
-    assert got == list(range(_INLINE_PARK_MAX + extra))
-    assert eng.inline_hops == _INLINE_PARK_MAX
+        eng.schedule_call(-1, lambda token: None, None)
+    assert eng.idle()
 
 
 # ----------------------------------------------------------------------
 # run-ahead (engine.hop): a tail hop strictly earlier than everything
-# pending continues in the same pass, counted as if its park had fired
+# pending continues in the same pass, counted as if its entry had fired
 
 
 def _tail_hop_run(use_hop):
@@ -305,7 +310,7 @@ def _tail_hop_run(use_hop):
             if seen["ran"]:
                 tail("tail")
         else:
-            eng.resched_inline(4, tail, "tail")
+            eng.schedule_call(4, tail, "tail")
         seen["now"] = eng.now
 
     def later():
@@ -322,13 +327,13 @@ def test_strictly_earliest_hop_runs_ahead():
     seen, log, eng = _tail_hop_run(use_hop=True)
     assert seen["ran"] is True
     assert seen["now"] == 14  # the clock moved inside the callback
-    parked_seen, parked_log, parked_eng = _tail_hop_run(use_hop=False)
-    assert parked_seen["now"] == 10
-    # as if the park had fired: same log, clock, counts and next seq
-    assert log == parked_log == [(10, "first"), (14, "tail"), (20, "later")]
-    assert seen["next_seq"] == parked_seen["next_seq"]
-    for attr in ("now", "events_processed", "inline_hops", "inline_fallbacks"):
-        assert getattr(eng, attr) == getattr(parked_eng, attr), attr
+    queued_seen, queued_log, queued_eng = _tail_hop_run(use_hop=False)
+    assert queued_seen["now"] == 10
+    # as if the queued entry had fired: same log, clock, counts and seq
+    assert log == queued_log == [(10, "first"), (14, "tail"), (20, "later")]
+    assert seen["next_seq"] == queued_seen["next_seq"]
+    for attr in ("now", "events_processed", "inline_hops"):
+        assert getattr(eng, attr) == getattr(queued_eng, attr), attr
     assert eng.events_processed == 4 and eng.inline_hops == 1
     assert eng.idle()
 
@@ -355,17 +360,19 @@ def _hop_from_callback(eng, at, cycles, log, **run_kwargs):
 def test_hop_tied_with_a_queued_entry_parks():
     eng = Engine(loop="fast")
     log = []
-    eng.schedule_call(14, log.append, "queued")
+    eng.schedule(14, lambda: log.append("queued"))
     assert _hop_from_callback(eng, 10, 4, log) is False
     # the queued entry has the smaller seq, so it fires first
     assert log == ["queued", (14, "hop")]
-    assert eng.inline_hops == 1  # the park fired it
+    assert eng.inline_hops == 1  # the hop's own entry, a token entry
 
 
 def test_hop_tied_with_a_parked_entry_parks():
+    # a hop queued outside run() (it cannot run ahead there) holds the
+    # tie against a later hop, which is queued behind it
     eng = Engine(loop="fast")
     log = []
-    eng.resched_inline(14, log.append, "parked")
+    assert eng.hop(14, log.append, "parked") is False
     assert _hop_from_callback(eng, 10, 4, log) is False
     assert log == ["parked", (14, "hop")]
     assert eng.inline_hops == 2
@@ -404,7 +411,9 @@ def test_no_run_ahead_under_the_naive_loop():
     log = []
     assert _hop_from_callback(eng, 10, 4, log) is False
     assert log == [(14, "hop")]
-    assert eng.inline_fallbacks == 1 and eng.inline_hops == 0
+    # the queued hop fires as a token entry: one inline hop, as the
+    # fast loop's run-ahead counts it
+    assert eng.inline_hops == 1
 
 
 def test_no_run_ahead_outside_run():
@@ -459,8 +468,8 @@ def _member(api, arg):
     # armed past the compute it guards, so the cancel below always runs
     yield from api.alarm(50_000)
     yield from api.compute(20_000)
-    yield from api.alarm(0)  # cancel: exercises heap garbage on both loops
-    yield from api.yield_cpu()  # requeue, then a parked dispatch hop
+    yield from api.alarm(0)  # cancel: deletes a queued entry on both loops
+    yield from api.yield_cpu()  # requeue, then a queued dispatch hop
     yield from api.compute(9_000)
     return 0
 
@@ -474,8 +483,10 @@ def _main(api, statuses):
     return 0
 
 
-def _fingerprint(loop, seed):
-    sim = System(ncpus=3, perturb_seed=seed, engine_loop=loop)
+def _fingerprint(monkeypatch, loop, seed):
+    monkeypatch.setenv("REPRO_ENGINE_LOOP", loop)
+    sim = System(ncpus=3, perturb_seed=seed)
+    assert sim.engine.loop == loop
     tracer = Tracer.attach(sim.kernel, capacity=100_000)
     statuses = []
     sim.spawn(_main, statuses)
@@ -489,7 +500,9 @@ def _fingerprint(loop, seed):
 
 
 @pytest.mark.parametrize("seed", [None, 0, 3])
-def test_fast_loop_matches_naive_fingerprint(seed):
+def test_fast_loop_matches_naive_fingerprint(monkeypatch, seed):
     """The fast drain against its oracle: one fingerprint, two loops."""
     assert set(ENGINE_LOOP_MODES) == {"fast", "naive"}
-    assert _fingerprint("fast", seed) == _fingerprint("naive", seed)
+    assert _fingerprint(monkeypatch, "fast", seed) == _fingerprint(
+        monkeypatch, "naive", seed
+    )

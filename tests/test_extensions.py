@@ -385,6 +385,33 @@ def test_alarm_rearm_replaces_previous():
     assert out["old"] > 400_000
 
 
+def test_alarm_after_a_fired_alarm_reports_nothing_remaining():
+    """A fired alarm leaves nothing to report or cancel: the next alarm
+    call returns 0, and the alarm it arms still fires."""
+    from repro.kernel.signals import SIGALRM
+
+    def main(api, out):
+        fired = []
+
+        def handler(api, sig):
+            fired.append(api.now)
+            yield from api.getpid()
+
+        yield from api.signal(SIGALRM, handler)
+        yield from api.alarm(10_000)
+        yield from api.compute(20_000)
+        out["fired_first"] = len(fired)
+        out["remaining"] = yield from api.alarm(5_000)
+        yield from api.compute(20_000)
+        out["fired"] = len(fired)
+        return 0
+
+    out, _ = run_program(main)
+    assert out["fired_first"] == 1
+    assert out["remaining"] == 0
+    assert out["fired"] == 2
+
+
 # ----------------------------------------------------------------------
 # gang guardrails
 

@@ -179,6 +179,24 @@ def test_semget_bounds_the_set_size():
     assert out["last_op"] == 0
 
 
+def test_semget_of_an_existing_set_checks_nsems():
+    """Looking up an existing key fails EINVAL when ``nsems`` asks for
+    more semaphores than the set has; 0 and any smaller count find it."""
+
+    def main(api, out):
+        semid = yield from api.semget(42, 2, IPC_CREAT)
+        rc = yield from api.semget(42, 5, 0)
+        out["over"] = (rc, (yield from api.errno()))
+        out["found"] = []
+        for nsems in (0, 1, 2):
+            out["found"].append((yield from api.semget(42, nsems, 0)) == semid)
+        return 0
+
+    out, _ = run_program(main)
+    assert out["over"] == (-1, EINVAL)
+    assert out["found"] == [True, True, True]
+
+
 def test_semop_bad_index_is_einval():
     def main(api, out):
         semid = yield from api.semget(IPC_PRIVATE, 1, IPC_CREAT)
