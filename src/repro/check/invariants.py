@@ -34,7 +34,8 @@ from typing import Any, Dict, List
 
 from repro.kernel.flags import ALL_SYNC
 from repro.mem.frames import PAGE_SHIFT
-from repro.share.mask import NONVM_SYNC_BITS, PR_SADDR
+from repro.share.mask import PR_SADDR
+from repro.share.resources import RESOURCES
 
 
 def _live_procs(sim) -> List:
@@ -94,17 +95,17 @@ def check_pregion_tlb(sim) -> List[str]:
     """Every TLB entry for a live ASID must match a current translation.
 
     Share-group members run under one ASID but each keeps a private
-    PRDA pregion (and any ``PR_PRIVDATA`` shadow) at the same virtual
-    address.  Such a private translation stays only in the TLB of the
-    CPU its process runs on — the fault path caches it there alone and
-    the CPU drops it when the process leaves — but this checker does
-    not tie entries to CPUs, so an entry is valid if *any* live address
-    space with that ASID resolves the page to the very Frame the entry
-    caches (identity, not pfn: a freed frame's pfn may already back
-    another page).  A writable entry additionally
-    requires the page to be writable now (not copy-on-write) in the
-    space that matched.  Entries for retired ASIDs are skipped: ASIDs
-    are never recycled, so they can only belong to exited processes.
+    PRDA pregion at the same virtual address.  Such a private
+    translation stays only in the TLB of the CPU its process runs on —
+    the fault path caches it there alone and the CPU drops it when the
+    process leaves — but this checker does not tie entries to CPUs, so
+    an entry is valid if *any* live address space with that ASID
+    resolves the page to the very Frame the entry caches (identity, not
+    pfn: a freed frame's pfn may already back another page).  A
+    writable entry additionally requires the page to be writable now
+    (not copy-on-write) in the space that matched.  Entries for retired
+    ASIDs are skipped: ASIDs are never recycled, so they can only belong
+    to exited processes.
     """
     findings = []
     spaces: Dict[int, List] = {}
@@ -230,11 +231,11 @@ def check_shmask_consistency(sim) -> List[str]:
                 "pid %d: PR_SADDR clear but still attached to a shared VM"
                 % proc.pid
             )
-        for pr_bit, sync_bit in sorted(NONVM_SYNC_BITS.items()):
-            if sync & sync_bit and not mask & pr_bit:
+        for resource in RESOURCES:
+            if sync & resource.sync and not mask & resource.bit:
                 findings.append(
                     "pid %d: sync flag %#x pending for unshared resource "
-                    "bit %#x" % (proc.pid, sync_bit, pr_bit)
+                    "%s" % (proc.pid, resource.sync, resource.name)
                 )
     return findings
 

@@ -25,7 +25,6 @@ from repro.kernel.signals import SIGUSR1
 from repro.mem.frames import PAGE_SIZE
 from repro.mem.layout import DATA_BASE
 from repro.share.mask import (
-    PR_PRIVDATA,
     PR_SADDR,
     PR_SALL,
     PR_SDIR,
@@ -350,44 +349,50 @@ def _unshare_churn_main(api, out):
 
 
 # ----------------------------------------------------------------------
-# privdata-fork: fork() from PR_PRIVDATA members — a fork child copies
-# exactly what its parent sees, and private translations under the
-# group's ASID never leak between members (sections 5.1 and 8)
+# member-fork: fork() from plain PR_SALL members — a fork child copies
+# exactly what its parent sees, and its copy-on-write breaks reach
+# neither the parent nor the group (sections 5.1 and 6.2)
 
-_PF_MEMBERS = 3
-_PF_GROUP_VALUE = 7
+_MF_MEMBERS = 3
+_MF_GROUP_VALUE = 7
 
 
-def _pf_child(api, arg):
-    """Fork child: read the parent's private DATA, then COW-break it."""
+def _mf_page(index):
+    """Member ``index``'s own page of the shared data segment."""
+    return DATA_BASE + (index + 1) * PAGE_SIZE
+
+
+def _mf_child(api, arg):
+    """Fork child: read the group's word and the parent's page, then
+    COW-break the page."""
     out, index = arg
-    out["child-read-%d" % index] = yield from api.load_word(DATA_BASE)
-    yield from api.store_word(DATA_BASE, 500 + index)
-    out["child-wrote-%d" % index] = yield from api.load_word(DATA_BASE)
+    page = _mf_page(index)
+    out["child-group-%d" % index] = yield from api.load_word(DATA_BASE)
+    out["child-read-%d" % index] = yield from api.load_word(page)
+    yield from api.store_word(page, 500 + index)
+    out["child-wrote-%d" % index] = yield from api.load_word(page)
     return 0
 
 
-def _pf_member(api, arg):
+def _mf_member(api, arg):
     out, counter, index = arg
-    yield from api.store_word(DATA_BASE, 100 + index)  # private shadow
-    pid = yield from api.fork(_pf_child, (out, index))
+    yield from api.store_word(_mf_page(index), 100 + index)
+    pid = yield from api.fork(_mf_child, (out, index))
     if pid != -1:
         yield from api.wait()
-    out["member-%d" % index] = yield from api.load_word(DATA_BASE)
+    out["member-%d" % index] = yield from api.load_word(_mf_page(index))
     yield from api.fetch_add(counter, 1)
     return 0
 
 
-def _privdata_fork_main(api, out):
+def _member_fork_main(api, out):
     counter = yield from api.mmap(PAGE_SIZE)
     if counter == -1:
         return 1
-    yield from api.store_word(DATA_BASE, _PF_GROUP_VALUE)
+    yield from api.store_word(DATA_BASE, _MF_GROUP_VALUE)
     started = 0
-    for index in range(_PF_MEMBERS):
-        pid = yield from api.sproc(
-            _pf_member, PR_SALL | PR_PRIVDATA, (out, counter, index)
-        )
+    for index in range(_MF_MEMBERS):
+        pid = yield from api.sproc(_mf_member, PR_SALL, (out, counter, index))
         if pid != -1:
             started += 1
     for _ in range(started):
@@ -531,9 +536,9 @@ SCENARIOS: Dict[str, Scenario] = {
             "and member exit",
         ),
         Scenario(
-            "privdata-fork", _privdata_fork_main, 2,
-            "PR_PRIVDATA members fork children that read and COW-break "
-            "their parent's private data",
+            "member-fork", _member_fork_main, 2,
+            "PR_SALL members fork children that read and COW-break "
+            "their parent's page of the shared data",
         ),
         Scenario(
             "eintr-relay", _eintr_relay_main, 2,
@@ -550,6 +555,6 @@ SCENARIOS: Dict[str, Scenario] = {
 #: the scenarios ``python -m repro.check`` explores by default —
 #: everything whose final state must be schedule independent
 DEFAULT_SCENARIOS = (
-    "fault-storm", "fd-churn", "mmap-churn", "unshare-churn", "privdata-fork",
+    "fault-storm", "fd-churn", "mmap-churn", "unshare-churn", "member-fork",
     "eintr-relay",
 )

@@ -150,11 +150,11 @@ class FaultMixin:
                     touched.append((res.pregion, res.page_index, vpn))
                 break
             # Cache the translation in the CPU the fault began on.  A
-            # private pregion under a shared ASID (the PRDA, a
-            # PR_PRIVDATA shadow) is cached only while its process runs
-            # there: the fault may have blocked on the read lock and
-            # resumed on another CPU, and the CPU drops the noted entry
-            # when the process leaves it (CPU._drop_private_tlb).
+            # private pregion under a shared ASID (the PRDA) is cached
+            # only while its process runs there: the fault may have
+            # blocked on the read lock and resumed on another CPU, and
+            # the CPU drops the noted entry when the process leaves it
+            # (CPU._drop_private_tlb).
             writable = proc.vm.writable_now(res.pregion, res.page_index)
             if res.shared or proc.vm.shared is None:
                 cpu.tlb.insert(asid, vpn, frame, writable)

@@ -35,7 +35,7 @@ from repro.fs.inode import IEXEC, IREAD, IWRITE, Inode, InodeType
 from repro.fs.pipe import BrokenPipe, Pipe
 from repro.kernel.signals import SIGPIPE
 from repro.share import resources
-from repro.share.mask import PR_SDIR, PR_SFDS, PR_SID, PR_SULIMIT, PR_SUMASK
+from repro.share.mask import PR_SFDS
 from repro.sim.effects import kdelay
 
 
@@ -57,21 +57,16 @@ class FileSyscalls:
         result = yield from apply_fn()
         return result
 
-    def _misc_update(self, proc, pr_bit: int, apply_fn):
-        """Run a misc-resource mutation under the sharing protocol.
+    def _misc_update(self, proc, resource, apply_fn):
+        """Run a misc-resource change under the sharing protocol.
 
-        ``apply_fn(shaddr_or_none)`` mutates the u-area and, when given a
-        block, refreshes the authoritative copy.
+        ``apply_fn()`` changes the caller's u-area and returns the call's
+        result; for a sharing caller the protocol publishes the change.
         """
-        if proc.shares(pr_bit):
-            box = []
-
-            def wrapped(shaddr):
-                box.append(apply_fn(shaddr))
-
-            yield from resources.update_misc(self, proc, pr_bit, wrapped)
-            return box[0]
-        return apply_fn(None)
+        if proc.shares(resource.bit):
+            result = yield from resources.update_misc(self, proc, resource, apply_fn)
+            return result
+        return apply_fn()
 
     # ------------------------------------------------------------------
     # opening and closing
@@ -424,14 +419,11 @@ class FileSyscalls:
         inode.require_dir()
         inode.access(proc.uarea.uid, proc.uarea.gid, IEXEC)
 
-        def apply(shaddr):
+        def apply():
             proc.uarea.set_cdir(inode)
-            if shaddr is not None:
-                shaddr.set_dirs(proc.uarea.cdir, proc.uarea.rdir)
-                shaddr.updates["dir"] += 1
             return 0
 
-        result = yield from self._misc_update(proc, PR_SDIR, apply)
+        result = yield from self._misc_update(proc, resources.DIR, apply)
         return result
 
     def sys_chroot(self, proc, path: str):
@@ -441,28 +433,22 @@ class FileSyscalls:
         inode = self._namei(proc, path)
         inode.require_dir()
 
-        def apply(shaddr):
+        def apply():
             proc.uarea.set_rdir(inode)
-            if shaddr is not None:
-                shaddr.set_dirs(proc.uarea.cdir, proc.uarea.rdir)
-                shaddr.updates["dir"] += 1
             return 0
 
-        result = yield from self._misc_update(proc, PR_SDIR, apply)
+        result = yield from self._misc_update(proc, resources.DIR, apply)
         return result
 
     def sys_umask(self, proc, new_mask: int):
         yield kdelay(self.costs.flag_batch_test)
 
-        def apply(shaddr):
+        def apply():
             old = proc.uarea.cmask
             proc.uarea.cmask = new_mask & 0o777
-            if shaddr is not None:
-                shaddr.s_cmask = proc.uarea.cmask
-                shaddr.updates["umask"] += 1
             return old
 
-        old = yield from self._misc_update(proc, PR_SUMASK, apply)
+        old = yield from self._misc_update(proc, resources.UMASK, apply)
         return old
 
     def sys_ulimit(self, proc, cmd: int, value: int = 0):
@@ -475,14 +461,11 @@ class FileSyscalls:
         if value > proc.uarea.ulimit and proc.uarea.uid != 0:
             raise SysError(EPERM, "only root may raise ulimit")
 
-        def apply(shaddr):
+        def apply():
             proc.uarea.ulimit = value
-            if shaddr is not None:
-                shaddr.s_limit = value
-                shaddr.updates["ulimit"] += 1
             return value
 
-        result = yield from self._misc_update(proc, PR_SULIMIT, apply)
+        result = yield from self._misc_update(proc, resources.ULIMIT, apply)
         return result
 
     def sys_getuid(self, proc):
@@ -498,14 +481,11 @@ class FileSyscalls:
         if proc.uarea.uid != 0 and uid != proc.uarea.uid:
             raise SysError(EPERM)
 
-        def apply(shaddr):
+        def apply():
             proc.uarea.uid = uid
-            if shaddr is not None:
-                shaddr.s_uid = uid
-                shaddr.updates["id"] += 1
             return 0
 
-        result = yield from self._misc_update(proc, PR_SID, apply)
+        result = yield from self._misc_update(proc, resources.ID, apply)
         return result
 
     def sys_setgid(self, proc, gid: int):
@@ -513,14 +493,11 @@ class FileSyscalls:
         if proc.uarea.uid != 0 and gid != proc.uarea.gid:
             raise SysError(EPERM)
 
-        def apply(shaddr):
+        def apply():
             proc.uarea.gid = gid
-            if shaddr is not None:
-                shaddr.s_gid = gid
-                shaddr.updates["id"] += 1
             return 0
 
-        result = yield from self._misc_update(proc, PR_SID, apply)
+        result = yield from self._misc_update(proc, resources.ID, apply)
         return result
 
 

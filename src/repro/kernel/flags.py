@@ -23,12 +23,3 @@ SULIMITSYNC = 0x0010
 
 #: every resource-sync bit (the single batched test mask)
 ALL_SYNC = SFDSYNC | SDIRSYNC | SIDSYNC | SUMASKSYNC | SULIMITSYNC
-
-#: human-readable names for diagnostics
-SYNC_BIT_NAMES = {
-    SFDSYNC: "fds",
-    SDIRSYNC: "dir",
-    SIDSYNC: "id",
-    SUMASKSYNC: "umask",
-    SULIMITSYNC: "ulimit",
-}

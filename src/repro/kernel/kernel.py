@@ -29,7 +29,7 @@ from repro.fs.fsys import FileSystem
 from repro.ipc.syscalls import IPCSyscalls
 from repro.kernel.fault import FaultMixin
 from repro.kernel.filecalls import FileSyscalls
-from repro.kernel.flags import ALL_SYNC, SYNC_BIT_NAMES
+from repro.kernel.flags import ALL_SYNC
 from repro.kernel.proc import Proc, ProcTable
 from repro.kernel.proccalls import ProcSyscalls, make_exit_status, make_signal_status
 from repro.kernel.sched import make_scheduler
@@ -318,7 +318,7 @@ class Kernel(
             if self.batched_flag_test:
                 yield self._flag_batch_delay
             else:
-                for _bit in SYNC_BIT_NAMES:
+                for _resource in resources.RESOURCES:
                     yield self._flag_single_delay
             if proc.p_flag & ALL_SYNC:
                 self.stats["sync_entries"] += 1

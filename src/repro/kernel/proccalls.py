@@ -38,7 +38,7 @@ from repro.share import resources
 from repro.share import sproc as sproc_mod
 from repro.share import unshare as unshare_mod
 from repro.share import vmshare
-from repro.share.mask import PR_SADDR, PR_SALL, PR_SFDS
+from repro.share.mask import PR_SADDR, PR_SFDS, inherit_mask, validate_mask
 from repro.sim.effects import ExecImage as _ExecTaken
 from repro.sim.effects import kdelay
 from repro.sync.semaphore import Semaphore
@@ -124,15 +124,17 @@ class ProcSyscalls:
         :meth:`_unwind_sproc` takes the partially built child apart in
         reverse order so a failed call leaves the group exactly as it
         was — ``s_refcnt``, the shared pregion list, frame counts and
-        fd references all restored.
+        fd references all restored.  A mask with bits outside ``PR_SALL``
+        fails before the group exists.
         """
+        validate_mask(shmask)
         yield kdelay(self.costs.proc_alloc)
         if self.fail("sproc.proc"):
             raise SysError(EAGAIN, "injected: process table full")
         if self.fail("sproc.shaddr"):
             raise SysError(EAGAIN, "injected: no shared address block")
         shaddr = sproc_mod.ensure_group(self, proc)
-        mask = sproc_mod.effective_mask(proc, shmask)
+        mask = inherit_mask(proc.p_shmask, shmask)
         child_vm = stack = uarea = None
         try:
             if mask & PR_SADDR:
@@ -142,10 +144,6 @@ class ProcSyscalls:
                         raise SysError(ENOMEM, "injected: cannot carve child stack")
                     child_vm, stack = sproc_mod.build_child_vm(self, proc, mask)
                     yield kdelay(self.costs.region_create + self.costs.region_attach)
-                    if mask & sproc_mod.PR_PRIVDATA:
-                        # Shared data pages just became COW: running members
-                        # may hold stale writable translations.
-                        yield from vmshare.shootdown(self, proc)
                 finally:
                     yield from shaddr.vm_lock.release_update(proc)
             else:
@@ -266,7 +264,7 @@ class ProcSyscalls:
         if (
             keep_group
             and proc.shaddr is not None
-            and proc.p_shmask & (PR_SALL & ~PR_SADDR)
+            and proc.p_shmask & ~PR_SADDR
         ):
             proc.p_shmask &= ~PR_SADDR
         else:
@@ -380,11 +378,11 @@ class ProcSyscalls:
         leaves the caller exactly as it was: still a full member, with
         every staged private copy torn back down.
         """
-        unshare_mod.validate_mask(value)
+        validate_mask(value)
         if proc.shaddr is None:
             raise SysError(EINVAL, "not in a share group")
         yield kdelay(self.costs.flag_batch_test)
-        drop = value & proc.p_shmask & PR_SALL
+        drop = value & proc.p_shmask
         if not drop:
             return proc.p_shmask
         shaddr = proc.shaddr
@@ -429,7 +427,7 @@ class ProcSyscalls:
             if staged["vm"] is not None:
                 # switching onto the private page tables / fresh ASID
                 yield kdelay(self.costs.tlb_flush_local)
-            if proc.p_shmask & PR_SALL == 0:
+            if proc.p_shmask == 0:
                 # Nothing shared any more: depart, under the same locks
                 # the copy-out took (a last-out departure tears down the
                 # shared pregion list, which needs the update lock we may

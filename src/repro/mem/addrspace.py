@@ -206,37 +206,9 @@ class AddressSpace:
                 "mapping %#x..%#x overlaps %r" % (vlow, vhigh, existing)
             )
 
-    def unshadowed_shared(self) -> List[Pregion]:
-        """The shared pregions no private pregion shadows.
-
-        What a fork child or an unsharing member must clone from the
-        group: a ``PR_PRIVDATA`` member's private DATA hides the
-        group's, exactly as in the fault path.
-        """
-        if self.shared is None:
-            return []
-        private = self._private
-        return [
-            pregion for pregion in self.shared.pregions
-            if private.overlapping(pregion.vlow, pregion.vhigh) is None
-        ]
-
-    def attach_private(self, pregion: Pregion, allow_shadow: bool = False) -> Pregion:
-        """Attach to the private list.
-
-        With ``allow_shadow`` the new pregion may overlap *shared*
-        pregions: private-first lookup then shadows the shared mapping,
-        which is how selective (partly COW) sharing of a group image
-        works — the enhancement the paper's section 6.2 anticipates.
-        """
-        if allow_shadow:
-            existing = self._private.overlapping(pregion.vlow, pregion.vhigh)
-            if existing is not None:
-                raise SimulationError(
-                    "shadow mapping overlaps private %r" % existing
-                )
-        else:
-            self.check_overlap(pregion.vlow, pregion.vhigh)
+    def attach_private(self, pregion: Pregion) -> Pregion:
+        """Attach to the private list; no visible pregion may overlap."""
+        self.check_overlap(pregion.vlow, pregion.vhigh)
         self.private.append(pregion)
         return pregion
 
@@ -402,6 +374,15 @@ class AddressSpace:
         cursors._next_map_base = base + nbytes
         return base
 
+    def next_stack_fits(self) -> bool:
+        """Does the next stack slot's reservation stay above the map
+        arena?  Stacks carve downward from ``STACK_TOP``, so a large
+        ``PR_SETSTACKSIZE`` runs out of slots early."""
+        cursors = self._cursors
+        max_bytes = cursors.stack_max_bytes
+        top = layout.stack_slot(cursors._next_stack_index, max_bytes)
+        return top - max_bytes >= layout.MAP_LIMIT
+
     def carve_stack(self, shared: bool) -> Pregion:
         """Reserve and attach a new downward-growing stack."""
         max_bytes = self._cursors.stack_max_bytes
@@ -434,20 +415,18 @@ class AddressSpace:
         return child
 
     def dup_cow(self) -> "AddressSpace":
-        """Fork-style duplicate: every visible pregion becomes a private
-        copy-on-write attachment in the child.
+        """Fork-style duplicate: every visible pregion, private then
+        shared, becomes a private copy-on-write attachment in the child.
 
         Matches the paper: a ``fork()`` (or non-VM-sharing ``sproc()``)
         from a share group member *"leaves any visible stack or other
         regions from the share group as copy-on-write elements of the new
-        process"*.  A shared pregion that a private one shadows is not
-        visible, so it is not copied: the child sees what its parent
-        sees, and its private list stays free of overlaps.  The caller
-        must flush the parent's TLB afterwards because resident pages
-        became read-only-COW on the parent side too.
+        process"*.  The caller must flush the parent's TLB afterwards
+        because resident pages became read-only-COW on the parent side
+        too.
         """
         child = self.empty_copy()
-        for visible in list(self._private) + self.unshadowed_shared():
+        for visible, _shared in self.iter_pregions():
             child.private.append(visible.dup_cow())
         return child
 

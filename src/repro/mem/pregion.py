@@ -146,7 +146,7 @@ class Pregion:
 
     def dup_cow(self) -> "Pregion":
         """A copy-on-write clone of this attachment, at the same place
-        with the same protection and growth (fork, unshare, PRIVDATA)."""
+        with the same protection and growth (fork, unshare)."""
         return Pregion(
             self.region.dup_cow(), self.vbase, self.prot,
             self.growth, self.max_pages,

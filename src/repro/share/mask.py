@@ -9,13 +9,7 @@ implicitly shares everything (``PR_SALL``).
 
 from __future__ import annotations
 
-from repro.kernel.flags import (
-    SDIRSYNC,
-    SFDSYNC,
-    SIDSYNC,
-    SULIMITSYNC,
-    SUMASKSYNC,
-)
+from repro.errors import EINVAL, SysError
 
 #: share the virtual address space
 PR_SADDR = 0x0001
@@ -35,24 +29,15 @@ PR_SALL = 0xFFFF
 #: the paper's spelling
 PR_FDS = PR_SFDS
 
-#: EXTENSION (paper section 8): with PR_SADDR, give the child a private
-#: copy-on-write DATA segment while sharing the rest of the image —
-#: "share part of the VM image and have copy-on-write access to other
-#: parts".  A modifier, deliberately outside the PR_SALL range so that
-#: "share everything" does not imply it.
-PR_PRIVDATA = 0x0001_0000
 
-#: mask bits that correspond to non-VM resources, with their p_flag sync bit
-NONVM_SYNC_BITS = {
-    PR_SULIMIT: SULIMITSYNC,
-    PR_SUMASK: SUMASKSYNC,
-    PR_SDIR: SDIRSYNC,
-    PR_SFDS: SFDSYNC,
-    PR_SID: SIDSYNC,
-}
+def validate_mask(mask: int) -> None:
+    """Refuse a share mask with a bit outside ``PR_SALL`` (EINVAL).
 
-#: every currently defined individual resource bit
-KNOWN_BITS = PR_SADDR | PR_SULIMIT | PR_SUMASK | PR_SDIR | PR_SFDS | PR_SID
+    ``sproc``, ``PR_UNSHARE`` and ``PR_SETSHMASK`` all check here, so a
+    ``p_shmask`` only ever holds resource bits.
+    """
+    if mask & ~PR_SALL:
+        raise SysError(EINVAL, "share mask %#x has bits outside PR_SALL" % mask)
 
 
 def inherit_mask(parent_mask: int, requested: int) -> int:

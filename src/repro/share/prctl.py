@@ -10,6 +10,8 @@ Paper-defined options:
 ``PR_SETSTACKSIZE`` / ``PR_GETSTACKSIZE``
     Maximum stack size for the current process; inherited across
     ``sproc()`` and ``fork()`` and used to lay out the shared VM image.
+    A size whose first stack slot would reach into the map arena is
+    ``EINVAL``.
 
 Extensions implemented from the paper's section 8 (future directions),
 clearly marked as such:
@@ -22,7 +24,8 @@ clearly marked as such:
     Transactionally stop sharing the resources named by the mask
     argument — including ``PR_SADDR`` (a copy-on-write detach onto a
     fresh private address space).  Dropping the last shared bit leaves
-    the group.  Bits outside ``PR_SALL`` are ``EINVAL``.
+    the group.  Bits outside ``PR_SALL`` are ``EINVAL``, as for every
+    share mask (:func:`~repro.share.mask.validate_mask`).
 ``PR_SETSHMASK``
     Install a new share mask; strictly tighten-only (the new mask must
     be a subset of the current one — widening is ``EINVAL``, mirroring
@@ -35,8 +38,9 @@ clearly marked as such:
 from __future__ import annotations
 
 from repro.errors import EINVAL, EPERM, ESRCH, SysError
+from repro.mem import layout
 from repro.mem.frames import PAGE_SIZE
-from repro.share.mask import PR_SALL
+from repro.share.mask import validate_mask
 from repro.sim.effects import kdelay
 
 PR_MAXPROCS = 1
@@ -62,6 +66,8 @@ PR_SETSHMASK = 108
 
 #: smallest stack reservation prctl will accept
 MIN_STACK = 4 * PAGE_SIZE
+#: largest: slot 0's reservation ends where the map arena does
+MAX_STACK = layout.STACK_TOP - layout.MAP_LIMIT
 
 
 def prctl(kernel, proc, option: int, value: int = 0, value2: int = 0):
@@ -76,6 +82,8 @@ def prctl(kernel, proc, option: int, value: int = 0, value2: int = 0):
     if option == PR_SETSTACKSIZE:
         if value < MIN_STACK:
             raise SysError(EINVAL, "stack size too small")
+        if value > MAX_STACK:
+            raise SysError(EINVAL, "stack size would reach the map arena")
         proc.uarea.stack_max = int(value)
         return int(value)
     if option == PR_GETNSHARE:
@@ -93,14 +101,12 @@ def prctl(kernel, proc, option: int, value: int = 0, value2: int = 0):
         result = yield from kernel.do_unshare(proc, value)
         return result
     if option == PR_SETSHMASK:
-        if value & ~PR_SALL:
-            raise SysError(EINVAL, "mask %#x has bits outside PR_SALL" % value)
+        validate_mask(value)
         if proc.shaddr is None:
             raise SysError(EINVAL, "not in a share group")
-        current = proc.p_shmask & PR_SALL
-        if value & ~current:
+        if value & ~proc.p_shmask:
             raise SysError(EINVAL, "PR_SETSHMASK may only tighten the mask")
-        result = yield from kernel.do_unshare(proc, current & ~value)
+        result = yield from kernel.do_unshare(proc, proc.p_shmask & ~value)
         return result
     if option == PR_GETSHMASK:
         return proc.p_shmask if proc.shaddr is not None else 0

@@ -103,15 +103,6 @@ class SharedAddressBlock:
     # ------------------------------------------------------------------
     # authoritative resource copies
 
-    def seed_from(self, uarea) -> None:
-        """Populate the block from the group creator's u-area."""
-        self.update_ofile(uarea.fdtable)
-        self.set_dirs(uarea.cdir, uarea.rdir)
-        self.s_cmask = uarea.cmask
-        self.s_limit = uarea.ulimit
-        self.s_uid = uarea.uid
-        self.s_gid = uarea.gid
-
     def update_ofile(self, fdtable, dispose=None) -> None:
         """Refresh ``s_ofile`` from a member's descriptor table.
 

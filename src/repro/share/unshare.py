@@ -29,44 +29,26 @@ Copy-out rules, per resource class:
   :class:`~repro.mem.addrspace.AddressSpace` with its own ASID is built
   under the group's update lock (``unshare.aspace``); every shared
   pregion is cloned copy-on-write into it (``unshare.pregion`` per
-  clone) exactly like a fork image, private pregions — the PRDA and any
-  ``PR_PRIVDATA`` shadows — move across on commit, and the group's ASID
-  is shot down on every CPU because resident pages just became COW on
-  *both* sides.  The member's old shared stack pregion stays on the
-  shared list, exactly as it would if the member exited; the detaching
-  process keeps running on its private clone and ``s_refcnt`` is only
-  dropped when the mask reaches zero and the member leaves the group.
+  clone) exactly like a fork image, the private PRDA moves across on
+  commit, and the group's ASID is shot down on every CPU because
+  resident pages just became COW on *both* sides.  The member's old
+  shared stack pregion stays on the shared list, exactly as it would if
+  the member exited; the detaching process keeps running on its private
+  clone and ``s_refcnt`` is only dropped when the mask reaches zero and
+  the member leaves the group.
 """
 
 from __future__ import annotations
 
-from repro.errors import EINVAL, ENOMEM, SysError
+from repro.errors import ENOMEM, SysError
 from repro.fs.fdtable import FDTable
-from repro.share.mask import (
-    NONVM_SYNC_BITS,
-    PR_SALL,
-    PR_SDIR,
-    PR_SID,
-    PR_SULIMIT,
-    PR_SUMASK,
-)
+from repro.share.mask import PR_SDIR, PR_SID, PR_SULIMIT, PR_SUMASK
+from repro.share.resources import RESOURCES
 from repro.sim.effects import kdelay
 
 #: resource bits privatized by dropping mask+sync bits alone — their
 #: authoritative values already live per-process in the u-area
 MISC_BITS = PR_SULIMIT | PR_SUMASK | PR_SDIR | PR_SID
-
-
-def validate_mask(value: int) -> None:
-    """Reject mask arguments with bits outside the PR_SALL range.
-
-    ``PR_PRIVDATA`` (a creation-time modifier) and any undefined high
-    bits are EINVAL rather than a silent no-op clear.
-    """
-    if value & ~PR_SALL:
-        raise SysError(
-            EINVAL, "unshare mask %#x has bits outside PR_SALL" % value
-        )
 
 
 def copy_out_fds(kernel, proc, staged):
@@ -95,9 +77,7 @@ def copy_out_fds(kernel, proc, staged):
 def copy_out_aspace(kernel, proc, staged):
     """Generator: stage a private address space (update lock held).
 
-    Every shared pregion is cloned copy-on-write; shared pregions that a
-    private pregion already shadows (the ``PR_PRIVDATA`` case) are
-    skipped — the private copy wins, as it does in the fault path.
+    Every shared pregion is cloned copy-on-write.
     """
     if kernel.fail("unshare.aspace"):
         raise SysError(ENOMEM, "injected: private address space allocation")
@@ -107,7 +87,7 @@ def copy_out_aspace(kernel, proc, staged):
     staged["vm"] = vm
     costs = kernel.costs
     copied = 0
-    for original in proc.vm.unshadowed_shared():
+    for original in proc.vm.shared.pregions:
         if kernel.fail("unshare.pregion"):
             raise SysError(ENOMEM, "injected: pregion copy-out")
         vm.attach_private(original.dup_cow())
@@ -132,7 +112,7 @@ def commit_unshare(kernel, proc, drop: int, staged) -> None:
         keep = list(proc.vm.private)
         proc.vm.private = []  # clears owner backrefs before the move
         for pregion in keep:
-            vm.attach_private(pregion, allow_shadow=True)
+            vm.attach_private(pregion)
         proc.vm = vm
     fresh = staged["fds"]
     if fresh is not None:
@@ -140,7 +120,7 @@ def commit_unshare(kernel, proc, drop: int, staged) -> None:
         proc.uarea.fdtable = fresh
         for file in old:
             kernel.dispose_file(file)
-    for pr_bit, sync_bit in NONVM_SYNC_BITS.items():
-        if drop & pr_bit:
-            proc.p_flag &= ~sync_bit
+    for resource in RESOURCES:
+        if drop & resource.bit:
+            proc.p_flag &= ~resource.sync
     proc.p_shmask &= ~drop

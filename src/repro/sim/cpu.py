@@ -322,11 +322,11 @@ class CPU:
         self.dispatcher.cpu_idle(self)
 
     def _drop_private_tlb(self) -> None:
-        """The outgoing process's PRDA and private shadows leave the TLB.
+        """The outgoing process's PRDA leaves the TLB.
 
-        Every VM-sharing member maps its own PRDA (and any
-        ``PR_PRIVDATA`` shadow) at the same VPN under the group's ASID,
-        so such an entry must not outlive its process's stay here.
+        Every VM-sharing member maps its own PRDA at the same VPN under
+        the group's ASID, so such an entry must not outlive its
+        process's stay here.
         """
         tlb = self.tlb
         for asid, vpn in self.private_tlb:

@@ -105,6 +105,18 @@ def test_stack_carving_distinct_slots(machine):
     assert not stack0.overlaps(stack1.vlow, stack1.vhigh)
 
 
+def test_764_default_stack_slots_fit_above_the_map_arena(machine):
+    """Slots 0..763 of the default size stay above ``MAP_LIMIT``; the
+    next would reach into the map arena.  The group's cursors decide."""
+    shared = SharedVM(machine)
+    member = make_space(machine, shared)
+    shared._next_stack_index = 763
+    assert member.next_stack_fits()
+    lowest = member.carve_stack(shared=True)
+    assert lowest.vhigh - shared.stack_max_bytes >= layout.MAP_LIMIT
+    assert not member.next_stack_fits()
+
+
 def test_stack_auto_grow(machine):
     space = make_space(machine)
     stack = space.carve_stack(shared=False)

@@ -132,15 +132,13 @@ def test_default_scenarios_schedule_independent():
 
 
 @pytest.mark.parametrize("seed", [None, 30, 43, 56])
-def test_privdata_fork_children_see_their_parents_data(seed):
-    """Fork children of PR_PRIVDATA members read their parent's private
-    DATA, and their COW writes reach neither the parent nor the group.
-
-    The perturbation seeds are schedules in which a member's fault
-    blocked on the read lock and resumed on another CPU: caching that
-    private refill in the CPU it left served the next member there."""
-    out, sim = SCENARIOS["privdata-fork"].run(seed=seed)
+def test_member_fork_children_see_their_parents_data(seed):
+    """Fork children of PR_SALL members read the group's word and their
+    parent's page, and their COW writes reach neither the parent nor
+    the group, unperturbed and under three perturbation seeds."""
+    out, sim = SCENARIOS["member-fork"].run(seed=seed)
     for index in range(3):
+        assert out["child-group-%d" % index] == 7
         assert out["child-read-%d" % index] == 100 + index
         assert out["child-wrote-%d" % index] == 500 + index
         assert out["member-%d" % index] == 100 + index

@@ -1,9 +1,7 @@
 """Section 8 (future directions) extensions, implemented and tested:
-selective region sharing, exec-keeping-the-group, group priority,
-gang scheduling hint, stop-sharing, plus the /dev devices and alarm().
+exec-keeping-the-group, group priority, gang scheduling hint,
+stop-sharing, plus the /dev devices and alarm().
 """
-
-import pytest
 
 from repro import (
     O_CREAT,
@@ -17,166 +15,8 @@ from repro import (
     status_code,
 )
 from repro.errors import EINVAL, EPERM
-from repro.share.mask import PR_PRIVDATA
 from repro.share.prctl import PR_SETGROUPPRI
 from tests.conftest import run_program
-
-
-# ----------------------------------------------------------------------
-# selective region sharing (PR_PRIVDATA)
-
-
-def _data_addr(api):
-    """An address inside the (shared) data segment."""
-    from repro.mem.region import RegionType
-
-    pregion, _shared = api.proc.vm.find_by_type(RegionType.DATA)
-    return pregion.vbase
-
-
-def test_privdata_child_sees_snapshot_but_not_later_writes():
-    def child(api, ctx):
-        addr, out = ctx
-        out["child_saw"] = yield from api.load_word(addr)
-        yield from api.store_word(addr, 777)  # private COW write
-        yield from api.compute(50_000)
-        out["child_after"] = yield from api.load_word(addr)
-        return 0
-
-    def main(api, out):
-        addr = _data_addr(api)
-        yield from api.store_word(addr, 111)
-        yield from api.sproc(child, PR_SALL | PR_PRIVDATA, (addr, out))
-        yield from api.compute(10_000)
-        yield from api.store_word(addr, 222)  # group-side write
-        yield from api.wait()
-        out["group_view"] = yield from api.load_word(addr)
-        return 0
-
-    out, _ = run_program(main)
-    assert out["child_saw"] == 111, "child gets a snapshot of the data"
-    assert out["child_after"] == 777, "child's writes stay private"
-    assert out["group_view"] == 222, "group's writes never reach the child"
-
-
-def test_privdata_child_still_shares_mmap_regions():
-    """Only DATA is privatized; the rest of the image stays shared."""
-
-    def child(api, base):
-        yield from api.store_word(base, 0xFEED)
-        return 0
-
-    def main(api, out):
-        base = yield from api.mmap(4096)
-        yield from api.sproc(child, PR_SALL | PR_PRIVDATA, base)
-        yield from api.wait()
-        out["value"] = yield from api.load_word(base)
-        return 0
-
-    out, _ = run_program(main)
-    assert out["value"] == 0xFEED
-
-
-def test_privdata_triggers_shootdown():
-    def child(api, arg):
-        yield from api.compute(10)
-        return 0
-
-    def main(api, out):
-        addr = _data_addr(api)
-        yield from api.store_word(addr, 5)  # make a data page resident
-        yield from api.sproc(child, PR_SALL | PR_PRIVDATA)
-        yield from api.wait()
-        return 0
-
-    out, sim = run_program(main)
-    assert sim.stats["shootdowns"] >= 1
-
-
-@pytest.mark.parametrize("vm_index", ["indexed", "linear"])
-def test_privdata_member_fork_child_copies_the_members_data(vm_index):
-    """fork() copies what its caller sees: the member's private DATA,
-    not the group's segment that the private copy shadows."""
-
-    def forked(api, ctx):
-        from repro.mem.region import RegionType
-
-        addr, out = ctx
-        out["fork_child_saw"] = yield from api.load_word(addr)
-        out["fork_child_data_pregions"] = sum(
-            1 for pregion in api.proc.vm.private
-            if pregion.rtype is RegionType.DATA
-        )
-        return 0
-
-    def member(api, ctx):
-        addr, out = ctx
-        yield from api.store_word(addr, 777)  # private COW write
-        yield from api.fork(forked, ctx)
-        yield from api.wait()
-        return 0
-
-    def main(api, out):
-        addr = _data_addr(api)
-        yield from api.store_word(addr, 111)
-        yield from api.sproc(member, PR_SALL | PR_PRIVDATA, (addr, out))
-        yield from api.wait()
-        return 0
-
-    out, _ = run_program(main, vm_index=vm_index)
-    assert out["fork_child_saw"] == 777
-    assert out["fork_child_data_pregions"] == 1, "the shadowed copy stays out"
-
-
-def test_privdata_leader_keeps_its_view_on_one_cpu():
-    """On one CPU the member's private DATA translation, cached under
-    the group's ASID, must not serve the leader — neither while the
-    member lives nor after its frame is freed."""
-
-    def member(api, ctx):
-        addr, ctl = ctx
-        yield from api.store_word(addr, 777)  # private COW write
-        yield from api.store_word(ctl, 1)
-        while (yield from api.load_word(ctl + 4)) == 0:
-            yield from api.yield_cpu()
-        return 0
-
-    def main(api, out):
-        addr = _data_addr(api)
-        ctl = yield from api.mmap(4096)
-        yield from api.store_word(addr, 111)
-        yield from api.sproc(member, PR_SALL | PR_PRIVDATA, (addr, ctl))
-        while (yield from api.load_word(ctl)) == 0:
-            yield from api.yield_cpu()
-        out["while_member_lives"] = yield from api.load_word(addr)
-        yield from api.store_word(ctl + 4, 1)
-        yield from api.wait()
-        out["after_member_exits"] = yield from api.load_word(addr)
-        return 0
-
-    out, _ = run_program(main, ncpus=1)
-    assert out["while_member_lives"] == 111
-    assert out["after_member_exits"] == 111
-
-
-def test_privdata_not_implied_by_pr_sall():
-    """PR_SALL means 'share everything', not 'privatize data'."""
-
-    def child(api, ctx):
-        addr, out = ctx
-        yield from api.store_word(addr, 999)
-        return 0
-
-    def main(api, out):
-        addr = _data_addr(api)
-        yield from api.store_word(addr, 1)
-        yield from api.sproc(child, PR_SALL, (addr, out))
-        yield from api.wait()
-        out["shared_write"] = yield from api.load_word(addr)
-        return 0
-
-    out, _ = run_program(main)
-    assert out["shared_write"] == 999
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Share-group VM edges: stack ceilings, group-visible shm, exec/last-member,
 updater progress under scanning."""
 
+import pytest
 
 from repro import (
     IPC_CREAT,
+    PR_GETSTACKSIZE,
+    PR_SADDR,
     PR_SALL,
     PR_SETSTACKSIZE,
     SIGSEGV,
@@ -11,7 +14,11 @@ from repro import (
     status_code,
     status_signal,
 )
+from repro.check.invariants import audit_leaks
+from repro.errors import EINVAL, ENOMEM
+from repro.mem import layout
 from repro.mem.frames import PAGE_SIZE
+from repro.share.prctl import MAX_STACK
 from tests.conftest import run_program
 
 
@@ -49,6 +56,58 @@ def test_stack_ceiling_applies_to_group_stacks():
 
     out, _ = run_program(main)
     assert out["sig"] == SIGSEGV
+
+
+def _noop(api, arg):
+    yield from api.compute(10)
+    return 0
+
+
+def test_stack_size_reaching_the_map_arena_is_einval():
+    """A stack reservation larger than slot 0 can hold above the map
+    arena is EINVAL and keeps the old size, so a group created next
+    still maps a large region without hitting a stack."""
+
+    def main(api, out):
+        for size in (1 << 30, 2**40):
+            rc = yield from api.prctl(PR_SETSTACKSIZE, size)
+            out[size] = (rc, (yield from api.errno()))
+        out["kept"] = yield from api.prctl(PR_GETSTACKSIZE)
+        out["sproc"] = yield from api.sproc(_noop, PR_SALL)
+        out["base"] = yield from api.mmap(256 << 20)
+        yield from api.wait()
+        out["max"] = yield from api.prctl(PR_SETSTACKSIZE, MAX_STACK)
+        return 0
+
+    out, sim = run_program(main)
+    assert out[1 << 30] == out[2**40] == (-1, EINVAL)
+    assert out["kept"] == layout.DEFAULT_STACK_MAX
+    assert out["sproc"] > 0
+    assert out["base"] == layout.MAP_BASE
+    assert out["max"] == MAX_STACK == layout.STACK_TOP - layout.MAP_LIMIT
+    assert audit_leaks(sim) == []
+
+
+@pytest.mark.parametrize(
+    "mask", [PR_SALL, PR_SALL & ~PR_SADDR], ids=["shared-vm", "cow-image"]
+)
+def test_sproc_without_a_stack_slot_above_the_map_arena_is_enomem(mask):
+    """At the largest stack size only slot 0 fits: sproc fails ENOMEM,
+    unwound with nothing carved, and the whole arena stays mappable."""
+
+    def main(api, out):
+        yield from api.prctl(PR_SETSTACKSIZE, MAX_STACK)
+        out["pid"] = yield from api.sproc(_noop, mask)
+        out["errno"] = yield from api.errno()
+        out["base"] = yield from api.mmap(layout.MAP_LIMIT - layout.MAP_BASE)
+        yield from api.store_word(layout.MAP_LIMIT - 4, 1)
+        return 0
+
+    out, sim = run_program(main)
+    assert out["pid"] == -1 and out["errno"] == ENOMEM
+    assert out["base"] == layout.MAP_BASE
+    assert sim.kernel.stats["sprocs"] == 0
+    assert audit_leaks(sim) == []
 
 
 def test_sysv_shm_attach_is_group_visible():

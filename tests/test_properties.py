@@ -8,11 +8,7 @@ from repro.mem.addrspace import AddressSpace, Fault
 from repro.mem.frames import PAGE_SIZE, FrameAllocator
 from repro.mem.pregion import PROT_RW
 from repro.mem.region import Region, RegionType
-from repro.share.mask import (
-    PR_PRIVDATA,
-    PR_SALL,
-    inherit_mask,
-)
+from repro.share.mask import inherit_mask
 from repro.sim.machine import Machine
 from repro.workloads import generators as gen
 
@@ -43,10 +39,6 @@ def test_inherit_mask_monotone_down_generations(grandparent, parent_req, child_r
     parent = inherit_mask(grandparent, parent_req)
     child = inherit_mask(parent, child_req)
     assert child & ~grandparent == 0
-
-
-def test_privdata_is_outside_the_inheritance_range():
-    assert PR_PRIVDATA & PR_SALL == 0
 
 
 # ----------------------------------------------------------------------

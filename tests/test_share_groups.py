@@ -19,8 +19,11 @@ from repro import (
     System,
     status_code,
 )
-from repro.errors import EBADF
+from repro.check.invariants import audit_leaks
+from repro.errors import EBADF, EINVAL
 from repro.kernel.flags import ALL_SYNC
+from repro.mem.layout import DATA_BASE
+from repro.share import resources
 from tests.conftest import run_program
 
 
@@ -134,6 +137,27 @@ def test_strict_inheritance_of_share_mask():
     assert out["gc_mask"] == PR_SADDR | PR_SFDS
 
 
+def test_sproc_refuses_bits_outside_pr_sall_before_the_group_exists():
+    """A share mask holds resource bits only: sproc with a bit outside
+    PR_SALL is EINVAL, and the refused call creates no group."""
+
+    def child(api, arg):
+        yield from api.compute(10)
+        return 0
+
+    def main(api, out):
+        out["pid"] = yield from api.sproc(child, PR_SALL | 0x20000)
+        out["errno"] = yield from api.errno()
+        out["nshare"] = yield from api.prctl(PR_GETNSHARE)
+        return 0
+
+    out, sim = run_program(main)
+    assert out["pid"] == -1 and out["errno"] == EINVAL
+    assert out["nshare"] == 0
+    assert sim.kernel.stats["groups_created"] == 0
+    assert audit_leaks(sim) == []
+
+
 def test_unshare_extension_removes_bits():
     def child(api, out):
         yield from api.prctl(PR_UNSHARE, PR_SFDS)
@@ -155,19 +179,26 @@ def test_unshare_extension_removes_bits():
 
 
 def test_vm_sharing_members_see_stores():
+    """Under PR_SALL a member's stores reach the group, in a mapping
+    and in the data segment alike."""
+
     def child(api, base):
         yield from api.store_word(base, 0xC0FFEE)
+        yield from api.store_word(DATA_BASE, 999)
         return 0
 
     def main(api, out):
         base = yield from api.mmap(4096)
+        yield from api.store_word(DATA_BASE, 1)
         yield from api.sproc(child, PR_SALL, base)
         yield from api.wait()
         out["value"] = yield from api.load_word(base)
+        out["data"] = yield from api.load_word(DATA_BASE)
         return 0
 
     out, _ = run_program(main)
     assert out["value"] == 0xC0FFEE
+    assert out["data"] == 999
 
 
 def test_non_vm_sharing_member_gets_cow_copy():
@@ -499,6 +530,74 @@ def test_ulimit_propagates_to_group():
 
     out, _ = run_program(main)
     assert out["rc"] == -1, "write beyond the group ulimit must fail"
+
+
+#: update call -> (the table row it changes, the call, given the
+#: descriptor of an open file, and what a u-area holds of the resource)
+TABLE_UPDATES = {
+    "chdir": (resources.DIR, lambda api, fd: api.chdir("/d"),
+              lambda ua: ua.cdir),
+    "chroot": (resources.DIR, lambda api, fd: api.chroot("/d"),
+               lambda ua: ua.rdir),
+    "umask": (resources.UMASK, lambda api, fd: api.umask(0o077),
+              lambda ua: ua.cmask),
+    "ulimit": (resources.ULIMIT, lambda api, fd: api.ulimit(2, 100),
+               lambda ua: ua.ulimit),
+    "setuid": (resources.ID, lambda api, fd: api.setuid(7),
+               lambda ua: ua.uid),
+    "setgid": (resources.ID, lambda api, fd: api.setgid(7),
+               lambda ua: ua.gid),
+    "open": (resources.FDS, lambda api, fd: api.open("/g", O_RDWR | O_CREAT),
+             lambda ua: tuple(ua.fdtable.slots)),
+    "close": (resources.FDS, lambda api, fd: api.close(fd),
+              lambda ua: tuple(ua.fdtable.slots)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TABLE_UPDATES))
+def test_update_reaches_sharing_peers_at_their_next_entry(call):
+    """Every update call (section 6.3): a peer that shares the resource
+    still holds the old value until its next kernel entry and the new
+    one after it; a peer that dropped the bit with PR_UNSHARE keeps the
+    old value."""
+    resource, update, view = TABLE_UPDATES[call]
+
+    def peer(api, ctx):
+        ctl, index, out = ctx
+        if index == 1:
+            yield from api.prctl(PR_UNSHARE, resource.bit)
+        yield from api.store_word(ctl + 4 * index, 1)  # ready
+        while (yield from api.load_word(ctl + 8)) == 0:
+            yield from api.compute(100)  # user mode: no kernel entry
+        out["before", index] = view(api.proc.uarea)
+        yield from api.getpid()
+        out["after", index] = view(api.proc.uarea)
+        return 0
+
+    def main(api, out):
+        yield from api.mkdir("/d")
+        fd = yield from api.open("/f", O_RDWR | O_CREAT)
+        ctl = yield from api.mmap(4096)
+        for index in (0, 1):
+            yield from api.sproc(peer, PR_SALL, (ctl, index, out))
+        for index in (0, 1):
+            while (yield from api.load_word(ctl + 4 * index)) == 0:
+                yield from api.yield_cpu()
+        out["old"] = view(api.proc.uarea)
+        out["rc"] = yield from update(api, fd)
+        out["new"] = view(api.proc.uarea)
+        yield from api.store_word(ctl + 8, 1)  # go
+        for _ in (0, 1):
+            yield from api.wait()
+        return 0
+
+    out, sim = run_program(main, ncpus=3)
+    assert out["rc"] != -1
+    assert out["new"] != out["old"]
+    assert out["before", 0] == out["before", 1] == out["old"]
+    assert out["after", 0] == out["new"], "the sharing peer syncs at entry"
+    assert out["after", 1] == out["old"], "the unshared peer keeps its own"
+    assert audit_leaks(sim) == []
 
 
 def test_sync_bits_cleared_after_entry():

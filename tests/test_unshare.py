@@ -24,8 +24,7 @@ from repro import (
     status_code,
 )
 from repro.errors import EBADF, EINVAL, ENOMEM
-from repro.kernel.flags import ALL_SYNC
-from repro.share.mask import NONVM_SYNC_BITS, PR_PRIVDATA
+from repro.kernel.flags import ALL_SYNC, SFDSYNC
 from repro.check.invariants import (
     audit_leaks,
     check_shmask_consistency,
@@ -162,7 +161,7 @@ def test_unshare_all_leaves_group():
 
 def test_unshare_rejects_bits_outside_pr_sall():
     def member(api, out):
-        rc = yield from api.prctl(PR_UNSHARE, PR_PRIVDATA | PR_SFDS)
+        rc = yield from api.prctl(PR_UNSHARE, 0x10000 | PR_SFDS)
         out["rc"] = rc
         out["errno"] = yield from api.errno()
         out["mask"] = yield from api.prctl(PR_GETSHMASK)
@@ -200,7 +199,7 @@ def test_setshmask_tightens_and_rejects_widening():
         rc = yield from api.prctl(PR_SETSHMASK, PR_SALL)  # widen back: no
         out["widen_rc"] = rc
         out["widen_errno"] = yield from api.errno()
-        rc = yield from api.prctl(PR_SETSHMASK, PR_PRIVDATA)
+        rc = yield from api.prctl(PR_SETSHMASK, 0x10000)
         out["bad_rc"] = rc
         out["bad_errno"] = yield from api.errno()
         rc = yield from api.prctl(PR_SETSHMASK, PR_SADDR | PR_SDIR)
@@ -232,6 +231,29 @@ def test_setshmask_outside_group_is_einval():
 
     out, _sim = run_program(main)
     assert out["rc"] == -1 and out["errno"] == EINVAL
+
+
+@pytest.mark.parametrize(
+    "mask", [PR_SALL, PR_SADDR | PR_SFDS], ids=["sall", "saddr-sfds"]
+)
+def test_setshmask_accepts_the_mask_getshmask_reports(mask):
+    """PR_GETSHMASK's value is a valid PR_SETSHMASK argument: a no-op
+    that returns the same mask."""
+
+    def member(api, out):
+        out["got"] = yield from api.prctl(PR_GETSHMASK)
+        out["rc"] = yield from api.prctl(PR_SETSHMASK, out["got"])
+        out["after"] = yield from api.prctl(PR_GETSHMASK)
+        return 0
+
+    def main(api, out):
+        yield from api.sproc(member, mask, out)
+        yield from api.wait()
+        return 0
+
+    out, sim = run_program(main)
+    assert out["got"] == out["rc"] == out["after"] == mask
+    assert sim.kernel.stats["unshares"] == 0
 
 
 def test_setshmask_to_zero_leaves_group():
@@ -358,7 +380,7 @@ def test_shmask_checker_flags_manufactured_inconsistencies():
     )
     member.p_shmask |= PR_SADDR
     # 2. sync flag pending for an already-unshared resource
-    member.p_flag |= NONVM_SYNC_BITS[PR_SFDS]
+    member.p_flag |= SFDSYNC
     member.p_shmask &= ~PR_SFDS
     assert any(
         "sync flag" in f for f in check_shmask_consistency(sim)

@@ -1,6 +1,6 @@
 """The VM translation fast path: interval index vs linear scan.
 
-The property test drives randomized attach/detach/grow/shrink/shadow
+The property test drives randomized attach/detach/grow/shrink
 sequences and asserts the indexed and linear lookups agree on every
 probe, and that the indexed overlap check rejects exactly what a linear
 scan rejects — the index is an optimization, never a semantic change.
@@ -96,7 +96,7 @@ def test_index_matches_linear_scan_under_random_traffic(seed):
 
     for _ in range(80):
         op = rng.choice(
-            ["attach_private", "attach_shared", "shadow",
+            ["attach_private", "attach_shared",
              "detach", "grow_up", "grow_down", "shrink"]
         )
         if op == "attach_private":
@@ -117,15 +117,6 @@ def test_index_matches_linear_scan_under_random_traffic(seed):
                 pregion = _make_pregion(machine, slot, growth)
                 vm.attach_shared(pregion)
                 shared_at[slot] = pregion
-        elif op == "shadow":
-            # Private shadows shared: same slot on both lists; the
-            # private-first lookup order must win in both modes.
-            eligible = [s for s in shared_at if s not in private_at]
-            if eligible:
-                slot = rng.choice(eligible)
-                pregion = _make_pregion(machine, slot, Growth.NONE)
-                vm.attach_private(pregion, allow_shadow=True)
-                private_at[slot] = pregion
         elif op == "detach":
             table = rng.choice([private_at, shared_at])
             if table:
