@@ -64,13 +64,12 @@ class FDTable:
             file.release()
             raise
 
-    def dup2(self, fd: int, newfd: int, dispose=None) -> int:
+    def dup2(self, fd: int, newfd: int) -> int:
         """Point ``newfd`` at ``fd``'s file; returns ``newfd``.
 
         ``newfd`` is range-checked before any reference is taken.  A
-        file it displaces goes to ``dispose`` (the kernel's release
-        routine), so a displaced last pipe end still runs its endpoint
-        bookkeeping.
+        file it displaces is released, so a displaced last pipe end
+        closes.
         """
         file = self.get(fd)
         self._check_range(newfd)
@@ -79,10 +78,7 @@ class FDTable:
         old = self.slots[newfd]
         self.slots[newfd] = file.hold()
         if old is not None:
-            if dispose is not None:
-                dispose(old)
-            else:
-                old.release()
+            old.release()
         return newfd
 
     # ------------------------------------------------------------------
@@ -90,11 +86,12 @@ class FDTable:
     def open_fds(self) -> List[int]:
         return [fd for fd, slot in enumerate(self.slots) if slot is not None]
 
-    def close_all(self) -> List[File]:
-        """Empty the table; returns files for the caller to release."""
-        files = [slot for slot in self.slots if slot is not None]
-        self.slots = [None] * len(self.slots)
-        return files
+    def close(self) -> None:
+        """Empty the table, then release every file it held."""
+        slots, self.slots = self.slots, [None] * len(self.slots)
+        for file in slots:
+            if file is not None:
+                file.release()
 
     def fork_copy(self) -> "FDTable":
         """Duplicate for fork: same files, extra reference each."""
@@ -109,14 +106,12 @@ class FDTable:
         """A plain copy of the slot array (no reference changes)."""
         return list(self.slots)
 
-    def sync_from(self, master: List[Optional[File]], dispose=None) -> int:
+    def sync_from(self, master: List[Optional[File]]) -> int:
         """Re-synchronize from the share group's ``s_ofile`` copy.
 
         Slots that differ are replaced: newly shared files gain a
-        reference, dropped ones lose it.  ``dispose`` (the kernel's
-        release routine) handles the case where ours was the last
-        reference and endpoint bookkeeping must run.  Returns the number
-        of slots changed (the kernel charges sync cost per change).
+        reference, dropped ones are released (closing them when ours
+        was the last reference).  Returns the number of slots changed.
         """
         changed = 0
         for fd in range(len(self.slots)):
@@ -127,10 +122,7 @@ class FDTable:
             if theirs is not None:
                 theirs.hold()
             if mine is not None:
-                if dispose is not None:
-                    dispose(mine)
-                else:
-                    mine.release()
+                mine.release()
             self.slots[fd] = theirs
             changed += 1
         return changed

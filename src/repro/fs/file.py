@@ -53,15 +53,28 @@ class File:
         self.refcount += 1
         return self
 
-    def release(self):
-        """Drop one reference; returns True when the file actually closed."""
+    def release(self) -> bool:
+        """Drop one reference; returns True when the file actually closed.
+
+        The last close drops the inode hold, then closes this file's
+        ends of a pipe (its readers see EOF, its writers EPIPE) or tears
+        its socket down.
+        """
         if self.refcount <= 0:
             raise SimulationError("file refcount underflow")
         self.refcount -= 1
-        if self.refcount == 0:
-            self.inode.release()
-            return True
-        return False
+        if self.refcount:
+            return False
+        inode = self.inode
+        inode.release()
+        if inode.itype is InodeType.FIFO and inode.fifo is not None:
+            if self.readable:
+                inode.fifo.close_read_end()
+            if self.writable:
+                inode.fifo.close_write_end()
+        if self.socket is not None:
+            self.socket.on_last_close()
+        return True
 
     # ------------------------------------------------------------------
 

@@ -105,17 +105,16 @@ class Socket:
     # ------------------------------------------------------------------
     # teardown
 
-    def on_last_close(self, dispose) -> None:
-        """The last descriptor went; ``dispose`` drops one held File
-        (the kernel's ``dispose_file``)."""
+    def on_last_close(self) -> None:
+        """The last descriptor went (:meth:`File.release` calls this)."""
         self.closed = True
         while self.rfds:  # passed descriptors nobody received
-            dispose(self.rfds.popleft())
+            self.rfds.popleft().release()
         if self.tx is not None:
             self.tx.close_write_end()  # the peer's readers see EOF
             self.rx.close_read_end()  # the peer's writers see EPIPE
         for queued in self.backlog:
-            queued.on_last_close(dispose)
+            queued.on_last_close()
         self.backlog.clear()
 
 

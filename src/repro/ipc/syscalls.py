@@ -100,7 +100,6 @@ class IPCSyscalls:
 
         def apply():
             return proc.uarea.fdtable.alloc(self._socket_file())
-            yield  # pragma: no cover
 
         fd = yield from self._fd_update(proc, apply)
         return fd
@@ -118,11 +117,9 @@ class IPCSyscalls:
             try:
                 fd_b = table.alloc(file_b)
             except SysError:
-                table.remove(fd_a)
-                self.dispose_file(file_a)
+                table.remove(fd_a).release()
                 raise
             return fd_a, fd_b
-            yield  # pragma: no cover
 
         fds = yield from self._fd_update(proc, apply)
         return fds
@@ -158,9 +155,8 @@ class IPCSyscalls:
             try:
                 return proc.uarea.fdtable.alloc(file)
             except SysError:
-                self.dispose_file(file)  # the peer sees the connection close
+                file.release()  # the peer sees the connection close
                 raise
-            yield  # pragma: no cover
 
         newfd = yield from self._fd_update(proc, apply)
         return newfd
@@ -210,7 +206,6 @@ class IPCSyscalls:
 
         def apply():
             return proc.uarea.fdtable.alloc(file)
-            yield  # pragma: no cover
 
         newfd = yield from self._fd_update(proc, apply)
         return newfd

@@ -54,8 +54,7 @@ class FileSyscalls:
         if proc.shares(PR_SFDS):
             result = yield from resources.update_files(self, proc, apply_fn)
             return result
-        result = yield from apply_fn()
-        return result
+        return apply_fn()
 
     def _misc_update(self, proc, resource, apply_fn):
         """Run a misc-resource change under the sharing protocol.
@@ -109,11 +108,10 @@ class FileSyscalls:
             except SysError:
                 # Drop the new file's only reference, and with it the
                 # inode hold; without it an EMFILE open leaks the inode.
-                self.dispose_file(file)
+                file.release()
                 raise
             self.stats["opens"] += 1
             return fd
-            yield  # pragma: no cover - marks this closure as a generator
 
         fd = yield from self._fd_update(proc, apply)
         return fd
@@ -122,27 +120,12 @@ class FileSyscalls:
         fd = yield from self.sys_open(proc, path, O_WRONLY | O_CREAT | O_TRUNC, mode)
         return fd
 
-    def dispose_file(self, file: File) -> None:
-        """Drop one reference; on final close do endpoint bookkeeping."""
-        inode = file.inode
-        socket = file.socket
-        if file.release():
-            if inode.itype is InodeType.FIFO and inode.fifo is not None:
-                if file.readable:
-                    inode.fifo.close_read_end()
-                if file.writable:
-                    inode.fifo.close_write_end()
-            if socket is not None:
-                socket.on_last_close(self.dispose_file)
-
     def sys_close(self, proc, fd: int):
         yield kdelay(self.costs.file_io_base)
 
         def apply():
-            file = proc.uarea.fdtable.remove(fd)
-            self.dispose_file(file)
+            proc.uarea.fdtable.remove(fd).release()
             return 0
-            yield  # pragma: no cover
 
         result = yield from self._fd_update(proc, apply)
         return result
@@ -152,7 +135,6 @@ class FileSyscalls:
 
         def apply():
             return proc.uarea.fdtable.dup(fd)
-            yield  # pragma: no cover
 
         newfd = yield from self._fd_update(proc, apply)
         return newfd
@@ -161,8 +143,7 @@ class FileSyscalls:
         yield kdelay(self.costs.file_io_base)
 
         def apply():
-            return proc.uarea.fdtable.dup2(fd, newfd, self.dispose_file)
-            yield  # pragma: no cover
+            return proc.uarea.fdtable.dup2(fd, newfd)
 
         result = yield from self._fd_update(proc, apply)
         return result
@@ -183,12 +164,10 @@ class FileSyscalls:
             try:
                 wfd = table.alloc(writer)
             except SysError:
-                table.remove(rfd)
-                self.dispose_file(reader)
+                table.remove(rfd).release()
                 raise
             self.stats["pipes"] += 1
             return rfd, wfd
-            yield  # pragma: no cover
 
         fds = yield from self._fd_update(proc, apply)
         return fds

@@ -200,10 +200,12 @@ class Kernel(
             self.fs.add_program(path, name)
         return image
 
-    def build_image_vm(self, image: ProgramImage, stack_max: int) -> AddressSpace:
+    def build_image_vm(
+        self, image: ProgramImage, stack_max: int = layout.DEFAULT_STACK_MAX
+    ) -> AddressSpace:
         """A fresh standalone address space for a program image."""
         vm = AddressSpace(self.machine)
-        vm.stack_max_bytes = stack_max
+        vm.stack_max = stack_max
         vm.map_segment(layout.PRDA_BASE, layout.PRDA_SIZE, RegionType.PRDA, PROT_RW)
         vm.map_segment(layout.TEXT_BASE, image.text_bytes, RegionType.TEXT, PROT_RX)
         data_ceiling = (layout.MAP_BASE - layout.DATA_BASE) >> 12
@@ -232,15 +234,21 @@ class Kernel(
         uarea = UArea(self.fs.root)
         uarea.uid = uid
         uarea.gid = gid
-        vm = self.build_image_vm(image, uarea.stack_max)
-        proc = self._new_proc(uarea, vm, name=name)
+        proc = self._new_proc(uarea, self.build_image_vm(image), name)
         self._start_child(proc, func, arg)
         return proc
 
-    def _new_proc(self, uarea: UArea, vm, name: str) -> Proc:
+    def _new_proc(
+        self, uarea: UArea, vm, name: str, parent: Optional[Proc] = None
+    ) -> Proc:
+        """A proc entry for ``uarea`` and ``vm``, linked under ``parent``;
+        a full process table fails EAGAIN before anything is built."""
         pid = self.proc_table.alloc_pid()
         uarea.fdtable.inject = self.machine.inject
         proc = Proc(pid, uarea, vm, name=name)
+        if parent is not None:
+            proc.parent = parent
+            parent.children.append(proc)
         proc.ks = self.kstat.counters("proc", pid)
         proc.child_wait = Semaphore(self.machine, self.sched, 0, "wait:%d" % pid)
         proc.api = self.make_api(proc)

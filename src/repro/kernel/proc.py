@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import EAGAIN, SimulationError, SysError
 from repro.kernel.signals import PendingSet
 from repro.kernel.uarea import UArea
 
@@ -137,8 +137,9 @@ class ProcTable:
         self.created = 0
 
     def alloc_pid(self) -> int:
+        """The next pid; a full table (zombies count) fails EAGAIN."""
         if len(self._procs) >= self.max_procs:
-            raise SimulationError("process table full")
+            raise SysError(EAGAIN, "process table full")
         self._next_pid += 1
         return self._next_pid
 

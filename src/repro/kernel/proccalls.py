@@ -98,20 +98,20 @@ class ProcSyscalls:
             self.machine.tlb_flush_asid(proc.vm.asid)
             yield kdelay(self.costs.tlb_flush_local)
         yield kdelay(self.costs.uarea_copy)
+        uarea = None
         try:
             if self.fail("fork.uarea"):
                 raise SysError(ENOMEM, "injected: u-area allocation failed")
             uarea = proc.uarea.fork_copy()
+            child = self._new_proc(uarea, child_vm, proc.name + "+f", proc)
         except SysError:
             # The COW image holds frame references; put them back or the
             # frames leak.  The parent's pages just stay COW-marked until
             # its next write breaks them back to sole ownership.
-            child_vm.teardown_private()
-            self._retire_asid(child_vm.asid)
+            if uarea is not None:
+                uarea.release()
+            child_vm.teardown()
             raise
-        child = self._new_proc(uarea, child_vm, name=proc.name + "+f")
-        child.parent = proc
-        proc.children.append(child)
         self.stats["forks"] += 1
         self.trace("fork", proc.pid, "child=%d" % child.pid)
         self._start_child(child, entry, arg)
@@ -135,7 +135,7 @@ class ProcSyscalls:
             raise SysError(EAGAIN, "injected: no shared address block")
         shaddr = sproc_mod.ensure_group(self, proc)
         mask = inherit_mask(proc.p_shmask, shmask)
-        child_vm = stack = uarea = None
+        child_vm = stack = uarea = child = None
         try:
             if mask & PR_SADDR:
                 yield from shaddr.vm_lock.acquire_update(proc)
@@ -158,24 +158,16 @@ class ProcSyscalls:
             yield kdelay(self.costs.uarea_copy)
             if self.fail("sproc.uarea"):
                 raise SysError(ENOMEM, "injected: u-area allocation failed")
-            uarea = sproc_mod.child_uarea(
-                proc, shaddr, mask, dispose=self.dispose_file
-            )
-        except SysError:
-            yield from self._unwind_sproc(proc, shaddr, mask, child_vm, stack, uarea)
-            raise
-        child = self._new_proc(uarea, child_vm, name=proc.name + "+s")
-        child.parent = proc
-        proc.children.append(child)
-        child.shaddr = shaddr
-        child.p_shmask = mask
-        shaddr.add_member(child)
-        try:
+            uarea = sproc_mod.child_uarea(proc, shaddr, mask)
+            child = self._new_proc(uarea, child_vm, proc.name + "+s", proc)
+            child.shaddr = shaddr
+            child.p_shmask = mask
+            shaddr.add_member(child)
+            # From here on the child is a counted group member, which
+            # the unwind detaches the way exit would.
             if self.fail("sproc.kstack"):
                 raise SysError(ENOMEM, "injected: no kernel stack for child")
         except SysError:
-            # The child is already a counted group member: detach it the
-            # way exit would before undoing the rest.
             yield from self._unwind_sproc(
                 proc, shaddr, mask, child_vm, stack, uarea, child
             )
@@ -216,9 +208,7 @@ class ProcSyscalls:
             self.proc_table.remove(child)
             self.live_procs -= 1
         if uarea is not None:
-            for file in uarea.fdtable.close_all():
-                self.dispose_file(file)
-            uarea.release_dirs()
+            uarea.release()
         if child_vm is not None:
             if mask & PR_SADDR:
                 yield from shaddr.vm_lock.acquire_update(proc)
@@ -229,10 +219,7 @@ class ProcSyscalls:
                         stack.detach()
                 finally:
                     yield from shaddr.vm_lock.release_update(proc)
-                child_vm.teardown_private()
-            else:
-                child_vm.teardown_private()
-                self._retire_asid(child_vm.asid)
+            child_vm.teardown()
 
     # ------------------------------------------------------------------
     # exec
@@ -258,9 +245,7 @@ class ProcSyscalls:
         # exec removes the process from the share group *before*
         # overlaying the image (paper section 5.1: a secure environment
         # for the new program) — unless the extension asks to stay.
-        proc.vm.teardown_private()
-        if proc.vm.shared is None:
-            self._retire_asid(proc.vm.asid)
+        proc.vm.teardown()
         if (
             keep_group
             and proc.shaddr is not None
@@ -271,7 +256,7 @@ class ProcSyscalls:
             # No non-VM resources left to share (or no extension asked
             # for): membership would be pure bookkeeping, so leave.
             yield from self._leave_group(proc)
-        proc.vm = self.build_image_vm(image, ua.stack_max)
+        proc.vm = self.build_image_vm(image, proc.vm.stack_max)
         ua.reset_handlers()
         proc.pending.clear()
         self.stats["execs"] += 1
@@ -299,12 +284,8 @@ class ProcSyscalls:
             self.stats["thread_exits"] += 1
         if last_of_task:
             yield kdelay(self.costs.exit_teardown)
-            for file in proc.uarea.fdtable.close_all():
-                self.dispose_file(file)
-            proc.uarea.release_dirs()
-            proc.vm.teardown_private()
-            if proc.vm.shared is None:
-                self._retire_asid(proc.vm.asid)
+            proc.uarea.release()
+            proc.vm.teardown()
             yield from self._leave_group(proc)
         else:
             # thread exit: just the kernel stack and proc entry go
@@ -336,15 +317,6 @@ class ProcSyscalls:
         yield Block("zombie")
         raise AssertionError("zombie resumed")  # pragma: no cover
 
-    def _retire_asid(self, asid: int) -> None:
-        """Structurally drop a dead address space's translations.
-
-        Models the flush real MIPS kernels perform when an ASID is
-        recycled; charged nowhere because it happens lazily off the
-        measured paths.
-        """
-        self.machine.tlb_flush_asid(asid)
-
     def _leave_group(self, proc):
         """Generator: drop share group membership; free the block when last out."""
         shaddr = proc.shaddr
@@ -357,11 +329,7 @@ class ProcSyscalls:
         proc.p_shmask = 0
         proc.p_flag &= ~ALL_SYNC
         if remaining == 0:
-            for pregion in shaddr.shared_vm.pregions:
-                pregion.detach()
-            shaddr.shared_vm.pregions = []
-            self._retire_asid(shaddr.shared_vm.asid)
-            shaddr.free(self.dispose_file)
+            shaddr.free()
             self.stats["groups_freed"] += 1
 
     # ------------------------------------------------------------------
@@ -452,13 +420,11 @@ class ProcSyscalls:
         vm = staged["vm"]
         if vm is not None:
             yield from vmshare.shootdown(self, proc)
-            vm.teardown_private()
-            self._retire_asid(vm.asid)
+            vm.teardown()
             staged["vm"] = None
         fresh = staged["fds"]
         if fresh is not None:
-            for file in fresh.close_all():
-                self.dispose_file(file)
+            fresh.close()
             staged["fds"] = None
         self.stats["unshare_unwinds"] += 1
         self.kstat.add("kernel", 0, "unshare_unwinds")
@@ -492,11 +458,7 @@ class ProcSyscalls:
         yield kdelay(self.costs.flag_batch_test)
         if not check_signal_number(sig) and sig != 0:
             raise SysError(EINVAL)
-        target = self.proc_table.get(pid)
-        if target is None or not target.alive():
-            raise SysError(ESRCH)
-        if proc.uarea.uid != 0 and proc.uarea.uid != target.uarea.uid:
-            raise SysError(EPERM)
+        target = self._target(proc, pid)
         if sig != 0:
             self.psignal(target, sig)
         return 0
@@ -615,6 +577,17 @@ class ProcSyscalls:
     # could be conveniently blocked or unblocked"; IRIX later shipped
     # exactly this pair alongside sproc)
 
+    def _target(self, proc, pid: int):
+        """The live process ``pid`` that ``proc`` may signal, block or
+        unblock: ESRCH if there is none, EPERM unless ``proc`` is root
+        or has its uid."""
+        target = self.proc_table.get(pid)
+        if target is None or not target.alive():
+            raise SysError(ESRCH)
+        if proc.uarea.uid != 0 and proc.uarea.uid != target.uarea.uid:
+            raise SysError(EPERM)
+        return target
+
     def _block_sema(self, proc):
         if proc.block_sema is None:
             proc.block_sema = Semaphore(
@@ -631,11 +604,7 @@ class ProcSyscalls:
         """Decrement the target's block count; below zero it suspends at
         its next user-mode boundary (immediately when blocking itself)."""
         yield kdelay(self.costs.flag_batch_test)
-        target = self.proc_table.get(pid)
-        if target is None or not target.alive():
-            raise SysError(ESRCH)
-        if proc.uarea.uid != 0 and proc.uarea.uid != target.uarea.uid:
-            raise SysError(EPERM)
+        target = self._target(proc, pid)
         target.block_count -= 1
         if target is proc and proc.block_count < 0:
             yield from self.blocked_frame(proc)
@@ -643,11 +612,7 @@ class ProcSyscalls:
 
     def sys_unblockproc(self, proc, pid: int):
         yield kdelay(self.costs.flag_batch_test)
-        target = self.proc_table.get(pid)
-        if target is None or not target.alive():
-            raise SysError(ESRCH)
-        if proc.uarea.uid != 0 and proc.uarea.uid != target.uarea.uid:
-            raise SysError(EPERM)
+        target = self._target(proc, pid)
         target.block_count += 1
         if target.block_count >= 0 and target.block_sema is not None:
             target.block_sema.v_all()

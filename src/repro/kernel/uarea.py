@@ -15,7 +15,6 @@ from repro.fs.fdtable import FDTable
 from repro.fs.inode import Inode
 from repro.fs.fsys import Credentials
 from repro.kernel.signals import SIG_DFL
-from repro.mem import layout
 
 #: default maximum file write offset (the classic ulimit, in bytes)
 DEFAULT_ULIMIT = 1 << 30
@@ -36,7 +35,6 @@ class UArea:
         self.uid = 0
         self.gid = 0
         self.handlers: Dict[int, object] = {}  #: sig -> SIG_DFL/SIG_IGN/callable
-        self.stack_max = layout.DEFAULT_STACK_MAX  #: prctl PR_SETSTACKSIZE value
 
     # ------------------------------------------------------------------
     # directories
@@ -87,10 +85,12 @@ class UArea:
         child.uid = self.uid
         child.gid = self.gid
         child.handlers = dict(self.handlers)
-        child.stack_max = self.stack_max
         return child
 
-    def release_dirs(self) -> None:
+    def release(self) -> None:
+        """Drop every reference the u-area holds: its descriptors, then
+        its directories."""
+        self.fdtable.close()
         self.cdir.release()
         if self.rdir is not None:
             self.rdir.release()

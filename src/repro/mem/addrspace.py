@@ -63,36 +63,39 @@ class Resolution:
         return "<Resolution %s %r>" % (self.kind.value, self.pregion)
 
 
+def _copy_cursors(source, target) -> None:
+    """Continue ``source``'s stack size and carving cursors in ``target``."""
+    target._stack_max = source._stack_max
+    target._next_stack_top = source._next_stack_top
+    target._next_map_base = source._next_map_base
+
+
 class SharedVM:
     """The VM image shared by a share group (the paper's ``s_region`` list).
 
     Holds the shared pregion list, the single address-space ID every
-    VM-sharing member runs under, and the stack ceiling and carving
-    cursors the members' address spaces allocate from (each ``sproc``
-    child's stack, the map arena).  Concurrency control (the shared read
-    lock) lives in the shared address block, not here.
+    VM-sharing member runs under, and the stack size and carving cursors
+    the members' address spaces allocate from (each ``sproc`` child's
+    stack, the map arena).  Concurrency control (the shared read lock)
+    lives in the shared address block, not here.
     """
 
-    def __init__(self, machine, stack_max_bytes: int = layout.DEFAULT_STACK_MAX):
+    def __init__(self, machine):
         self.machine = machine
         self.asid = machine.alloc_asid()
-        self._pregions = PregionList()
-        self.stack_max_bytes = stack_max_bytes
-        self._next_stack_index = 0
+        self.pregions = PregionList()
+        self._stack_max = layout.DEFAULT_STACK_MAX
+        self._next_stack_top = layout.STACK_TOP
         self._next_map_base = layout.MAP_BASE
 
-    @property
-    def pregions(self) -> PregionList:
-        return self._pregions
-
-    @pregions.setter
-    def pregions(self, value: List[Pregion]) -> None:
-        # Wholesale replacement (group teardown does ``pregions = []``):
-        # re-wrap so the interval index and owner backrefs stay coherent.
-        for pregion in self._pregions:
-            if pregion.owner is self._pregions:
-                pregion.owner = None
-        self._pregions = PregionList(value)
+    def teardown(self) -> None:
+        """Detach every shared pregion and retire the group's ASID
+        everywhere (the last member left)."""
+        for pregion in self.pregions:
+            pregion.detach()
+            pregion.owner = None
+        self.pregions = PregionList()
+        self.machine.tlb_flush_asid(self.asid)
 
 
 class AddressSpace:
@@ -110,9 +113,9 @@ class AddressSpace:
         #: the ASID this space runs under: its group's while it shares one
         self.asid = shared.asid if shared is not None else self._own_asid
         self._private = PregionList()
-        self._next_stack_index = 0
+        self._stack_max = layout.DEFAULT_STACK_MAX
+        self._next_stack_top = layout.STACK_TOP
         self._next_map_base = layout.MAP_BASE
-        self.stack_max_bytes = layout.DEFAULT_STACK_MAX
 
     @property
     def private(self) -> PregionList:
@@ -131,7 +134,14 @@ class AddressSpace:
     # identity
 
     def join(self, shared: SharedVM) -> None:
-        """Start running on a group's shared image, under its ASID."""
+        """Move onto a new group image and run under its ASID.
+
+        The image continues this space's stack size and carving cursors.
+        This space's own translations are orphaned, so its ASID is
+        retired everywhere (the model of ASID recycling).
+        """
+        _copy_cursors(self, shared)
+        self.machine.tlb_flush_asid(self.asid)
         self.shared = shared
         self.asid = shared.asid
 
@@ -163,7 +173,8 @@ class AddressSpace:
         return None, False
 
     def _find_indexed(self, vaddr: int) -> Tuple[Optional[Pregion], bool]:
-        """Bisect private then shared — same private-shadows-shared order."""
+        """Bisect private then shared (no private pregion overlaps a
+        shared one, so the order decides nothing but the step count)."""
         pregion, steps = self._private.lookup(vaddr)
         if pregion is not None:
             self._note_lookup(steps, hit=True, indexed=True)
@@ -354,15 +365,20 @@ class AddressSpace:
 
     @property
     def _cursors(self):
-        """Who keeps the stack ceiling and the carving cursors: the
-        group's image while this space shares one, else this space."""
+        """Who keeps the stack size and the carving cursors: the group's
+        image while this space shares one, else this space."""
         return self.shared if self.shared is not None else self
 
-    def alloc_stack_index(self) -> int:
-        cursors = self._cursors
-        index = cursors._next_stack_index
-        cursors._next_stack_index += 1
-        return index
+    @property
+    def stack_max(self) -> int:
+        """The reservation of each stack carved from now on
+        (``PR_SETSTACKSIZE``); group-wide while this space shares an
+        image."""
+        return self._cursors._stack_max
+
+    @stack_max.setter
+    def stack_max(self, value: int) -> None:
+        self._cursors._stack_max = value
 
     def alloc_map_range(self, nbytes: int) -> int:
         """Bump-allocate a page-aligned window in the mapping arena."""
@@ -375,19 +391,23 @@ class AddressSpace:
         return base
 
     def next_stack_fits(self) -> bool:
-        """Does the next stack slot's reservation stay above the map
-        arena?  Stacks carve downward from ``STACK_TOP``, so a large
-        ``PR_SETSTACKSIZE`` runs out of slots early."""
+        """Does the next stack's reservation stay above the map arena?
+        Stacks carve downward from ``STACK_TOP``, so a large
+        ``PR_SETSTACKSIZE`` runs out of room early."""
         cursors = self._cursors
-        max_bytes = cursors.stack_max_bytes
-        top = layout.stack_slot(cursors._next_stack_index, max_bytes)
-        return top - max_bytes >= layout.MAP_LIMIT
+        return cursors._next_stack_top - cursors._stack_max >= layout.MAP_LIMIT
 
     def carve_stack(self, shared: bool) -> Pregion:
-        """Reserve and attach a new downward-growing stack."""
-        max_bytes = self._cursors.stack_max_bytes
-        index = self.alloc_stack_index()
-        top = layout.stack_slot(index, max_bytes)
+        """Reserve and attach a new downward-growing stack.
+
+        Its reservation ends at the stack cursor, which then moves down
+        past it and a guard gap, so a stack size changed between two
+        carves never overlaps an earlier reservation.
+        """
+        cursors = self._cursors
+        max_bytes = cursors._stack_max
+        top = cursors._next_stack_top
+        cursors._next_stack_top = top - max_bytes - layout.STACK_GAP
         initial = layout.INITIAL_STACK_PAGES * PAGE_SIZE
         vbase = top - initial
         return self.map_segment(
@@ -405,13 +425,10 @@ class AddressSpace:
 
     def empty_copy(self) -> "AddressSpace":
         """A fresh standalone space, with no pregions yet, that continues
-        this space's stack ceiling and carving cursors (its group's, if
-        it shares one)."""
-        source = self._cursors
+        this space's stack size and carving cursors (its group's, if it
+        shares one)."""
         child = AddressSpace(self.machine)
-        child.stack_max_bytes = source.stack_max_bytes
-        child._next_stack_index = source._next_stack_index
-        child._next_map_base = source._next_map_base
+        _copy_cursors(self._cursors, child)
         return child
 
     def dup_cow(self) -> "AddressSpace":
@@ -430,11 +447,18 @@ class AddressSpace:
             child.private.append(visible.dup_cow())
         return child
 
-    def teardown_private(self) -> None:
-        """Detach every private pregion (process exit / exec)."""
+    def teardown(self) -> None:
+        """Detach every private pregion (exit, exec, an unwind).
+
+        A standalone space also retires its ASID everywhere: the model
+        of the flush a real kernel makes when it recycles an ASID,
+        charged nowhere because it happens off the measured paths.
+        """
         for pregion in self.private:
             pregion.detach()
         self.private = []
+        if self.shared is None:
+            self.machine.tlb_flush_asid(self.asid)
 
 
 def make_region(allocator, nbytes: int, rtype: RegionType) -> Region:

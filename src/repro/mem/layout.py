@@ -44,14 +44,3 @@ STACK_GAP = PAGE_SIZE
 #: highest user address (the 2 GB kuseg boundary on MIPS)
 USER_LIMIT = 0x8000_0000
 
-
-def stack_slot(index: int, max_stack_bytes: int = DEFAULT_STACK_MAX) -> int:
-    """Base reservation address for the ``index``-th stack in a space.
-
-    Slot 0 is the original process's stack; each ``sproc`` child gets the
-    next slot down.  The returned value is the *top* (exclusive high end)
-    of that stack's reservation.
-    """
-    if index < 0:
-        raise ValueError("stack index cannot be negative")
-    return STACK_TOP - index * (max_stack_bytes + STACK_GAP)

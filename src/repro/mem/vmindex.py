@@ -15,11 +15,10 @@ list is also built lazily on its first query.  All mutators run under
 the share group's update lock (or own the space outright), so a reader
 under the read lock never observes a half-edited index.
 
-Within one list the non-empty pregions never overlap (private may shadow
-*shared*, but that is a cross-list affair resolved by private-first
-lookup order), so a binary search on ``vlow`` has exactly one
-containment candidate: the rightmost pregion starting at or below the
-address.  The same disjointness lets :meth:`PregionList.overlapping`
+Within one list the non-empty pregions never overlap (nor does any
+private pregion overlap a shared one: every attach checks both lists),
+so a binary search on ``vlow`` has exactly one containment candidate:
+the rightmost pregion starting at or below the address.  The same disjointness lets :meth:`PregionList.overlapping`
 answer the attach-time overlap check from the view instead of a scan.
 
 Each pregion also records the list that currently holds it (``owner``),

@@ -8,10 +8,11 @@ Paper-defined options:
     Number of processes the system can run in parallel (the CPU count) —
     parallel programs size their self-scheduling pools with this.
 ``PR_SETSTACKSIZE`` / ``PR_GETSTACKSIZE``
-    Maximum stack size for the current process; inherited across
-    ``sproc()`` and ``fork()`` and used to lay out the shared VM image.
-    A size whose first stack slot would reach into the map arena is
-    ``EINVAL``.
+    The reservation of each stack the caller's address space carves
+    from now on (:attr:`AddressSpace.stack_max`): group-wide under
+    ``PR_SADDR``, where it lays out the shared VM image; copied by
+    ``fork()``, a non-``PR_SADDR`` ``sproc()`` and ``exec()``.  A size
+    whose first stack would reach into the map arena is ``EINVAL``.
 
 Extensions implemented from the paper's section 8 (future directions),
 clearly marked as such:
@@ -78,13 +79,13 @@ def prctl(kernel, proc, option: int, value: int = 0, value2: int = 0):
     if option == PR_MAXPPROCS:
         return kernel.machine.ncpus
     if option == PR_GETSTACKSIZE:
-        return proc.uarea.stack_max
+        return proc.vm.stack_max
     if option == PR_SETSTACKSIZE:
         if value < MIN_STACK:
             raise SysError(EINVAL, "stack size too small")
         if value > MAX_STACK:
             raise SysError(EINVAL, "stack size would reach the map arena")
-        proc.uarea.stack_max = int(value)
+        proc.vm.stack_max = int(value)
         return int(value)
     if option == PR_GETNSHARE:
         return proc.shaddr.s_refcnt if proc.shaddr is not None else 0

@@ -38,48 +38,48 @@ class Resource(NamedTuple):
     name: str  #: the key of the block's ``updates`` count
     bit: int  #: the share mask bit that shares it
     sync: int  #: the ``p_flag`` bit that marks a member's copy stale
-    pull: Callable  #: ``pull(uarea, block, dispose)``: block -> u-area
-    push: Callable  #: ``push(uarea, block, dispose)``: u-area -> block
+    pull: Callable  #: ``pull(uarea, block)``: block -> u-area
+    push: Callable  #: ``push(uarea, block)``: u-area -> block
 
 
-def _pull_fds(ua, block, dispose):
-    ua.fdtable.sync_from(block.s_ofile, dispose=dispose)
+def _pull_fds(ua, block):
+    ua.fdtable.sync_from(block.s_ofile)
 
 
-def _push_fds(ua, block, dispose):
-    block.update_ofile(ua.fdtable, dispose=dispose)
+def _push_fds(ua, block):
+    block.update_ofile(ua.fdtable)
 
 
-def _pull_dir(ua, block, dispose):
+def _pull_dir(ua, block):
     ua.set_cdir(block.s_cdir)
     ua.set_rdir(block.s_rdir)
 
 
-def _push_dir(ua, block, dispose):
+def _push_dir(ua, block):
     block.set_dirs(ua.cdir, ua.rdir)
 
 
-def _pull_id(ua, block, dispose):
+def _pull_id(ua, block):
     ua.uid, ua.gid = block.s_uid, block.s_gid
 
 
-def _push_id(ua, block, dispose):
+def _push_id(ua, block):
     block.s_uid, block.s_gid = ua.uid, ua.gid
 
 
-def _pull_umask(ua, block, dispose):
+def _pull_umask(ua, block):
     ua.cmask = block.s_cmask
 
 
-def _push_umask(ua, block, dispose):
+def _push_umask(ua, block):
     block.s_cmask = ua.cmask
 
 
-def _pull_ulimit(ua, block, dispose):
+def _pull_ulimit(ua, block):
     ua.ulimit = block.s_limit
 
 
-def _push_ulimit(ua, block, dispose):
+def _push_ulimit(ua, block):
     block.s_limit = ua.ulimit
 
 
@@ -110,7 +110,7 @@ def sync_on_entry(kernel, proc):
     for resource in RESOURCES:
         if bits & resource.sync:
             yield kdelay(cost)
-            resource.pull(proc.uarea, shaddr, kernel.dispose_file)
+            resource.pull(proc.uarea, shaddr)
             synced += 1
     shaddr.syncs += synced
     return synced
@@ -124,7 +124,7 @@ def _publish(kernel, proc, resource) -> int:
     group size — experiment E3 measures this).
     """
     shaddr = proc.shaddr
-    resource.push(proc.uarea, shaddr, kernel.dispose_file)
+    resource.push(proc.uarea, shaddr)
     shaddr.updates[resource.name] += 1
     flagged = 0
     for member in shaddr.other_members(proc):
@@ -168,7 +168,7 @@ def update_files(kernel, proc, apply_fn):
     yield from shaddr.s_fupdsema.p(proc)
     try:
         yield from sync_on_entry(kernel, proc)
-        result = yield from apply_fn()
+        result = apply_fn()
         flagged = _publish(kernel, proc, FDS)
         yield kdelay(kernel.costs.resource_sync + flagged)
         return result

@@ -103,15 +103,13 @@ class SharedAddressBlock:
     # ------------------------------------------------------------------
     # authoritative resource copies
 
-    def update_ofile(self, fdtable, dispose=None) -> None:
+    def update_ofile(self, fdtable) -> None:
         """Refresh ``s_ofile`` from a member's descriptor table.
 
         The block holds one reference per listed file, so the copy stays
         valid even if the updating member exits immediately afterwards.
-        ``dispose`` is the kernel's file-release routine; the block's
-        reference may be the *last* one (every member already closed the
-        descriptor), and a final close must run endpoint bookkeeping
-        (pipe writer counts, socket teardown).
+        The block's old reference may be the *last* one (every member
+        already closed the descriptor); releasing it closes the file.
         """
         fresh = fdtable.snapshot()
         for file in fresh:
@@ -119,10 +117,7 @@ class SharedAddressBlock:
                 file.hold()
         for file in self.s_ofile:
             if file is not None:
-                if dispose is not None:
-                    dispose(file)
-                else:
-                    file.release()
+                file.release()
         self.s_ofile = fresh
         self.s_pofile = [file.flags if file is not None else 0 for file in fresh]
 
@@ -140,22 +135,16 @@ class SharedAddressBlock:
     # ------------------------------------------------------------------
     # teardown
 
-    def free(self, dispose_file=None) -> None:
-        """Drop every reference the block holds (last member left).
-
-        ``dispose_file`` is the kernel's file-release routine, which also
-        handles endpoint bookkeeping (pipe reader/writer counts) when the
-        block held the last reference; plain ``release`` is the fallback
-        for unit tests.
-        """
+    def free(self) -> None:
+        """Drop everything the block holds (last member left): the
+        shared image and its ASID, then the file and directory
+        references."""
         if self.s_refcnt != 0:
             raise SimulationError("freeing shaddr with refcnt=%d" % self.s_refcnt)
+        self.shared_vm.teardown()
         for file in self.s_ofile:
             if file is not None:
-                if dispose_file is not None:
-                    dispose_file(file)
-                else:
-                    file.release()
+                file.release()
         self.s_ofile = []
         if self.s_cdir is not None:
             self.s_cdir.release()

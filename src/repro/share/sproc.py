@@ -32,22 +32,14 @@ def ensure_group(kernel, proc) -> SharedAddressBlock:
     shaddr = SharedAddressBlock(
         kernel.machine, kernel.sched, kernel.vm_lock_factory
     )
-    shared_vm = shaddr.shared_vm
-    # Seed the carving cursors from the creator's standalone space so the
-    # group's layout continues where the creator's left off.
-    shared_vm._next_stack_index = proc.vm._next_stack_index
-    shared_vm._next_map_base = proc.vm._next_map_base
-    shared_vm.stack_max_bytes = proc.uarea.stack_max
     shaddr.add_member(proc)
     proc.shaddr = shaddr
     proc.p_shmask = PR_SALL
-    old_asid = proc.vm.asid
+    # The group's image continues the creator's stack size and carving
+    # cursors; the creator's own ASID is retired.
     vmshare.move_pregions_to_shared(proc)
-    # The creator now runs under the group's ASID; its old standalone
-    # translations are orphaned (the model of ASID recycling).
-    kernel.machine.tlb_flush_asid(old_asid)
     for resource in RESOURCES:
-        resource.push(proc.uarea, shaddr, None)
+        resource.push(proc.uarea, shaddr)
     kernel.stats["groups_created"] += 1
     shaddr.sgid = kernel.stats["groups_created"]
     shaddr.ks = kernel.kstat.counters("group", shaddr.sgid)
@@ -86,7 +78,7 @@ def build_child_vm(kernel, parent, shmask: int):
     return vm, vm.carve_stack(shared=False)
 
 
-def child_uarea(parent, shaddr, shmask: int, dispose=None):
+def child_uarea(parent, shaddr, shmask: int):
     """Fork-copy the u-area, then pull every shared resource from the block.
 
     Shared resources come from the group's authoritative copies, not the
@@ -95,5 +87,5 @@ def child_uarea(parent, shaddr, shmask: int, dispose=None):
     ua = parent.uarea.fork_copy()
     for resource in RESOURCES:
         if shmask & resource.bit:
-            resource.pull(ua, shaddr, dispose)
+            resource.pull(ua, shaddr)
     return ua

@@ -15,10 +15,9 @@ Copy-out rules, per resource class:
 
 * **file descriptors** (``PR_SFDS``): a fresh descriptor table is
   populated slot by slot, each copied file gaining a reference (the
-  ``unshare.fds`` failpoint fires per slot).  On commit the old table's
-  references are released through the kernel's dispose routine; the
-  group's authoritative ``s_ofile`` copy is untouched, so the other
-  members keep sharing.
+  ``unshare.fds`` failpoint fires per slot).  On commit the old table
+  is closed, releasing its references; the group's authoritative
+  ``s_ofile`` copy is untouched, so the other members keep sharing.
 * **miscellaneous u-area values** (``PR_SULIMIT``/``PR_SUMASK``/
   ``PR_SDIR``/``PR_SID``): the u-area already holds per-process copies —
   "sharing" them is the sync-on-entry protocol — so privatization is a
@@ -116,10 +115,8 @@ def commit_unshare(kernel, proc, drop: int, staged) -> None:
         proc.vm = vm
     fresh = staged["fds"]
     if fresh is not None:
-        old = proc.uarea.fdtable.close_all()
-        proc.uarea.fdtable = fresh
-        for file in old:
-            kernel.dispose_file(file)
+        old, proc.uarea.fdtable = proc.uarea.fdtable, fresh
+        old.close()
     for resource in RESOURCES:
         if drop & resource.bit:
             proc.p_flag &= ~resource.sync

@@ -69,7 +69,6 @@ class Machine:
         #: every WaitQueue built on this machine, for the leak audit
         self.waitqueues: List = []
         self._next_asid = 0
-        self.shootdowns = 0
 
     @property
     def ncpus(self) -> int:
@@ -109,8 +108,6 @@ class Machine:
                 cpu.tlb.flush_all()
             else:
                 cpu.tlb.flush_asid(asid)
-            cpu.tlb.shootdowns += 1
-        self.shootdowns += 1
         return self.shootdown_cost()
 
     def tlb_shootdown_range(self, asid: int, vpn_lo: int, vpn_hi: int) -> int:
@@ -123,8 +120,6 @@ class Machine:
         """
         for cpu in self.cpus:
             cpu.tlb.flush_range(asid, vpn_lo, vpn_hi)
-            cpu.tlb.shootdowns += 1
-        self.shootdowns += 1
         return self.shootdown_cost()
 
     def tlb_flush_asid(self, asid: int) -> None:

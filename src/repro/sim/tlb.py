@@ -51,12 +51,12 @@ class TLB:
 
     The R2000 replaces entries via a hardware random register; we use FIFO
     so simulations are deterministic.  Statistics are kept so experiments
-    can report hit rates and shootdown counts.
+    can report hit rates and flush counts.
     """
 
     __slots__ = (
         "capacity", "_entries", "_by_asid", "_kstat", "_cpu_idx",
-        "hits", "misses", "flushes", "flush_pages", "shootdowns",
+        "hits", "misses", "flushes", "flush_pages",
     )
 
     def __init__(
@@ -80,7 +80,6 @@ class TLB:
         self.misses = 0
         self.flushes = 0
         self.flush_pages = 0
-        self.shootdowns = 0
 
     def _scanned(self, n: int) -> None:
         """Record how many entries a per-ASID flush examined."""

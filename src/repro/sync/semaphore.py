@@ -43,8 +43,6 @@ class Semaphore:
         self.name = name
         self._value = value
         self._waiters: Deque = deque()
-        self.sleeps = 0
-        self.wakeups = 0
         self._stats = machine.lockstats.get(name)
         self._lockdep = machine.lockdep
 
@@ -74,7 +72,6 @@ class Semaphore:
         proc.sleeping_on = self
         proc.sleep_interruptible = interruptible
         proc.state = proc.SLEEPING
-        self.sleeps += 1
         slept_from = self.machine.engine.now
         result = yield Block("P(%s)" % self.name)
         proc.sleeping_on = None
@@ -111,7 +108,6 @@ class Semaphore:
                 proc = self._waiters.popleft()
             proc.sleeping_on = None
             proc.resume_value = None
-            self.wakeups += 1
             self.waker.wakeup(proc)
         else:
             self._value += 1

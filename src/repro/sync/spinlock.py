@@ -22,8 +22,6 @@ class SpinLock:
         self.name = name
         self._held = False
         self.owner = None
-        self.acquisitions = 0
-        self.contended_polls = 0
         self._stats = machine.lockstats.get(name)
         self._lockdep = machine.lockdep
         self._acquired_at = 0
@@ -39,12 +37,10 @@ class SpinLock:
         spun_from = self.machine.engine.now
         polls = 0
         while self._held:
-            self.contended_polls += 1
             polls += 1
             yield kdelay(self.costs.spin_poll)
         self._held = True
         self.owner = proc
-        self.acquisitions += 1
         self._acquired_at = self.machine.engine.now
         self._lockdep.acquired(self, proc, "spin")
         self._stats.record_acquire(
@@ -58,7 +54,6 @@ class SpinLock:
         self._lockdep.attempt(self, proc, "spin")
         self._held = True
         self.owner = proc
-        self.acquisitions += 1
         self._acquired_at = self.machine.engine.now
         self._lockdep.acquired(self, proc, "spin")
         self._stats.record_acquire(0, False)

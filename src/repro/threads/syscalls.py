@@ -16,15 +16,10 @@ class ThreadSyscalls:
         allocated — no page tables, no u-area copy, no region work.
         """
         yield kdelay(self.costs.thread_alloc)
-        if getattr(proc, "task", None) is None:
-            Task(proc)
-        task = proc.task
         # No VM work at all: the user stack comes out of the task's heap
         # (Mach semantics), so only kernel-side thread state is built.
-        thread = self._new_proc(proc.uarea, proc.vm, name=proc.name + "+t")
-        thread.parent = proc
-        proc.children.append(thread)
-        task.add(thread)
+        thread = self._new_proc(proc.uarea, proc.vm, proc.name + "+t", proc)
+        (proc.task or Task(proc)).add(thread)
         self.stats["thread_creates"] += 1
         self._start_child(thread, entry, arg)
         return thread.pid

@@ -100,8 +100,8 @@ def test_stack_carving_distinct_slots(machine):
     member = make_space(machine, shared)
     stack0 = member.carve_stack(shared=True)
     stack1 = member.carve_stack(shared=True)
-    assert stack0.vhigh == layout.stack_slot(0, shared.stack_max_bytes)
-    assert stack1.vhigh == layout.stack_slot(1, shared.stack_max_bytes)
+    assert stack0.vhigh == layout.STACK_TOP
+    assert stack1.vhigh == layout.STACK_TOP - member.stack_max - layout.STACK_GAP
     assert not stack0.overlaps(stack1.vlow, stack1.vhigh)
 
 
@@ -110,10 +110,12 @@ def test_764_default_stack_slots_fit_above_the_map_arena(machine):
     next would reach into the map arena.  The group's cursors decide."""
     shared = SharedVM(machine)
     member = make_space(machine, shared)
-    shared._next_stack_index = 763
+    shared._next_stack_top = layout.STACK_TOP - 763 * (
+        layout.DEFAULT_STACK_MAX + layout.STACK_GAP
+    )
     assert member.next_stack_fits()
     lowest = member.carve_stack(shared=True)
-    assert lowest.vhigh - shared.stack_max_bytes >= layout.MAP_LIMIT
+    assert lowest.vhigh - member.stack_max >= layout.MAP_LIMIT
     assert not member.next_stack_fits()
 
 
@@ -129,7 +131,7 @@ def test_stack_auto_grow(machine):
 
 def test_stack_growth_respects_ceiling(machine):
     space = make_space(machine)
-    space.stack_max_bytes = 8 * PAGE_SIZE
+    space.stack_max = 8 * PAGE_SIZE
     stack = space.carve_stack(shared=False)
     way_below = stack.vhigh - 64 * PAGE_SIZE
     assert space.resolve(way_below, write=True).kind is Fault.SEGV
@@ -175,11 +177,44 @@ def test_asid_shared_vs_private(machine):
     assert loner.asid != member_a.asid
 
 
-def test_teardown_private_releases_frames(machine):
+def test_each_space_retires_its_own_asid(machine):
+    """A standalone space retires its ASID on every CPU at teardown, a
+    group's creator at join; a leaving member keeps the group's ASID
+    warm until the group's image itself is torn down."""
+    from repro.mem.frames import Frame
+
+    def plant(asid):
+        for cpu in machine.cpus:
+            cpu.tlb.insert(asid, 0x7FF00, Frame(1), writable=False)
+
+    def planted(asid):
+        return any(cpu.tlb.probe(asid, 0x7FF00) for cpu in machine.cpus)
+
+    loner = make_space(machine)
+    plant(loner.asid)
+    loner.teardown()
+    assert not planted(loner.asid)
+
+    creator = make_space(machine)
+    own = creator.asid
+    plant(own)
+    shared = SharedVM(machine)
+    creator.join(shared)
+    assert creator.asid == shared.asid
+    assert not planted(own)
+
+    plant(shared.asid)
+    creator.teardown()
+    assert planted(shared.asid)
+    shared.teardown()
+    assert not planted(shared.asid)
+
+
+def test_teardown_releases_frames(machine):
     space = make_space(machine)
     space.map_segment(layout.DATA_BASE, 2 * PAGE_SIZE, RegionType.DATA, PROT_RW)
     res = space.resolve(layout.DATA_BASE, write=True)
     space.materialize(res, layout.DATA_BASE, True)
     assert machine.frames.allocated == 1
-    space.teardown_private()
+    space.teardown()
     assert machine.frames.allocated == 0

@@ -114,6 +114,64 @@ def test_compare_bench_host_mode_gates_on_rate(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
+# the code-line count in benchmarks/code_lines.py
+
+
+def _load_code_lines():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "benchmarks", "code_lines.py")
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment counts: the line holds code
+
+# a comment line
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self, value):
+        """Function docstring,
+
+        with a blank line inside."""
+        text = """not a docstring,
+        so every line counts"""
+        return os.path.join(
+            text,
+            str(value),
+        )
+'''
+
+
+def test_code_lines_counts_code_only():
+    code_lines = _load_code_lines()
+    # import, class, def, two text lines, and the four-line call
+    assert code_lines.count_code_lines(_SAMPLE) == 9
+
+
+def test_code_lines_prints_each_module_then_the_total(tmp_path, capsys):
+    code_lines = _load_code_lines()
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(_SAMPLE)
+    (package / "b.py").write_text("x = 1\n")
+    assert code_lines.main([], root=str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["9", os.path.join("src", "pkg", "a.py")],
+        ["1", os.path.join("src", "pkg", "b.py")],
+        ["10", "total"],
+    ]
+
+
+# ----------------------------------------------------------------------
 # end to end: the CLI's sweep writes the committed seed table
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro import (
     O_CREAT,
     O_RDWR,
+    PR_SADDR,
     PR_SALL,
     SIGKILL,
     SIGUSR1,
@@ -12,8 +13,8 @@ from repro import (
     status_code,
     status_signal,
 )
-from repro.check.invariants import check_fd_refcounts
-from repro.errors import EBADF, EFAULT, EINTR, EMFILE, ENOMEM
+from repro.check.invariants import audit_leaks, check_fd_refcounts
+from repro.errors import EAGAIN, EBADF, EFAULT, EINTR, EMFILE, ENOMEM
 from repro.fs.fdtable import NOFILE
 from tests.conftest import run_program
 
@@ -302,7 +303,7 @@ def test_each_fault_kind_is_counted_and_traced():
     from repro.sim.trace import Tracer
 
     target = layout.MAP_BASE  # the first mmap lands here
-    stack_base = layout.stack_slot(0) - layout.INITIAL_STACK_PAGES * PAGE_SIZE
+    stack_base = layout.STACK_TOP - layout.INITIAL_STACK_PAGES * PAGE_SIZE
     below_stack = stack_base - 4
 
     def child(api, arg):
@@ -455,7 +456,9 @@ def test_member_closing_then_reopening_fd_slot():
 
 
 def test_fork_bomb_is_contained_by_proc_table():
-    from repro.errors import SimulationError
+    """A full table fails each bomber's fork EAGAIN, and the bomber
+    exits: the run ends idle with the table's 40 entries all zombies
+    (zombies count toward the table, as in UNIX), leaking nothing."""
 
     def bomber(api, arg):
         while True:
@@ -466,8 +469,43 @@ def test_fork_bomb_is_contained_by_proc_table():
     sim = System(ncpus=2)
     sim.kernel.proc_table.max_procs = 40
     sim.spawn(bomber)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=2_000_000)
+    sim.run(max_events=2_000_000)
+    procs = sim.kernel.proc_table.all_procs()
+    assert len(procs) == 40
+    assert all(proc.state is proc.ZOMBIE for proc in procs)
+    assert sim.engine.pending == 0
+    assert audit_leaks(sim) == []
+
+
+def _idle(api, arg):
+    yield from api.compute(10)
+    return 0
+
+
+_CREATE = {
+    "fork": lambda api: api.fork(_idle),
+    "sproc": lambda api: api.sproc(_idle, PR_SALL),
+    "sproc-cow": lambda api: api.sproc(_idle, PR_SALL & ~PR_SADDR),
+    "thread_create": lambda api: api.thread_create(_idle),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_CREATE))
+def test_a_full_process_table_fails_the_call_eagain(call):
+    """The one slot holds the caller: the call fails EAGAIN at the
+    parent, and whatever it built for the child is unwound."""
+
+    def main(api, out):
+        out["rc"] = yield from _CREATE[call](api)
+        out["errno"] = yield from api.errno()
+        return 0
+
+    sim = System(ncpus=2)
+    sim.kernel.proc_table.max_procs = 1
+    out, sim = run_program(main, sim=sim)
+    assert (out["rc"], out["errno"]) == (-1, EAGAIN)
+    assert len(sim.kernel.proc_table) == 1
+    assert audit_leaks(sim) == []
 
 
 def test_zombie_children_do_not_leak_frames():

@@ -265,6 +265,46 @@ def test_fdtable_sync_is_idempotent():
     assert table.sync_from(master) == 0
 
 
+def _pipe_ends():
+    """A fresh pipe and a file for each of its ends (no kernel)."""
+    from repro.fs.pipe import Pipe
+    from repro.sim.machine import Machine
+
+    inode = Inode(InodeType.FIFO, mode=0o600)
+    inode.fifo = Pipe(Machine(ncpus=1), waker=None)
+    return inode.fifo, File(inode, O_RDONLY), File(inode, O_WRONLY)
+
+
+def _reads_eof(pipe) -> bool:
+    """Does a read of the empty pipe return EOF without sleeping?"""
+    read = pipe.read(None, 16)
+    try:
+        next(read)
+    except StopIteration as stop:
+        return stop.value == b""
+    read.close()
+    return False
+
+
+def test_dup2_over_the_last_write_end_closes_it():
+    pipe, reader, writer = _pipe_ends()
+    table = FDTable(4)
+    table.alloc(reader)
+    table.alloc(writer)
+    table.dup2(0, 1)
+    assert pipe.writers == 0
+    assert _reads_eof(pipe)
+
+
+def test_sync_from_dropping_the_last_write_end_closes_it():
+    pipe, _reader, writer = _pipe_ends()
+    table = FDTable(4)
+    table.alloc(writer)
+    table.sync_from([None] * 4)
+    assert pipe.writers == 0
+    assert _reads_eof(pipe)
+
+
 @given(st.lists(st.sampled_from(["open", "close", "dup"]), max_size=40))
 def test_fdtable_invariants_under_random_ops(ops):
     """Property: slots hold live files; alloc always picks lowest free."""

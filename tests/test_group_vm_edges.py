@@ -63,6 +63,90 @@ def _noop(api, arg):
     return 0
 
 
+def _own_stack(api):
+    """A member's own stack: the group's lowest, as the last carved."""
+    from repro.mem.region import RegionType
+
+    return min(
+        (
+            pregion for pregion, shared in api.proc.vm.iter_pregions()
+            if pregion.rtype is RegionType.STACK and shared
+        ),
+        key=lambda pregion: pregion.vhigh,
+    )
+
+
+def test_stack_size_set_inside_a_group_sizes_the_next_stack():
+    """PR_SETSTACKSIZE after the group exists is group-wide: the next
+    child's stack is carved at the size its PR_GETSTACKSIZE reports."""
+    small = 64 * 1024
+
+    def probe(api, out):
+        out["size"] = yield from api.prctl(PR_GETSTACKSIZE)
+        out["ceiling"] = _own_stack(api).max_pages * PAGE_SIZE
+        return 0
+
+    def main(api, out):
+        yield from api.sproc(_noop, PR_SALL)
+        yield from api.wait()
+        yield from api.prctl(PR_SETSTACKSIZE, small)
+        yield from api.sproc(probe, PR_SALL, out)
+        yield from api.wait()
+        return 0
+
+    out, sim = run_program(main)
+    assert out["size"] == out["ceiling"] == small
+    assert audit_leaks(sim) == []
+
+
+def test_a_smaller_stack_is_carved_below_the_leaders_reservation():
+    """PR_SETSTACKSIZE before the first sproc: the child's stack lies
+    below the leader's whole 1 MB reservation, so the leader's own stack
+    growth never writes into it, and growth past that reservation is
+    SIGSEGV."""
+    small = 64 * 1024
+    # inside the leader's reservation, where the child's top word would
+    # sit were its stack carved at the old slot formula
+    deep = layout.STACK_TOP - small - layout.STACK_GAP - 4
+    # just below the leader's reservation
+    below = layout.STACK_TOP - layout.DEFAULT_STACK_MAX - 4
+
+    def child(api, arg):
+        ctl, out = arg
+        word = _own_stack(api).vhigh - 4
+        yield from api.store_word(word, 0xC0FFEE)
+        yield from api.store_word(ctl, 1)
+        while (yield from api.load_word(ctl + 4)) == 0:
+            yield from api.yield_cpu()
+        out["child"] = yield from api.load_word(word)
+        return 0
+
+    def leader(api, out):
+        ctl = yield from api.mmap(PAGE_SIZE)
+        yield from api.prctl(PR_SETSTACKSIZE, small)
+        yield from api.sproc(child, PR_SALL, (ctl, out))
+        while (yield from api.load_word(ctl)) == 0:
+            yield from api.yield_cpu()
+        yield from api.store_word(deep, 0xDEAD)  # the leader's own growth
+        yield from api.store_word(ctl + 4, 1)
+        yield from api.wait()
+        out["deep"] = yield from api.load_word(deep)
+        yield from api.store_word(below, 1)
+        return 0
+
+    def main(api, out):
+        yield from api.fork(leader, out)
+        _, status = yield from api.wait()
+        out["sig"] = status_signal(status)
+        return 0
+
+    out, sim = run_program(main)
+    assert out["child"] == 0xC0FFEE
+    assert out["deep"] == 0xDEAD
+    assert out["sig"] == SIGSEGV
+    assert audit_leaks(sim) == []
+
+
 def test_stack_size_reaching_the_map_arena_is_einval():
     """A stack reservation larger than slot 0 can hold above the map
     arena is EINVAL and keeps the old size, so a group created next

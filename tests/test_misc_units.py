@@ -37,7 +37,7 @@ def test_uarea_set_cdir_balances_refcounts():
     ua.set_cdir(sub)
     assert fs.root.refcount == root_refs - 1
     assert sub.refcount == 1
-    ua.release_dirs()
+    ua.release()
     assert sub.refcount == 0
 
 

@@ -305,7 +305,7 @@ def test_stack_overflow_is_segv():
         # touch far below the stack reservation
         from repro.mem import layout
 
-        bad = layout.stack_slot(1, 1024 * 1024) - 4 * 1024 * 1024
+        bad = layout.STACK_TOP - 5 * layout.DEFAULT_STACK_MAX
         yield from api.store_word(bad, 1)
         return 0
 

@@ -70,7 +70,7 @@ def test_default_image_layout():
     assert out["data_at"] == layout.DATA_BASE
     assert out["text_size"] == DEFAULT_TEXT
     assert out["data_size"] == DEFAULT_DATA
-    assert out["stack_high"] == layout.stack_slot(0)
+    assert out["stack_high"] == layout.STACK_TOP
 
 
 def test_text_segment_is_not_writable():

@@ -1,5 +1,7 @@
 """Property-based tests on core data structures and invariants."""
 
+from itertools import combinations
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.kernel.signals import NSIG, PendingSet, SIGKILL
@@ -80,19 +82,23 @@ def test_pendingset_lowest_first_without_sigkill(signals):
 # stack layout
 
 
-@given(st.integers(0, 63), st.integers(0, 63))
-def test_stack_slots_never_overlap(a, b):
-    if a == b:
-        return
-    max_bytes = layout.DEFAULT_STACK_MAX
-    top_a, top_b = layout.stack_slot(a, max_bytes), layout.stack_slot(b, max_bytes)
-    low_a, low_b = top_a - max_bytes, top_b - max_bytes
-    assert top_a <= low_b or top_b <= low_a
-
-
-@given(st.integers(0, 200))
-def test_stack_slots_monotone_decreasing(index):
-    assert layout.stack_slot(index + 1) < layout.stack_slot(index)
+@given(st.lists(st.integers(4, 512), min_size=1, max_size=16))
+def test_carved_stacks_never_overlap(sizes):
+    """Stacks carved at any sequence of sizes (``PR_SETSTACKSIZE`` in
+    pages between carves) descend from ``STACK_TOP``, and no two
+    reservations overlap."""
+    space = AddressSpace(Machine(ncpus=1, memory_bytes=1 << 20))
+    reservations = []
+    for pages in sizes:
+        space.stack_max = pages * PAGE_SIZE
+        stack = space.carve_stack(shared=False)
+        assert stack.max_pages == pages
+        reservations.append((stack.vhigh - stack.max_pages * PAGE_SIZE, stack.vhigh))
+    tops = [top for _low, top in reservations]
+    assert tops[0] == layout.STACK_TOP
+    assert tops == sorted(set(tops), reverse=True)
+    for (low_a, top_a), (low_b, top_b) in combinations(reservations, 2):
+        assert top_a <= low_b or top_b <= low_a
 
 
 # ----------------------------------------------------------------------

@@ -193,6 +193,31 @@ def test_update_counters_track_resource_changes():
     assert out["stats"]["fds"] == 1
 
 
+def test_freeing_the_block_closes_a_pipe_end_it_held_last():
+    """The block's ``s_ofile`` reference can be a pipe end's last one
+    (every member closed the descriptor): freeing the block closes the
+    end, so a reader sees EOF."""
+    from repro.fs.fdtable import FDTable
+    from repro.fs.file import File, O_WRONLY
+    from repro.fs.inode import Inode, InodeType
+    from repro.fs.pipe import Pipe
+
+    block = fresh_block()
+    inode = Inode(InodeType.FIFO, mode=0o600)
+    pipe = inode.fifo = Pipe(block.shared_vm.machine, waker=None)
+    table = FDTable(4)
+    fd = table.alloc(File(inode, O_WRONLY))
+    block.update_ofile(table)
+    table.remove(fd).release()
+    assert pipe.writers == 1
+    block.free()
+    assert pipe.writers == 0
+    read = pipe.read(None, 16)
+    with pytest.raises(StopIteration) as eof:
+        next(read)
+    assert eof.value.value == b""
+
+
 def test_freeing_nonempty_block_is_rejected():
     from repro.errors import SimulationError
 
