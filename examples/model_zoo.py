@@ -10,7 +10,7 @@ workload as a friendly script).
 Run:  python examples/model_zoo.py
 """
 
-from repro.workloads import MODELS, run_parallel_sum, run_producer_consumer
+from repro.workloads.models import MODELS, run_parallel_sum, run_producer_consumer
 
 DESCRIPTIONS = {
     "v7_pipes": "Figure 1: independent processes, pipes only",

@@ -20,31 +20,22 @@ it.  This package makes those claims executable:
   (share-group fault storms, descriptor churn, mapping churn, ...),
   each booted by :class:`Scenario`.
 
+The package re-exports only the invariant pack, which benchmark runs
+call; import the searches and scenarios from their own modules.
 ``python -m repro.check --seeds 200`` and ``python -m repro.check
 inject --deep`` are the CI entry points.
 """
 
-from repro.check.explore import Report, RunResult, explore, run_once, shrink, sweep
 from repro.check.invariants import (
     check_fd_refcounts,
     check_pregion_tlb,
     check_shaddr_refcounts,
     run_invariants,
 )
-from repro.check.scenarios import DEFAULT_SCENARIOS, SCENARIOS, Scenario
 
 __all__ = [
-    "DEFAULT_SCENARIOS",
-    "Report",
-    "RunResult",
-    "SCENARIOS",
-    "Scenario",
     "check_fd_refcounts",
     "check_pregion_tlb",
     "check_shaddr_refcounts",
-    "explore",
     "run_invariants",
-    "run_once",
-    "shrink",
-    "sweep",
 ]

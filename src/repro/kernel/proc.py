@@ -134,7 +134,6 @@ class ProcTable:
         self.max_procs = max_procs
         self._procs: Dict[int, Proc] = {}
         self._next_pid = 0
-        self.created = 0
 
     def alloc_pid(self) -> int:
         """The next pid; a full table (zombies count) fails EAGAIN."""
@@ -147,7 +146,6 @@ class ProcTable:
         if proc.pid in self._procs:
             raise SimulationError("duplicate pid %d" % proc.pid)
         self._procs[proc.pid] = proc
-        self.created += 1
 
     def remove(self, proc: Proc) -> None:
         if self._procs.pop(proc.pid, None) is None:

@@ -11,7 +11,8 @@ against.  Four layers, all host-side and all free of simulated cycles:
 * :mod:`repro.obs.lockdep` — lock-order/deadlock checking over the same
   primitives (off by default; ``System(lockdep=True)``);
 * :mod:`repro.obs.procfs` — ``/proc``-style text tables rendered from a
-  live :class:`~repro.system.System` (``System.report()``).
+  live :class:`~repro.system.System` (``System.report()``), imported
+  from its own module only when a report is asked for.
 
 Host speed — how fast the simulator itself runs, and where its host time
 goes by layer — is measured outside the package, by ``perfbench/``.
@@ -24,7 +25,6 @@ determinism of collected values as invariants.
 from repro.obs.kstat import Histogram, KstatRegistry
 from repro.obs.lockdep import NULL_LOCKDEP, LockDep, LockOrderViolation, lock_class
 from repro.obs.lockstat import LockStat, LockStatRegistry
-from repro.obs.procfs import render_system
 
 __all__ = [
     "Histogram",
@@ -35,5 +35,4 @@ __all__ = [
     "LockStatRegistry",
     "NULL_LOCKDEP",
     "lock_class",
-    "render_system",
 ]

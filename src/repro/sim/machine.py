@@ -95,19 +95,16 @@ class Machine:
         """Cycles the initiator pays for a synchronous all-CPU flush."""
         return self.costs.tlb_shootdown_percpu * self.ncpus
 
-    def tlb_shootdown(self, asid: Optional[int] = None) -> int:
-        """Synchronously flush every CPU's TLB (section 6.2 of the paper).
+    def tlb_shootdown(self, asid: int) -> int:
+        """Synchronously flush one space from every CPU's TLB (section
+        6.2 of the paper).
 
         Performed while the caller holds the shared pregion update lock:
         any running group member immediately TLB-misses, traps into the
         kernel, and blocks on the shared read lock until the update is
         done.  Returns the cycle cost the initiator must charge.
         """
-        for cpu in self.cpus:
-            if asid is None:
-                cpu.tlb.flush_all()
-            else:
-                cpu.tlb.flush_asid(asid)
+        self.tlb_flush_asid(asid)
         return self.shootdown_cost()
 
     def tlb_shootdown_range(self, asid: int, vpn_lo: int, vpn_hi: int) -> int:

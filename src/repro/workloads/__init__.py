@@ -1,5 +1,9 @@
 """Workloads: deterministic generators, the five programming models,
-and the flagship multi-tier server (E17)."""
+and the flagship multi-tier server (E17).
+
+The package re-exports the generators and the server; the models
+(``repro.workloads.models``) are imported from their own module.
+"""
 
 from repro.workloads.generators import (
     checksum,
@@ -10,11 +14,6 @@ from repro.workloads.generators import (
     unpack_words,
     words,
 )
-from repro.workloads.models import (
-    MODELS,
-    run_parallel_sum,
-    run_producer_consumer,
-)
 from repro.workloads.server import (
     ArrivalSchedule,
     ServerConfig,
@@ -23,7 +22,6 @@ from repro.workloads.server import (
 )
 
 __all__ = [
-    "MODELS",
     "ArrivalSchedule",
     "ServerConfig",
     "ShardedCache",
@@ -31,8 +29,6 @@ __all__ = [
     "lcg",
     "pack_words",
     "payload",
-    "run_parallel_sum",
-    "run_producer_consumer",
     "run_server",
     "task_costs",
     "unpack_words",

@@ -33,6 +33,7 @@ metrics on or off.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Dict, Iterator, List, Tuple
 
 from repro.fs.file import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_WRONLY
@@ -170,11 +171,15 @@ class ArrivalSchedule:
     def _draw_keys(gen: Iterator[int], nreq: int,
                    keyspace: int) -> List[Tuple[int, int]]:
         counts: Dict[int, int] = {}
-        for _ in range(nreq):
-            u = next(gen) / 4294967296.0
+        get = counts.get
+        top = keyspace - 1
+        for word in islice(gen, nreq):
+            u = word / 4294967296.0
             u2 = u * u
-            key = min(keyspace - 1, int(u2 * u2 * u * keyspace))
-            counts[key] = counts.get(key, 0) + 1
+            key = int(u2 * u2 * u * keyspace)
+            if key > top:
+                key = top
+            counts[key] = get(key, 0) + 1
         return sorted(counts.items())
 
     @property
@@ -408,9 +413,8 @@ class ShardedCache:
         return sum(s.capacity for s in self.shards)
 
     def access(self, api, key: int):
-        result = yield from self.shards[key % self.nshards].access(
-            api, key // self.nshards)
-        return result
+        """The shard's own ``access`` generator, returned, not wrapped."""
+        return self.shards[key % self.nshards].access(api, key // self.nshards)
 
     def resident(self, api):
         """Generator: total entries across shards (for tests)."""

@@ -3,7 +3,7 @@
 
 from repro import PR_SALL, status_code
 from repro.errors import EINTR, EINVAL
-from repro.runtime import HybridLock
+from repro.runtime.hybridlock import HybridLock
 from tests.conftest import run_program
 
 

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.workloads import (
+from repro.workloads import checksum, payload, words
+from repro.workloads.models import (
     MODELS,
-    checksum,
-    payload,
     run_parallel_sum,
     run_producer_consumer,
-    words,
 )
 
 
