@@ -10,12 +10,9 @@ from repro.fs.inode import Inode, InodeType
 from repro.ipc.socket import Socket, SocketNamespace
 from repro.ipc.sysv_sem import SemRegistry
 from repro.ipc.sysv_shm import ShmRegistry
+from repro.kernel.fault import _words
 from repro.share import vmshare
 from repro.sim.effects import kdelay
-
-
-def _words(nbytes: int) -> int:
-    return (nbytes + 3) // 4
 
 
 class IPCSyscalls:

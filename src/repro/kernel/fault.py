@@ -35,6 +35,7 @@ _pack_word = WORD.pack_into
 
 
 def _words(nbytes: int) -> int:
+    """How many words a copy of ``nbytes`` moves (the copy-cost unit)."""
     return (nbytes + 3) // 4
 
 

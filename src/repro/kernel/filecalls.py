@@ -33,14 +33,11 @@ from repro.fs.file import (
 )
 from repro.fs.inode import IEXEC, IREAD, IWRITE, Inode, InodeType
 from repro.fs.pipe import BrokenPipe, Pipe
+from repro.kernel.fault import _words
 from repro.kernel.signals import SIGPIPE
 from repro.share import resources
 from repro.share.mask import PR_SFDS
 from repro.sim.effects import kdelay
-
-
-def _words(nbytes: int) -> int:
-    return (nbytes + 3) // 4
 
 
 class FileSyscalls:
@@ -264,6 +261,8 @@ class FileSyscalls:
 
     def sys_write_v(self, proc, fd: int, vaddr: int, nbytes: int):
         """POSIX-shaped write from a *guest* buffer; returns the count."""
+        if nbytes < 0:
+            raise SysError(EINVAL)
         payload = yield from self.copyin(proc, vaddr, nbytes)
         count = yield from self.sys_write(proc, fd, payload)
         return count

@@ -11,7 +11,10 @@ Lookup order follows the paper (section 6.2): *"the private regions for a
 process are examined first when demand paging ..., followed by
 examination of the shared regions."*  This is what makes the private PRDA
 shadow nothing and lets a future implementation mix copy-on-write and
-shared pieces of one image.
+shared pieces of one image.  :meth:`AddressSpace.find` bisects each
+list's sorted view (:mod:`repro.mem.vmindex`); ``vm_index="linear"``
+scans instead, E16's ablation.  The stack-growth probe runs only for an
+address no pregion holds, so it is one private-first scan in both modes.
 
 The address space itself is a passive data structure: methods here decide
 *what* a fault means (:class:`Resolution`) and mutate page tables, while
@@ -273,45 +276,19 @@ class AddressSpace:
         """Find a downward-growing pregion that may absorb ``vaddr``.
 
         The candidate must be the nearest DOWN-growing pregion above the
-        address, and the gap must be within its growth ceiling.
+        address, and the gap must be within its growth ceiling.  One
+        scan, private first, so a private candidate wins a tie: only an
+        address no pregion holds is probed, which is rare.
         """
-        if self._linear:
-            best = self._growable_stack_linear(vaddr)
-        else:
-            best = self._growable_stack_indexed(vaddr)
-        if best is not None and best[0].can_grow_down_to(vaddr):
-            return best
-        return None
-
-    def _growable_stack_linear(self, vaddr: int) -> Optional[Tuple[Pregion, bool]]:
-        """The nearest DOWN pregion above ``vaddr``, by a full scan."""
         best: Optional[Tuple[Pregion, bool]] = None
         for pregion, shared in self.iter_pregions():
-            if pregion.growth is not Growth.DOWN:
-                continue
-            if pregion.vlow <= vaddr:
+            if pregion.growth is not Growth.DOWN or pregion.vlow <= vaddr:
                 continue
             if best is None or pregion.vlow < best[0].vlow:
                 best = (pregion, shared)
-        return best
-
-    def _growable_stack_indexed(self, vaddr: int) -> Optional[Tuple[Pregion, bool]]:
-        """The same candidate, by one bisect per list over DOWN members.
-
-        Ties on vlow go to the private candidate, matching the linear
-        scan's private-first iteration with a strict ``<`` comparison.
-        """
-        best: Optional[Tuple[Pregion, bool]] = None
-        candidate, _steps = self._private.nearest_down_above(vaddr)
-        if candidate is not None:
-            best = (candidate, False)
-        if self.shared is not None:
-            candidate, _steps = self.shared.pregions.nearest_down_above(vaddr)
-            if candidate is not None and (
-                best is None or candidate.vlow < best[0].vlow
-            ):
-                best = (candidate, True)
-        return best
+        if best is not None and best[0].can_grow_down_to(vaddr):
+            return best
+        return None
 
     # ------------------------------------------------------------------
     # fault actions (called by the kernel fault handler, under locks)

@@ -1,10 +1,12 @@
 """Sorted interval index over pregion lists: the VM translation fast path.
 
 The paper's section 6.2 lookup — private pregions first, then shared —
-was a linear scan on every TLB miss, every kernel-copy page and every
-stack-growth probe.  :class:`PregionList` keeps the authoritative list
-semantics (it *is* a list, so every existing ``append``/``remove``/``in``
-call site keeps working) and adds a bisectable view sorted by ``vlow``.
+was a linear scan on every TLB miss and every kernel-copy page.
+:class:`PregionList` keeps the authoritative list semantics (it *is* a
+list, so every existing ``append``/``remove``/``in`` call site keeps
+working) and adds a bisectable view sorted by ``vlow``.  The view
+answers containment lookups and the attach-time overlap check; the rare
+stack-growth probe scans the lists instead (``AddressSpace``).
 
 The view is maintained incrementally: ``append`` bisect-inserts the new
 member after every member with an equal start (exactly where a stable
@@ -18,8 +20,9 @@ under the read lock never observes a half-edited index.
 Within one list the non-empty pregions never overlap (nor does any
 private pregion overlap a shared one: every attach checks both lists),
 so a binary search on ``vlow`` has exactly one containment candidate:
-the rightmost pregion starting at or below the address.  The same disjointness lets :meth:`PregionList.overlapping`
-answer the attach-time overlap check from the view instead of a scan.
+the rightmost pregion starting at or below the address.  The same
+disjointness lets :meth:`PregionList.overlapping` answer the overlap
+check from the view instead of a scan.
 
 Each pregion also records the list that currently holds it (``owner``),
 which lets :meth:`AddressSpace.detach` drop it in a single pass instead
@@ -31,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Optional
 
-from repro.mem.pregion import Growth, Pregion
+from repro.mem.pregion import Pregion
 
 
 class PregionList(list):
@@ -43,7 +46,7 @@ class PregionList(list):
     and never charges simulated cycles.
     """
 
-    __slots__ = ("_stale", "_starts", "_order", "_down_starts", "_down")
+    __slots__ = ("_stale", "_starts", "_order")
 
     def __init__(self, iterable=()):
         list.__init__(self, iterable)
@@ -51,8 +54,6 @@ class PregionList(list):
         self._stale = True
         self._starts: List[int] = []
         self._order: List[Pregion] = []
-        self._down_starts: List[int] = []
-        self._down: List[Pregion] = []
         for pregion in self:
             pregion.owner = self
 
@@ -68,27 +69,17 @@ class PregionList(list):
         pos = bisect_right(self._starts, vbase)
         self._starts.insert(pos, vbase)
         self._order.insert(pos, pregion)
-        if pregion.growth is Growth.DOWN:
-            pos = bisect_right(self._down_starts, vbase)
-            self._down_starts.insert(pos, vbase)
-            self._down.insert(pos, pregion)
 
     def remove(self, pregion: Pregion) -> None:
         list.remove(self, pregion)
         pregion.owner = None
         if self._stale:
             return
-        self._unindex(self._starts, self._order, pregion)
-        if pregion.growth is Growth.DOWN:
-            self._unindex(self._down_starts, self._down, pregion)
-
-    @staticmethod
-    def _unindex(starts: List[int], order: List[Pregion], pregion: Pregion) -> None:
-        pos = bisect_left(starts, pregion.vbase)
-        while order[pos] is not pregion:
+        pos = bisect_left(self._starts, pregion.vbase)
+        while self._order[pos] is not pregion:
             pos += 1
-        del starts[pos]
-        del order[pos]
+        del self._starts[pos]
+        del self._order[pos]
 
     def invalidate(self) -> None:
         """Force a rebuild (a member's base address moved)."""
@@ -101,9 +92,6 @@ class PregionList(list):
         order = sorted(self, key=_start)
         self._order = order
         self._starts = [pregion.vbase for pregion in order]
-        down = [p for p in order if p.growth is Growth.DOWN]
-        self._down = down
-        self._down_starts = [pregion.vbase for pregion in down]
         self._stale = False
 
     @staticmethod
@@ -129,19 +117,6 @@ class PregionList(list):
             steps += 1
             if candidate.contains(vaddr):
                 return candidate, steps
-        return None, steps
-
-    def nearest_down_above(self, vaddr: int):
-        """The DOWN-growing member with the smallest ``vlow > vaddr``.
-
-        Returns ``(pregion_or_None, steps)`` — the stack-growth probe's
-        replacement for scanning the whole list per SEGV check.
-        """
-        if self._stale:
-            self._rebuild()
-        pos, steps = self._bisect_right(self._down_starts, vaddr)
-        if pos < len(self._down):
-            return self._down[pos], steps + 1
         return None, steps
 
     def overlapping(self, vlow: int, vhigh: int) -> Optional[Pregion]:
@@ -172,18 +147,15 @@ class PregionList(list):
         """Ways the sorted view or the list's contents are incoherent.
 
         Empty when the view (unless stale, when the next query rebuilds
-        it) and its ``Growth.DOWN`` sub-index equal a fresh stable sort
-        by ``vlow``, and no two non-empty members overlap.
+        it) equals a fresh stable sort by ``vlow``, and no two non-empty
+        members overlap.
         """
         errors = []
         fresh = sorted(self, key=_start)
-        if not self._stale:
-            if self._order != fresh or self._starts != [p.vbase for p in fresh]:
-                errors.append("sorted view differs from a fresh sort")
-            down = [p for p in fresh if p.growth is Growth.DOWN]
-            if (self._down != down
-                    or self._down_starts != [p.vbase for p in down]):
-                errors.append("DOWN sub-index differs from a fresh sort")
+        if not self._stale and (
+            self._order != fresh or self._starts != [p.vbase for p in fresh]
+        ):
+            errors.append("sorted view differs from a fresh sort")
         reach: Optional[Pregion] = None
         for pregion in fresh:
             if pregion.vhigh == pregion.vbase:

@@ -71,8 +71,8 @@ def shootdown(kernel, proc):
     full cross-CPU cost — nobody else waits for anything except the lock.
     """
     asid = proc.vm.asid
-    cost = kernel.machine.tlb_shootdown(asid)
-    yield from _shootdown_sent(kernel, proc, cost, "asid=%d" % asid)
+    kernel.machine.tlb_flush_asid(asid)
+    yield from _shootdown_sent(kernel, proc, "asid=%d" % asid)
 
 
 def shootdown_range(kernel, proc, vpn_lo: int, vpn_hi: int):
@@ -88,15 +88,16 @@ def shootdown_range(kernel, proc, vpn_lo: int, vpn_hi: int):
         yield from shootdown(kernel, proc)
         return
     asid = proc.vm.asid
-    cost = kernel.machine.tlb_shootdown_range(asid, vpn_lo, vpn_hi)
+    kernel.machine.tlb_flush_range(asid, vpn_lo, vpn_hi)
     kernel.kstat.add("kernel", 0, "shootdown_pages", vpn_hi - vpn_lo)
     yield from _shootdown_sent(
-        kernel, proc, cost, "asid=%d vpn=%#x..%#x" % (asid, vpn_lo, vpn_hi)
+        kernel, proc, "asid=%d vpn=%#x..%#x" % (asid, vpn_lo, vpn_hi)
     )
 
 
-def _shootdown_sent(kernel, proc, cost: int, detail: str):
-    """Generator: what every shootdown counts, then the initiator's charge."""
+def _shootdown_sent(kernel, proc, detail: str):
+    """Generator: what every shootdown counts, then the initiator's
+    charge for the synchronous all-CPU flush."""
     kernel.stats["shootdowns"] += 1
     kernel.pcount(proc, "shootdowns_sent")
     kernel.trace("shootdown", proc.pid, detail)
@@ -108,7 +109,7 @@ def _shootdown_sent(kernel, proc, cost: int, detail: str):
     for cpu in kernel.machine.cpus:
         if cpu is not here:
             kstat.add("cpu", cpu.idx, "shootdown_ipis_rcvd")
-    yield kdelay(cost)
+    yield kdelay(kernel.machine.shootdown_cost())
 
 
 def attach_mapping(kernel, proc, nbytes: int, region):

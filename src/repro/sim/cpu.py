@@ -57,7 +57,7 @@ class CPU:
             tlb_capacity,
             kstat=machine.kstat,
             cpu_idx=idx,
-            asid_index=machine.vm_index != "linear",
+            linear=machine.vm_index == "linear",
         )
         #: ``(asid, vpn)`` of private translations the current process
         #: cached under a shared ASID; they leave the TLB with it

@@ -47,8 +47,8 @@ class Machine:
                 "unknown vm_index %r (choose from %s)"
                 % (vm_index, ", ".join(VM_INDEX_MODES))
             )
-        # Must be set before the CPUs exist: each CPU's TLB keys its
-        # per-ASID index decision off this flag.
+        # Must be set before the CPUs exist: each CPU's TLB reads it to
+        # pick its per-ASID flush.
         self.vm_index = vm_index
         self.engine = Engine(seed=seed, perturb=perturb)
         self.costs = costs if costs is not None else default_costs()
@@ -92,37 +92,13 @@ class Machine:
     # TLB maintenance
 
     def shootdown_cost(self) -> int:
-        """Cycles the initiator pays for a synchronous all-CPU flush."""
+        """Cycles a shootdown's initiator pays for the synchronous
+        all-CPU flush (paper section 6.2; ``vmshare`` charges it)."""
         return self.costs.tlb_shootdown_percpu * self.ncpus
 
-    def tlb_shootdown(self, asid: int) -> int:
-        """Synchronously flush one space from every CPU's TLB (section
-        6.2 of the paper).
-
-        Performed while the caller holds the shared pregion update lock:
-        any running group member immediately TLB-misses, traps into the
-        kernel, and blocks on the shared read lock until the update is
-        done.  Returns the cycle cost the initiator must charge.
-        """
-        self.tlb_flush_asid(asid)
-        return self.shootdown_cost()
-
-    def tlb_shootdown_range(self, asid: int, vpn_lo: int, vpn_hi: int) -> int:
-        """Targeted shootdown: flush one VPN window of one space everywhere.
-
-        Same synchronous protocol and initiator cost as a full
-        :meth:`tlb_shootdown`, but every other warm translation —
-        including the rest of this address space — survives, so group
-        members do not refill their whole working set afterwards.
-        """
-        for cpu in self.cpus:
-            cpu.tlb.flush_range(asid, vpn_lo, vpn_hi)
-        return self.shootdown_cost()
-
     def tlb_flush_asid(self, asid: int) -> None:
-        """Drop every translation of one space everywhere, without
-        shootdown accounting (fork's COW marking, a retired ASID); the
-        caller charges whatever flush cost applies."""
+        """Drop every translation of one space everywhere; the caller
+        charges whatever flush or shootdown cost applies."""
         for cpu in self.cpus:
             cpu.tlb.flush_asid(asid)
 
@@ -132,12 +108,9 @@ class Machine:
             cpu.tlb.flush_page(asid, vpn)
 
     def tlb_flush_range(self, asid: int, vpn_lo: int, vpn_hi: int) -> None:
-        """Drop one VPN window everywhere without shootdown accounting.
-
-        Structural helper for non-sharing address spaces, where no other
-        CPU can be running the victim space mid-update; the caller
-        charges whatever local flush cost applies.
-        """
+        """Drop one VPN window of one space everywhere; every other warm
+        translation survives.  The caller charges the shootdown or the
+        local flush."""
         for cpu in self.cpus:
             cpu.tlb.flush_range(asid, vpn_lo, vpn_hi)
 

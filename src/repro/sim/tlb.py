@@ -11,12 +11,13 @@ Entries are keyed by ``(asid, vpn)``.  All members of a share group run
 with the same address-space ID, so switching between members leaves their
 shared translations warm — one of the quiet wins of the design.
 
-Per-ASID flushes used to scan every resident entry.  The TLB now keeps a
-secondary index grouping entries by ASID so ``flush_asid``/``flush_range``
-touch only the victim space's entries; the old full scan survives as the
-``vm_index="linear"`` ablation (``asid_index=False``).  How many entries
-each flush examined is reported through the per-CPU kstat counter
-``tlb_asid_flush_scanned`` — host-side accounting that charges no cycles.
+Every TLB keeps a secondary index grouping entries by ASID, so
+``flush_asid``/``flush_range`` touch only the victim space's entries.
+The ``vm_index="linear"`` ablation (``linear=True``) changes one thing:
+``flush_asid`` finds its victims by examining every resident entry, the
+pre-index cost E16 measures.  How many entries each flush examined is
+reported through the per-CPU kstat counter ``tlb_asid_flush_scanned`` —
+host-side accounting that charges no cycles.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class TLB:
     """
 
     __slots__ = (
-        "capacity", "_entries", "_by_asid", "_kstat", "_cpu_idx",
+        "capacity", "_entries", "_by_asid", "_linear", "_kstat", "_cpu_idx",
         "hits", "misses", "flushes", "flush_pages",
     )
 
@@ -64,16 +65,16 @@ class TLB:
         capacity: int = 64,
         kstat=None,
         cpu_idx: int = 0,
-        asid_index: bool = True,
+        linear: bool = False,
     ):
         if capacity <= 0:
             raise ValueError("TLB capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple[int, int], TLBEntry]" = OrderedDict()
-        #: secondary index: asid -> {vpn: entry}; None in the linear ablation
-        self._by_asid: Optional[Dict[int, Dict[int, TLBEntry]]] = (
-            {} if asid_index else None
-        )
+        #: secondary index: asid -> {vpn: entry}
+        self._by_asid: Dict[int, Dict[int, TLBEntry]] = {}
+        #: the E16 ablation: ``flush_asid`` scans every resident entry
+        self._linear = linear
         self._kstat = kstat
         self._cpu_idx = cpu_idx
         self.hits = 0
@@ -87,8 +88,6 @@ class TLB:
             self._kstat.add("cpu", self._cpu_idx, "tlb_asid_flush_scanned", n)
 
     def _index_drop(self, asid: int, vpn: int) -> None:
-        if self._by_asid is None:
-            return
         bucket = self._by_asid.get(asid)
         if bucket is not None:
             bucket.pop(vpn, None)
@@ -118,35 +117,27 @@ class TLB:
             self._index_drop(old_key[0], old_key[1])
         entry = TLBEntry(asid, vpn, frame, writable)
         self._entries[key] = entry
-        if self._by_asid is not None:
-            self._by_asid.setdefault(asid, {})[vpn] = entry
+        self._by_asid.setdefault(asid, {})[vpn] = entry
         return entry
 
     # ------------------------------------------------------------------
     # invalidation
 
-    def flush_all(self) -> None:
-        """Drop every translation (global flush)."""
-        self._entries.clear()
-        if self._by_asid is not None:
-            self._by_asid.clear()
-        self.flushes += 1
-
     def flush_asid(self, asid: int) -> None:
-        """Drop all translations for one address space."""
-        if self._by_asid is not None:
-            bucket = self._by_asid.pop(asid, None)
-            if bucket is not None:
-                self._scanned(len(bucket))
-                for vpn in bucket:
-                    del self._entries[(asid, vpn)]
-            else:
-                self._scanned(0)
-        else:
+        """Drop all translations for one address space.
+
+        The index names them; the linear ablation finds the same ones by
+        examining every resident entry.
+        """
+        bucket = self._by_asid.pop(asid, {})
+        if self._linear:
             self._scanned(len(self._entries))
-            stale = [key for key in self._entries if key[0] == asid]
-            for key in stale:
-                del self._entries[key]
+            stale = [vpn for owner, vpn in self._entries if owner == asid]
+        else:
+            self._scanned(len(bucket))
+            stale = bucket
+        for vpn in stale:
+            del self._entries[(asid, vpn)]
         self.flushes += 1
 
     def flush_page(self, asid: int, vpn: int) -> None:
@@ -168,30 +159,18 @@ class TLB:
 
     def flush_range(self, asid: int, vpn_lo: int, vpn_hi: int) -> None:
         """Drop translations for ``vpn_lo <= vpn < vpn_hi`` in one space."""
-        if self._by_asid is not None:
-            bucket = self._by_asid.get(asid)
-            if bucket is None:
-                self._scanned(0)
-            else:
-                self._scanned(len(bucket))
-                stale_vpns = [
-                    vpn for vpn in bucket if vpn_lo <= vpn < vpn_hi
-                ]
-                for vpn in stale_vpns:
-                    del bucket[vpn]
-                    del self._entries[(asid, vpn)]
-                    self.flush_pages += 1
-                if not bucket:
-                    del self._by_asid[asid]
+        bucket = self._by_asid.get(asid)
+        if bucket is None:
+            self._scanned(0)
         else:
-            self._scanned(len(self._entries))
-            stale = [
-                key for key in self._entries
-                if key[0] == asid and vpn_lo <= key[1] < vpn_hi
-            ]
-            for key in stale:
-                del self._entries[key]
+            self._scanned(len(bucket))
+            stale_vpns = [vpn for vpn in bucket if vpn_lo <= vpn < vpn_hi]
+            for vpn in stale_vpns:
+                del bucket[vpn]
+                del self._entries[(asid, vpn)]
                 self.flush_pages += 1
+            if not bucket:
+                del self._by_asid[asid]
         self.flushes += 1
 
     # ------------------------------------------------------------------
@@ -207,11 +186,8 @@ class TLB:
     def index_errors(self):
         """Ways the per-ASID index disagrees with ``_entries`` (invariant).
 
-        Empty when coherent — and always empty in the linear ablation,
-        which has no index to disagree.
+        Empty when coherent, in both ``vm_index`` modes.
         """
-        if self._by_asid is None:
-            return []
         errors = []
         indexed = {
             (asid, vpn)

@@ -41,7 +41,9 @@ def test_read_v_enomem_midway_releases_grabbed_frames():
         return 0
 
     out = {}
-    sim = System(ncpus=1, inject={"fault.zero": "nth:2"})
+    # hit 1 is the PRDA page, so hit 3 fails the buffer's second page
+    # after its first was filled
+    sim = System(ncpus=1, inject={"fault.zero": "nth:3"})
     holder["sim"] = sim
     run_program(main, out=out, sim=sim)
     assert out["rc"] == -1 and out["err"] == ENOMEM

@@ -18,6 +18,7 @@ from repro.errors import (
     EBADF,
     EEXIST,
     EFBIG,
+    EINVAL,
     EISDIR,
     ENOENT,
     ENOTDIR,
@@ -162,6 +163,25 @@ def test_guest_buffer_read_write_v():
     out, _ = run_program(main)
     assert out["n"] == (6, 6)
     assert out["copy"] == b"guest!"
+
+
+def test_write_v_with_a_negative_count_is_einval():
+    """``write_v`` rejects a negative count as ``read_v`` does, and
+    writes nothing."""
+
+    def main(api, out):
+        buf = yield from api.mmap(4096)
+        fd = yield from api.open("/f", O_RDWR | O_CREAT)
+        for name, call in (("write_v", api.write_v), ("read_v", api.read_v)):
+            rc = yield from call(fd, buf, -1)
+            out[name] = (rc, (yield from api.errno()))
+        out["size"] = yield from api.lseek(fd, 0, SEEK_END)
+        return 0
+
+    out, _ = run_program(main)
+    assert out["write_v"] == (-1, EINVAL)
+    assert out["read_v"] == (-1, EINVAL)
+    assert out["size"] == 0
 
 
 def test_mkdir_chdir_relative_paths():

@@ -1,6 +1,7 @@
 """Unit tests for the software-managed TLB."""
 
 from repro.mem.frames import Frame
+from repro.obs.kstat import KstatRegistry
 from repro.sim.tlb import TLB
 
 
@@ -44,15 +45,6 @@ def test_reinsert_updates_in_place():
     assert not entry.writable
 
 
-def test_flush_all():
-    tlb = TLB(8)
-    tlb.insert(1, 0x1, 1, True)
-    tlb.insert(2, 0x2, 2, True)
-    tlb.flush_all()
-    assert len(tlb) == 0
-    assert tlb.flushes == 1
-
-
 def test_flush_asid_is_selective():
     tlb = TLB(8)
     tlb.insert(1, 0x1, 1, True)
@@ -87,8 +79,7 @@ def test_flush_range_counts_like_its_siblings():
     tlb.flush_range(1, 100, 200)  # empty range still counts as a flush op
     assert tlb.flushes == 2
     tlb.flush_asid(1)
-    tlb.flush_all()
-    assert tlb.flushes == 4
+    assert tlb.flushes == 3
 
 
 def test_hit_rate():
@@ -134,41 +125,55 @@ def _assert_index_clean(tlb):
 def test_asid_index_matches_entries_under_mixed_traffic():
     import random
 
-    rng = random.Random(42)
-    tlb = TLB(8, asid_index=True)
-    for step in range(600):
-        op = rng.randrange(6)
-        asid = rng.randrange(1, 5)
-        vpn = rng.randrange(16)
-        if op in (0, 1, 2):  # inserts dominate, forcing evictions
-            tlb.insert(asid, vpn, rng.randrange(100), bool(rng.randrange(2)))
-        elif op == 3:
-            tlb.flush_page(asid, vpn)
-        elif op == 4:
+    for linear in (False, True):  # the ablation keeps the index too
+        rng = random.Random(42)
+        tlb = TLB(8, linear=linear)
+        for step in range(600):
+            op = rng.randrange(6)
+            asid = rng.randrange(1, 5)
+            vpn = rng.randrange(16)
+            if op in (0, 1, 2):  # inserts dominate, forcing evictions
+                tlb.insert(asid, vpn, rng.randrange(100), bool(rng.randrange(2)))
+            elif op == 3:
+                tlb.flush_page(asid, vpn)
+            elif op == 4:
+                tlb.flush_asid(asid)
+            else:
+                lo = rng.randrange(16)
+                tlb.flush_range(asid, lo, lo + rng.randrange(1, 8))
+            _assert_index_clean(tlb)
+        for asid in range(1, 5):
             tlb.flush_asid(asid)
-        else:
-            lo = rng.randrange(16)
-            tlb.flush_range(asid, lo, lo + rng.randrange(1, 8))
         _assert_index_clean(tlb)
-    tlb.flush_all()
-    _assert_index_clean(tlb)
-    assert len(tlb) == 0
+        assert len(tlb) == 0
 
 
-def test_linear_ablation_has_no_index():
-    tlb = TLB(4, asid_index=False)
-    tlb.insert(1, 0x1, 1, True)
-    assert tlb.index_errors() == []
-    tlb.flush_asid(1)
-    assert tlb.probe(1, 0x1) is None
+def test_linear_ablation_flush_scans_every_entry():
+    """The ablation's ``flush_asid`` examines every resident entry where
+    the index examines only the victim's, and both leave the index
+    clean."""
+    scanned = {}
+    for linear in (False, True):
+        kstat = KstatRegistry()
+        tlb = TLB(8, kstat=kstat, linear=linear)
+        tlb.insert(1, 0x1, 1, True)
+        tlb.insert(2, 0x2, 2, True)
+        tlb.insert(1, 0x3, 3, True)
+        tlb.flush_asid(1)
+        _assert_index_clean(tlb)
+        assert tlb.probe(1, 0x1) is None and tlb.probe(1, 0x3) is None
+        assert tlb.probe(2, 0x2) is not None
+        tlb.flush_asid(3)  # nothing resident under it
+        scanned[linear] = kstat.get("cpu", 0, "tlb_asid_flush_scanned")
+    assert scanned == {False: 2, True: 4}
 
 
 def test_indexed_and_linear_tlbs_behave_identically():
     import random
 
     rng = random.Random(7)
-    fast = TLB(6, asid_index=True)
-    slow = TLB(6, asid_index=False)
+    fast = TLB(6)
+    slow = TLB(6, linear=True)
     for _ in range(400):
         op = rng.randrange(6)
         asid = rng.randrange(1, 4)

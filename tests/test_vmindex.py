@@ -2,8 +2,9 @@
 
 The property test drives randomized attach/detach/grow/shrink
 sequences and asserts the indexed and linear lookups agree on every
-probe, and that the indexed overlap check rejects exactly what a linear
-scan rejects — the index is an optimization, never a semantic change.
+probe, that the stack-growth probe picks what the test's own sort picks,
+and that the indexed overlap check rejects exactly what a linear scan
+rejects — the index is an optimization, never a semantic change.
 The rest covers the one-pass detach regression, the ablation flag, and
 determinism.
 """
@@ -54,14 +55,23 @@ def _assert_equivalent(vm):
             idx = vm._find_indexed(vaddr)
             assert lin[0] is idx[0], hex(vaddr)
             assert lin[1] == idx[1], hex(vaddr)
-            grow_lin = vm._growable_stack_linear(vaddr)
-            grow_idx = vm._growable_stack_indexed(vaddr)
-            if grow_lin is None:
-                assert grow_idx is None, hex(vaddr)
+            # the stack probe: the nearest DOWN pregion above, private
+            # before shared on a tie, if it may grow down that far
+            above = sorted(
+                (
+                    (pregion, shared)
+                    for pregion, shared in vm.iter_pregions()
+                    if pregion.growth is Growth.DOWN and pregion.vlow > vaddr
+                ),
+                key=lambda candidate: (candidate[0].vlow, candidate[1]),
+            )
+            grow = vm._growable_stack(vaddr)
+            if above and above[0][0].can_grow_down_to(vaddr):
+                assert grow is not None, hex(vaddr)
+                assert grow[0] is above[0][0], hex(vaddr)
+                assert grow[1] == above[0][1], hex(vaddr)
             else:
-                assert grow_idx is not None, hex(vaddr)
-                assert grow_lin[0] is grow_idx[0]
-                assert grow_lin[1] == grow_idx[1]
+                assert grow is None, hex(vaddr)
 
 
 def _assert_overlap_check_exact(vm, rng):
